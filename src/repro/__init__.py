@@ -18,80 +18,45 @@ True
 
 See ``examples/`` for runnable end-to-end scripts and
 ``python -m repro.experiments all`` to regenerate the paper's evaluation.
+
+Every name below resolves on first access (PEP 562), so ``import repro``
+— which any ``repro.*`` import implies — loads no subpackage and none of
+the numpy/scipy stack (DESIGN.md §11, docs/PERFORMANCE.md "Start-up").
 """
 
-from repro.analysis import VolumeModel, chip_cost, compare_plans
-from repro.arch import Chip, ChipBuilder, Device, DeviceKind, Grid, Router, figure2_chip
-from repro.arch.control import ControlLayer
-from repro.arch.io import chip_from_json, chip_to_json
-from repro.assay import Operation, Reagent, SequencingGraph, format_assay, parse_assay
-from repro.baselines import dawo_plan, immediate_wash_plan
-from repro.bench import BENCHMARKS, benchmark, benchmark_names, load_benchmark
-from repro.contam import (
-    ContaminationTracker,
-    NecessityPolicy,
-    contamination_violations,
-    wash_requirements,
-)
-from repro.core import PDWConfig, PathDriverWash, WashPlan, optimize_washes
-from repro.errors import ReproError
-from repro.export import actuation_program, plan_to_json
-from repro.schedule import Schedule, ScheduledTask, TaskKind, render_gantt
-from repro.sim import ScheduleExecutor, simulate_plan
-from repro.synth import ArchSpec, SynthesisResult, synthesize
-from repro.units import PhysicalParameters
-from repro.viz import render_chip
-from repro.viz.svg import render_svg
+from repro.lazyutil import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArchSpec",
-    "BENCHMARKS",
-    "Chip",
-    "ChipBuilder",
-    "ContaminationTracker",
-    "ControlLayer",
-    "Device",
-    "DeviceKind",
-    "Grid",
-    "NecessityPolicy",
-    "Operation",
-    "PDWConfig",
-    "PathDriverWash",
-    "PhysicalParameters",
-    "Reagent",
-    "ReproError",
-    "Router",
-    "Schedule",
-    "ScheduleExecutor",
-    "ScheduledTask",
-    "SequencingGraph",
-    "SynthesisResult",
-    "TaskKind",
-    "VolumeModel",
-    "WashPlan",
-    "actuation_program",
-    "benchmark",
-    "benchmark_names",
-    "chip_cost",
-    "chip_from_json",
-    "chip_to_json",
-    "compare_plans",
-    "contamination_violations",
-    "dawo_plan",
-    "figure2_chip",
-    "format_assay",
-    "immediate_wash_plan",
-    "load_benchmark",
-    "optimize_washes",
-    "parse_assay",
-    "plan_to_json",
-    "render_chip",
-    "render_gantt",
-    "render_svg",
-    "simulate_plan",
-    "synthesize",
-    "wash_requirements",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis": ("VolumeModel", "chip_cost", "compare_plans"),
+        "repro.arch": (
+            "Chip", "ChipBuilder", "Device", "DeviceKind", "Grid", "Router", "figure2_chip",
+        ),
+        "repro.arch.control": ("ControlLayer",),
+        "repro.arch.io": ("chip_from_json", "chip_to_json"),
+        "repro.assay": (
+            "Operation", "Reagent", "SequencingGraph", "format_assay", "parse_assay",
+        ),
+        "repro.baselines": ("dawo_plan", "immediate_wash_plan"),
+        "repro.bench": ("BENCHMARKS", "benchmark", "benchmark_names", "load_benchmark"),
+        "repro.contam": (
+            "ContaminationTracker",
+            "NecessityPolicy",
+            "contamination_violations",
+            "wash_requirements",
+        ),
+        "repro.core": ("PDWConfig", "PathDriverWash", "WashPlan", "optimize_washes"),
+        "repro.errors": ("ReproError",),
+        "repro.export": ("actuation_program", "plan_to_json"),
+        "repro.schedule": ("Schedule", "ScheduledTask", "TaskKind", "render_gantt"),
+        "repro.sim": ("ScheduleExecutor", "simulate_plan"),
+        "repro.synth": ("ArchSpec", "SynthesisResult", "synthesize"),
+        "repro.units": ("PhysicalParameters",),
+        "repro.viz": ("render_chip",),
+        "repro.viz.svg": ("render_svg",),
+    },
+)
+__all__.append("__version__")

@@ -12,22 +12,22 @@ Two construction routes are provided:
   describing their own chips,
 * the synthesis flow in :mod:`repro.synth`, which places devices on a
   :class:`~repro.arch.grid.Grid` and routes channels automatically.
+
+The names below resolve on first access, so importing one submodule
+(``repro.arch.device`` for the benchmark table) loads only what that
+submodule itself imports.
 """
 
-from repro.arch.device import Device, DeviceKind
-from repro.arch.grid import Grid
-from repro.arch.chip import Chip, NodeKind
-from repro.arch.builder import ChipBuilder
-from repro.arch.routing import Router
-from repro.arch.presets import figure2_chip
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "Chip",
-    "ChipBuilder",
-    "Device",
-    "DeviceKind",
-    "Grid",
-    "NodeKind",
-    "Router",
-    "figure2_chip",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.arch.device": ("Device", "DeviceKind"),
+        "repro.arch.grid": ("Grid",),
+        "repro.arch.chip": ("Chip", "NodeKind"),
+        "repro.arch.builder": ("ChipBuilder",),
+        "repro.arch.routing": ("Router",),
+        "repro.arch.presets": ("figure2_chip",),
+    },
+)

@@ -11,33 +11,24 @@ dependencies between these operations" (Section II).  This package provides
 * :class:`~repro.assay.graph.SequencingGraph` — the DAG of reagent inputs
   and operations, with fluid-type propagation,
 * JSON (de)serialization in :mod:`repro.assay.io`.
+
+The names below resolve on first access, so importing one submodule
+loads only what that submodule itself imports.
 """
 
-from repro.assay.fluids import Fluid, composite_fluid
-from repro.assay.operations import (
-    OPERATION_TYPES,
-    OperationSpec,
-    is_transformative,
-    default_duration,
-)
-from repro.assay.graph import Operation, Reagent, SequencingGraph
-from repro.assay.dsl import format_assay, parse_assay
-from repro.assay.io import graph_from_dict, graph_from_json, graph_to_dict, graph_to_json
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "Fluid",
-    "OPERATION_TYPES",
-    "Operation",
-    "OperationSpec",
-    "Reagent",
-    "SequencingGraph",
-    "composite_fluid",
-    "default_duration",
-    "format_assay",
-    "parse_assay",
-    "graph_from_dict",
-    "graph_from_json",
-    "graph_to_dict",
-    "graph_to_json",
-    "is_transformative",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.assay.fluids": ("Fluid", "composite_fluid"),
+        "repro.assay.operations": (
+            "OPERATION_TYPES", "OperationSpec", "is_transformative", "default_duration",
+        ),
+        "repro.assay.graph": ("Operation", "Reagent", "SequencingGraph"),
+        "repro.assay.dsl": ("format_assay", "parse_assay"),
+        "repro.assay.io": (
+            "graph_from_dict", "graph_from_json", "graph_to_dict", "graph_to_json",
+        ),
+    },
+)

@@ -39,30 +39,44 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.assay import graph_from_json
-from repro.baselines import dawo_plan, immediate_wash_plan
-from repro.bench import BENCHMARKS, benchmark, load_benchmark
-from repro.core import PDWConfig, optimize_washes
+# Only what build_parser needs is imported here; each handler imports the
+# rest of the stack itself, so `pdw --help`, `pdw list` and `pdw cache`
+# never load numpy, scipy or the solver (docs/PERFORMANCE.md "Start-up").
+from repro.bench import BENCHMARKS
 from repro.errors import ReproError
-from repro.experiments.__main__ import main as experiments_main
-from repro.obs import metrics as obs_metrics
 from repro.obs import perf
-from repro.obs.trace import tracer
-from repro.pipeline import default_cache, default_cache_dir, digest_config
-from repro.schedule import render_gantt
-from repro.synth import synthesize
-from repro.viz import render_chip
+
+if TYPE_CHECKING:
+    from repro.core import PDWConfig
 
 _SOLVERS = ("auto", "highs", "branch_bound", "greedy")
 _SOLVER_MODES = ("ladder", "race")
 _PRESOLVE = ("on", "off")
+_METHODS = ("pdw", "dawo", "immediate")
 
-_METHODS = {
-    "pdw": lambda synth, cfg, cache: optimize_washes(synth, cfg, cache=cache),
-    "dawo": lambda synth, cfg, cache: dawo_plan(synth, cache=cache),
-    "immediate": lambda synth, cfg, cache: immediate_wash_plan(synth),
-}
+
+def _plan(method: str, synth, config, cache):
+    """Optimize ``synth`` with one of :data:`_METHODS`."""
+    if method == "dawo":
+        from repro.baselines import dawo_plan
+
+        return dawo_plan(synth, cache=cache)
+    if method == "immediate":
+        from repro.baselines import immediate_wash_plan
+
+        return immediate_wash_plan(synth)
+    from repro.core import optimize_washes
+
+    return optimize_washes(synth, config, cache=cache)
+
+
+def _synthesize_benchmark(name: str):
+    from repro.bench import benchmark, load_benchmark
+    from repro.synth import synthesize
+
+    return synthesize(load_benchmark(name), inventory=benchmark(name).inventory)
 
 
 def _print_plan(plan, show_gantt: bool, show_chip: bool, show_stats: bool = False) -> None:
@@ -91,9 +105,13 @@ def _print_plan(plan, show_gantt: bool, show_chip: bool, show_stats: bool = Fals
         print()
         print(plan.report.render())
     if show_chip:
+        from repro.viz import render_chip
+
         print()
         print(render_chip(plan.chip))
     if show_gantt:
+        from repro.schedule import render_gantt
+
         print()
         print(render_gantt(plan.schedule))
 
@@ -111,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="optimize a built-in benchmark")
     p_run.add_argument("benchmark", choices=list(BENCHMARKS))
-    p_run.add_argument("--method", choices=list(_METHODS), default="pdw")
+    p_run.add_argument("--method", choices=_METHODS, default="pdw")
     p_run.add_argument("--time-limit", type=float, default=120.0)
     p_run.add_argument(
         "--solver", choices=_SOLVERS, default="auto",
@@ -141,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_assay = sub.add_parser("assay", help="optimize an assay from a JSON file")
     p_assay.add_argument("file", type=Path)
-    p_assay.add_argument("--method", choices=list(_METHODS), default="pdw")
+    p_assay.add_argument("--method", choices=_METHODS, default="pdw")
     p_assay.add_argument("--time-limit", type=float, default=120.0)
     p_assay.add_argument("--solver", choices=_SOLVERS, default="auto")
     p_assay.add_argument("--solver-mode", choices=_SOLVER_MODES, default="ladder")
@@ -167,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_report.add_argument("--time-limit", type=float, default=120.0)
     p_report.add_argument(
-        "--method", choices=list(_METHODS), default="pdw",
+        "--method", choices=_METHODS, default="pdw",
         help="trace: which optimizer to run under the tracer",
     )
     p_report.add_argument(
@@ -322,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="discrete-event execution log")
     p_sim.add_argument("benchmark", choices=list(BENCHMARKS))
-    p_sim.add_argument("--method", choices=list(_METHODS), default="pdw")
+    p_sim.add_argument("--method", choices=_METHODS, default="pdw")
     p_sim.add_argument("--time-limit", type=float, default=120.0)
     p_sim.add_argument("--events", action="store_true", help="print every event")
 
@@ -337,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace = Chrome-trace JSON (about:tracing / Perfetto); "
         "metrics = the run's metrics registry",
     )
-    p_export.add_argument("--method", choices=list(_METHODS), default="pdw")
+    p_export.add_argument("--method", choices=_METHODS, default="pdw")
     p_export.add_argument("--time-limit", type=float, default=120.0)
     p_export.add_argument(
         "--format", choices=("json", "prom"), default="json", dest="format",
@@ -389,6 +407,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             return 0
         if args.name == "trace":
             return _run_report_trace(args)
+        from repro.experiments.__main__ import main as experiments_main
+
         return experiments_main([args.name, "--time-limit", str(args.time_limit)])
 
     if args.command == "suite":
@@ -413,6 +433,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             "--degrade is a PDW capability; the baselines have no "
             "avoid-set routing (use --method pdw)"
         )
+    from repro.core import PDWConfig
+
     config = PDWConfig(
         time_limit_s=args.time_limit,
         solver=getattr(args, "solver", "auto"),
@@ -430,27 +452,33 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.benchmark, args.what, args.method, config, args.out, args.format
         )
 
+    from repro.pipeline import default_cache
+
     if args.command == "run":
-        spec = benchmark(args.benchmark)
-        synth = synthesize(load_benchmark(args.benchmark), inventory=spec.inventory)
+        synth = _synthesize_benchmark(args.benchmark)
     else:
+        from repro.assay import graph_from_json, parse_assay
+        from repro.synth import synthesize
+
         text = args.file.read_text()
         if args.file.suffix == ".json":
             assay = graph_from_json(text)
         else:  # .dsl / .assay text format
-            from repro.assay import parse_assay
-
             assay = parse_assay(text)
         synth = synthesize(assay)
     cache = None if args.no_cache else default_cache()
-    plan = _METHODS[args.method](synth, config, cache)
+    plan = _plan(args.method, synth, config, cache)
     _print_plan(plan, args.gantt, args.chip, args.stats)
     return 0
 
 
 def _run_suite_cmd(args: argparse.Namespace) -> int:
+    # Loads the whole solve stack before any worker forks, so the workers
+    # inherit it instead of each importing it again.
+    from repro.core import PDWConfig
     from repro.experiments.runner import FailureRecord, run_suite
     from repro.experiments.supervisor import RunBudget, SuiteSupervisor
+    from repro.pipeline import default_cache
 
     config = PDWConfig(
         time_limit_s=args.time_limit,
@@ -462,9 +490,9 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
         max_rss_bytes=int(args.max_rss * 2**20) if args.max_rss else None,
         retries=max(0, args.retries),
     )
-    cache = None if args.no_cache else default_cache()
     if args.degrade or args.degrade_online is not None:
-        return _run_degrade_matrix_cmd(args, config, cache)
+        return _run_degrade_matrix_cmd(args, config)
+    cache = None if args.no_cache else default_cache()
     if args.sched_workers is not None:
         from repro.sched.executor import DagExecutor
 
@@ -510,7 +538,7 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
     return 0 if not result.failures else 3
 
 
-def _run_degrade_matrix_cmd(args: argparse.Namespace, config, cache) -> int:
+def _run_degrade_matrix_cmd(args: argparse.Namespace, config: PDWConfig) -> int:
     """``pdw suite --degrade``: the benchmark × scenario robustness matrix."""
     from repro.degrade.suite import run_degrade_matrix
 
@@ -518,7 +546,7 @@ def _run_degrade_matrix_cmd(args: argparse.Namespace, config, cache) -> int:
         names=args.benchmarks or None,
         scenarios=args.degrade,
         config=config,
-        cache=cache,
+        use_cache=not args.no_cache,
         online=args.degrade_online,
     )
     print(result.render())
@@ -529,7 +557,10 @@ def _run_degrade_matrix_cmd(args: argparse.Namespace, config, cache) -> int:
 
 def _run_report_trace(args: argparse.Namespace) -> int:
     """``pdw report trace <benchmark>``: run under the tracer, render the tree."""
+    from repro.core import PDWConfig
     from repro.experiments.runner import run_benchmark
+    from repro.obs.trace import tracer
+    from repro.pipeline import digest_config
 
     if args.benchmark is None:
         raise ReproError("'pdw report trace' needs a benchmark name")
@@ -544,6 +575,8 @@ def _run_report_trace(args: argparse.Namespace) -> int:
 
 def _run_bench_cmd(args: argparse.Namespace) -> int:
     """``pdw bench``: perf baselines + optional regression gate."""
+    from repro.core import PDWConfig
+
     config = PDWConfig(
         time_limit_s=args.time_limit,
         solver_mode=getattr(args, "solver_mode", "ladder"),
@@ -572,6 +605,8 @@ def _run_bench_cmd(args: argparse.Namespace) -> int:
 
 def _run_serve(args: argparse.Namespace) -> int:
     """``pdw serve``: the optimization-as-a-service front door (DESIGN.md §15)."""
+    # Loads the whole solve stack before the readiness line, so the first
+    # job does not pay for the import.
     from repro.serve import JobServer
 
     server = JobServer(
@@ -594,6 +629,8 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_cache(
     action: str, max_bytes: int | None = None, cache_dir: str | None = None
 ) -> int:
+    from repro.pipeline import default_cache, default_cache_dir
+
     cache = default_cache(cache_dir)
     if cache is None:
         print("artifact cache disabled (REPRO_CACHE=off)")
@@ -619,12 +656,12 @@ def _run_cache(
 
 def _run_cost(bench_name: str, config: PDWConfig) -> int:
     from repro.analysis import chip_cost, compare_plans
+    from repro.pipeline import default_cache
 
-    spec = benchmark(bench_name)
-    synth = synthesize(load_benchmark(bench_name), inventory=spec.inventory)
+    synth = _synthesize_benchmark(bench_name)
     cache = default_cache()
-    pdw = _METHODS["pdw"](synth, config, cache)
-    dawo = _METHODS["dawo"](synth, config, cache)
+    pdw = _plan("pdw", synth, config, cache)
+    dawo = _plan("dawo", synth, config, cache)
 
     print(f"chip cost of {bench_name} (baseline schedule):")
     for key, value in chip_cost(synth.chip, synth.schedule).as_dict().items():
@@ -643,6 +680,9 @@ def _run_export(
     fmt: str = "json",
 ) -> int:
     from repro.export import actuation_program, plan_to_json, render_svg
+    from repro.obs import metrics as obs_metrics
+    from repro.obs.trace import tracer
+    from repro.pipeline import default_cache, digest_config
 
     if what in ("trace", "metrics"):
         # Observe a fresh run: clear the collectors, trace the whole
@@ -651,9 +691,8 @@ def _run_export(
         tracer().clear()
         obs_metrics.reset()
 
-    spec = benchmark(bench_name)
-    synth = synthesize(load_benchmark(bench_name), inventory=spec.inventory)
-    plan = _METHODS[method](synth, config, default_cache())
+    synth = _synthesize_benchmark(bench_name)
+    plan = _plan(method, synth, config, default_cache())
     if what == "plan":
         text = plan_to_json(plan)
     elif what == "actuation":
@@ -683,11 +722,11 @@ def _run_export(
 
 
 def _run_simulate(bench_name: str, method: str, config: PDWConfig, events: bool) -> int:
+    from repro.pipeline import default_cache
     from repro.sim import simulate_plan
 
-    spec = benchmark(bench_name)
-    synth = synthesize(load_benchmark(bench_name), inventory=spec.inventory)
-    plan = _METHODS[method](synth, config, default_cache())
+    synth = _synthesize_benchmark(bench_name)
+    plan = _plan(method, synth, config, default_cache())
     report = simulate_plan(plan, synth)
     print(f"{plan.method} plan on {bench_name}: {report.summary()}")
     print("execution " + ("OK" if report.ok else "BROKEN"))

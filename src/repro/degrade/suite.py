@@ -163,6 +163,7 @@ def run_degrade_matrix(
     cache: Optional[ArtifactCache] = None,
     online: Optional[str] = None,
     journal_path=None,
+    use_cache: bool = True,
 ) -> DegradeMatrixResult:
     """Run the degradation matrix and return one row per cell.
 
@@ -173,6 +174,8 @@ def run_degrade_matrix(
     ``scenarios`` empty the matrix runs one pristine-chip scenario per
     benchmark (pure online repair).  Journal records land in the suite
     journal (or ``journal_path``) for ``pdw report degrade``.
+    ``use_cache=False`` (``--no-cache``) writes no artifacts; as under
+    ``SuiteSupervisor``, the journal is written either way.
     """
     base_config = config if config is not None else PDWConfig()
     if base_config.degrade:
@@ -188,8 +191,8 @@ def run_degrade_matrix(
     else:
         raise DegradationError("the degradation matrix needs at least one scenario")
 
-    cache = cache if cache is not None else default_cache()
-    if journal_path is None and cache is not None:
+    cache = cache if cache is not None else (default_cache() if use_cache else None)
+    if journal_path is None:
         from repro.experiments.supervisor import default_journal_path
 
         journal_path = default_journal_path(cache)

@@ -12,8 +12,8 @@ and carries the run's config digest so every number stays attributable to
 the exact configuration that produced it.
 
 ``compare_bench(current, baseline, threshold_pct)`` gates the *hot paths*
-(:data:`DEFAULT_HOT_PATHS` — total wall, the scheduling ILP and path
-generation, the paths later scaling PRs optimise) and reports a
+(:data:`DEFAULT_HOT_PATHS` — total wall, the scheduling ILP, PDW and
+DAWO wash-target clustering and path generation) and reports a
 :class:`Regression` for every hot-path median that grew by more than the
 threshold.  ``pdw bench --compare BASELINE.json`` exits 1 when any
 survive, which is what the CI ``bench-smoke`` job consumes.
@@ -45,6 +45,8 @@ DEFAULT_ITERATIONS = 3
 DEFAULT_HOT_PATHS = (
     "wall_s",
     "pdw.ilp",
+    "pdw.clusters",
+    "dawo.clusters",
     "pdw.pathgen",
     "pdw.ilp.build",
     "pdw.ilp.presolve",

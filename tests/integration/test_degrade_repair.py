@@ -1,6 +1,7 @@
 """Integration tests: online detect→replan repair and the degrade matrix."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.degrade.repair import (
 )
 from repro.degrade.suite import SUCCESS_OUTCOMES, run_degrade_matrix
 from repro.errors import DegradationError
+from repro.experiments.supervisor import JOURNAL_NAME
 from repro.export.plan_json import plan_to_dict
 from repro.sim.events import SimEventKind
 from repro.sim.validate import degraded_validation_problems
@@ -130,6 +132,20 @@ def test_statically_dead_used_node_exits_three(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert "INFEASIBLE_DEGRADED" in out
+
+
+def test_suite_cli_no_cache_writes_only_the_journal(tmp_path, monkeypatch, capsys):
+    # Regression: --no-cache used to reach the matrix as cache=None, which
+    # fell back to the default artifact cache and filled it anyway.
+    monkeypatch.delenv("REPRO_CACHE", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    assert main(["suite", "PCR", "--degrade", "light", "--no-cache"]) == 0
+    files = sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file())
+    assert files == [Path(JOURNAL_NAME)]
+    # The journal still serves the report.
+    capsys.readouterr()
+    assert main(["report", "degrade"]) == 0
+    assert "channels=1:seed=0" in capsys.readouterr().out
 
 
 def test_suite_cli_online_repair_exits_zero(capsys):

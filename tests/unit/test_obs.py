@@ -246,7 +246,7 @@ class TestGlobalRegistry:
 
 
 def _bench_payload(wall=1.0, ilp=0.5, pathgen=0.2, rung=0.4, build=0.1,
-                   presolve=0.01, **over):
+                   presolve=0.01, clusters=0.3, dawo_clusters=0.25, **over):
     payload = {
         "schema": perf.BENCH_SCHEMA,
         "git_sha": "deadbee",
@@ -270,6 +270,13 @@ def _bench_payload(wall=1.0, ilp=0.5, pathgen=0.2, rung=0.4, build=0.1,
                     "pdw.ilp.presolve": {
                         "median": presolve, "p95": presolve,
                         "samples": [presolve],
+                    },
+                    "pdw.clusters": {
+                        "median": clusters, "p95": clusters, "samples": [clusters]
+                    },
+                    "dawo.clusters": {
+                        "median": dawo_clusters, "p95": dawo_clusters,
+                        "samples": [dawo_clusters],
                     },
                 },
                 "rungs": {"highs": {"median": rung, "p95": rung, "samples": [rung]}},
@@ -313,6 +320,27 @@ class TestCompareBench:
         assert reg.path == "PCR.wall_s"
         assert reg.pct == pytest.approx(100.0)
         assert "REGRESSED" in report.render()
+
+    def test_clustering_stages_are_gated_by_default(self):
+        assert {"pdw.clusters", "dawo.clusters"} <= set(perf.DEFAULT_HOT_PATHS)
+        report = perf.compare_bench(
+            _bench_payload(clusters=0.6, dawo_clusters=0.5),
+            _bench_payload(),
+            threshold_pct=25.0,
+        )
+        assert [r.path for r in report.regressions] == [
+            "PCR.pdw.clusters", "PCR.dawo.clusters",
+        ]
+
+    def test_older_baseline_keeps_its_own_hot_paths(self):
+        older = _bench_payload(
+            hot_paths=["wall_s", "pdw.ilp", "pdw.pathgen", "pdw.ilp.build"]
+        )
+        report = perf.compare_bench(
+            _bench_payload(clusters=9.0, dawo_clusters=9.0), older, threshold_pct=25.0
+        )
+        assert report.ok
+        assert not any("clusters" in path for path in report.compared)
 
     def test_rung_hot_path_is_gated(self):
         report = perf.compare_bench(
