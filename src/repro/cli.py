@@ -52,7 +52,6 @@ if TYPE_CHECKING:
     from repro.core import PDWConfig
 
 _SOLVERS = ("auto", "highs", "branch_bound", "greedy")
-_SOLVER_MODES = ("ladder", "race")
 _PRESOLVE = ("on", "off")
 _METHODS = ("pdw", "dawo", "immediate")
 
@@ -136,10 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="pin a solver ladder rung (default: full degradation ladder)",
     )
     p_run.add_argument(
-        "--solver-mode", choices=_SOLVER_MODES, default="ladder",
-        help="serial degradation ladder (default) or concurrent rung race",
-    )
-    p_run.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
         help="ILP model-reduction layer (default on; plans are byte-identical either way)",
     )
@@ -162,7 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_assay.add_argument("--method", choices=_METHODS, default="pdw")
     p_assay.add_argument("--time-limit", type=float, default=120.0)
     p_assay.add_argument("--solver", choices=_SOLVERS, default="auto")
-    p_assay.add_argument("--solver-mode", choices=_SOLVER_MODES, default="ladder")
     p_assay.add_argument("--presolve", choices=_PRESOLVE, default="on")
     p_assay.add_argument("--gantt", action="store_true")
     p_assay.add_argument("--chip", action="store_true")
@@ -203,10 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"benchmarks to run (default: the full suite; one of {', '.join(BENCHMARKS)})",
     )
     p_suite.add_argument("--time-limit", type=float, default=120.0)
-    p_suite.add_argument(
-        "--solver-mode", choices=_SOLVER_MODES, default="ladder",
-        help="serial degradation ladder (default) or concurrent rung race",
-    )
     p_suite.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
         help="ILP model-reduction layer (default on; plans are byte-identical either way)",
@@ -255,10 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark matrix (default: the full Table II suite)",
     )
     p_bench.add_argument("--time-limit", type=float, default=120.0)
-    p_bench.add_argument(
-        "--solver-mode", choices=_SOLVER_MODES, default="ladder",
-        help="serial degradation ladder (default) or concurrent rung race",
-    )
     p_bench.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
         help="ILP model-reduction layer (default on; plans are byte-identical either way)",
@@ -438,7 +424,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     config = PDWConfig(
         time_limit_s=args.time_limit,
         solver=getattr(args, "solver", "auto"),
-        solver_mode=getattr(args, "solver_mode", "ladder"),
         presolve=getattr(args, "presolve", "on"),
         degrade=degrade,
     )
@@ -482,7 +467,6 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
 
     config = PDWConfig(
         time_limit_s=args.time_limit,
-        solver_mode=getattr(args, "solver_mode", "ladder"),
         presolve=getattr(args, "presolve", "on"),
     )
     budget = RunBudget(
@@ -579,7 +563,6 @@ def _run_bench_cmd(args: argparse.Namespace) -> int:
 
     config = PDWConfig(
         time_limit_s=args.time_limit,
-        solver_mode=getattr(args, "solver_mode", "ladder"),
         presolve=getattr(args, "presolve", "on"),
     )
     result = perf.run_bench(

@@ -61,14 +61,6 @@ class PDWConfig:
         the ILP entirely and assembles the plan with the sweep-line
         heuristic (``REPRO_FORCE_SOLVER`` overrides ``"auto"`` from the
         environment).
-    solver_mode:
-        How the portfolio executes its rungs.  ``"ladder"`` (default)
-        walks them serially under the budget-sliced degradation ladder —
-        existing plans stay byte-identical.  ``"race"`` runs the rungs
-        concurrently in subprocesses and takes the first acceptable
-        incumbent under a deterministic grace-window rule, cancelling the
-        losers (``REPRO_SOLVER_MODE`` overrides ``"ladder"`` from the
-        environment; see DESIGN.md).
     presolve:
         Whether the solver-independent model-reduction layer runs before
         the scheduling ILP is built.  ``"on"`` (default) tightens
@@ -109,7 +101,6 @@ class PDWConfig:
     enable_integration: bool = True
     integration_window_s: float = 10.0
     solver: str = "auto"
-    solver_mode: str = "ladder"
     presolve: str = "on"
     pathgen_workers: int = 0
     degrade: str = ""
@@ -129,8 +120,6 @@ class PDWConfig:
             raise WashError("integration window must be non-negative")
         if self.solver not in ("auto", "highs", "branch_bound", "greedy"):
             raise WashError(f"unknown solver {self.solver!r}")
-        if self.solver_mode not in ("ladder", "race"):
-            raise WashError(f"unknown solver mode {self.solver_mode!r}")
         if self.presolve not in ("on", "off"):
             raise WashError(f"unknown presolve setting {self.presolve!r}")
         if self.pathgen_workers < 0:

@@ -127,13 +127,10 @@ def record_ilp_rows(run: PipelineRun, outcome) -> None:
     earlier process, so no row is recorded — the value still surfaces
     through the stage's ``build_time_s`` counter.  ``ilp.presolve``
     (surfacing as ``pdw.ilp.presolve``) records the model-reduction pass
-    with its fixed/dropped counters under the same cache gating, and
-    ``ilp.decompose`` records the component-split solve whenever the
-    interaction graph actually separated (components > 1).  Each solver-ladder rung
-    attempt then gets its own ``ilp.rung.<rung>`` record, and a raced
-    solve adds one ``ilp.race`` record for the whole concurrent race
-    (surfacing as the ``pdw.ilp.race`` bench series).  Shared by the
-    serial orchestrator above and the suite DAG executor's ILP node.
+    with its fixed/dropped counters under the same cache gating.  Each
+    solver-ladder rung attempt then gets its own ``ilp.rung.<rung>``
+    record.  Shared by the serial orchestrator above and the suite DAG
+    executor's ILP node.
     """
     last = run.report.stages[-1] if run.report.stages else None
     cached = last is not None and last.stage == "ilp" and last.cached
@@ -169,20 +166,6 @@ def record_ilp_rows(run: PipelineRun, outcome) -> None:
             wall_s=att.wall_s,
             counters=counters,
             detail=f"{att.status}: {att.message}" if att.message else att.status,
-        )
-    if getattr(outcome, "solver_mode", "ladder") == "race" and outcome.race_wall_s:
-        run.report.record(
-            "ilp.race",
-            wall_s=outcome.race_wall_s,
-            counters={"rungs": float(len(outcome.attempts))},
-            detail=f"winner: {outcome.rung}",
-        )
-    if getattr(outcome, "components", 0) > 1 and outcome.decompose_wall_s:
-        run.report.record(
-            "ilp.decompose",
-            wall_s=outcome.decompose_wall_s,
-            counters={"components": float(outcome.components)},
-            detail=f"{outcome.components} components via {outcome.rung}",
         )
 
 

@@ -26,11 +26,8 @@ over the fixed precedence/order DAG and proves which ordering binaries,
 big-M rows and candidate paths are dead; the builder consults that
 :class:`~repro.ilp.presolve.PresolveInfo` row by row and skips what was
 proven (DESIGN.md §16 argues each rule preserves the optimal plans).
-After assembly, :mod:`repro.ilp.decompose` splits the model into
-independent components when the variable-interaction graph (ignoring the
-shared makespan variable) is disconnected and solves them concurrently.
-Both layers are disabled by ``PDWConfig.presolve = "off"`` /
-``REPRO_PRESOLVE=off``, which emits the unreduced constraint system.  The
+``PDWConfig.presolve = "off"`` / ``REPRO_PRESOLVE=off`` disables the
+reduction and emits the unreduced constraint system.  The
 objective tie-breaks apply in both modes (start-time drift, candidate
 pool index, absorption preference), so at *proven optimality* alternate
 optima collapse to one canonical plan and presolved and raw solves agree
@@ -60,7 +57,6 @@ from repro.ilp import (
     SolveStatus,
     Variable,
 )
-from repro.ilp import decompose as ilp_decompose
 from repro.ilp import faults as ilp_faults
 from repro.ilp import presolve as ilp_presolve
 from repro.ilp.presolve import PresolveInfo, baseline_order_pairs, precedence_pairs
@@ -89,10 +85,6 @@ class IlpWashOutcome:
     rung: str = "highs"
     attempts: Tuple[RungAttempt, ...] = ()
     build_time_s: float = 0.0
-    #: How the portfolio executed: ``"ladder"``, ``"race"`` or ``"decompose"``.
-    solver_mode: str = "ladder"
-    #: Wall-clock of the whole rung race (0.0 for ladder runs).
-    race_wall_s: float = 0.0
     #: Whether a cached incumbent primed the solve (incremental re-solve).
     warm_started: bool = False
     #: Whether the built model was reused from the in-process memo.
@@ -102,10 +94,6 @@ class IlpWashOutcome:
     presolve_fixed_binaries: int = 0
     presolve_dropped_constraints: int = 0
     presolve_dropped_candidates: int = 0
-    #: Independent components found by the decomposition layer
-    #: (0 = not attempted, 1 = the model is a single component).
-    components: int = 0
-    decompose_wall_s: float = 0.0
 
 
 class WashScheduleIlp:
@@ -149,8 +137,6 @@ class WashScheduleIlp:
         )
         self.presolve_info: Optional[PresolveInfo] = None
         self.presolve_time_s: float = 0.0
-        self.decompose_wall_s: float = 0.0
-        self.components: int = 0
         #: Solution of the most recent :meth:`solve`, kept so callers can
         #: bank it as a warm-start incumbent for structural twins.
         self.last_solution: Optional[Solution] = None
@@ -684,13 +670,6 @@ class WashScheduleIlp:
     def solve(self, portfolio: Optional[SolverPortfolio] = None) -> IlpWashOutcome:
         """Build (if needed), solve via the degradation ladder, and extract.
 
-        When presolve is enabled the decomposition layer gets first shot:
-        a model whose interaction graph (minus the shared makespan
-        variable) splits into independent components is solved per
-        component and stitched; otherwise — the common case for the
-        paper's benchmarks, which are one component — the portfolio solves
-        the monolithic model as before.
-
         A proven-infeasible/unbounded model raises a clean
         :class:`InfeasibleError` / :class:`UnboundedError`;
         :class:`~repro.errors.LadderExhausted` (every backend rung failed)
@@ -698,18 +677,7 @@ class WashScheduleIlp:
         """
         self.ensure_built()
         pf = portfolio if portfolio is not None else SolverPortfolio.from_config(self.config)
-        result = None
-        if self.presolve_enabled:
-            started = time.perf_counter()
-            with span("ilp.decompose", model=self.model.name):
-                attempt = ilp_decompose.try_solve(
-                    self.model, pf, makespan_var=self._t_assay
-                )
-            self.decompose_wall_s = time.perf_counter() - started
-            self.components = attempt.components
-            result = attempt.result
-        if result is None:
-            result = pf.solve(self.model)
+        result = pf.solve(self.model)
         solution = result.solution
         self.last_solution = solution if solution.status.has_solution else None
         if solution.status is SolveStatus.INFEASIBLE:
@@ -754,13 +722,9 @@ class WashScheduleIlp:
             rung=result.rung,
             attempts=result.attempts,
             build_time_s=self.build_time_s,
-            solver_mode=result.mode,
-            race_wall_s=result.race_wall_s,
             warm_started=pf.incumbent is not None,
             presolve_time_s=self.presolve_time_s,
             presolve_fixed_binaries=pinfo.fixed_binaries if pinfo else 0,
             presolve_dropped_constraints=pinfo.dropped_constraints if pinfo else 0,
             presolve_dropped_candidates=pinfo.dropped_candidates if pinfo else 0,
-            components=self.components,
-            decompose_wall_s=self.decompose_wall_s,
         )

@@ -395,15 +395,12 @@ class ScheduleIlpStage(StageBase):
 
     When ``config.presolve == "on"`` (the default) the model is built
     through the reduction layer of :mod:`repro.ilp.presolve` — tightened
-    bounds, fixed ordering binaries, per-row big-M values — and the solve
-    first consults :mod:`repro.ilp.decompose`, which splits independent
-    variable components into concurrent child solves when the
-    interaction graph separates.  Both layers provably preserve the
-    optimal objective, so canonical plans are byte-identical either way.
+    bounds, fixed ordering binaries, per-row big-M values.  The reduction
+    provably preserves the optimal objective, so canonical plans are
+    byte-identical either way.
 
-    Solving goes through the :class:`~repro.ilp.SolverPortfolio`
-    degradation ladder (or the concurrent rung race under
-    ``solver_mode="race"``); when every backend rung fails
+    Solving goes through the serial :class:`~repro.ilp.SolverPortfolio`
+    degradation ladder; when every backend rung fails
     (:class:`LadderExhausted`) the stage falls back to greedy sweep-line
     assembly so a fault-injected or solver-less run still produces a
     valid, degraded plan.
@@ -417,14 +414,15 @@ class ScheduleIlpStage(StageBase):
     """
 
     name = "ilp"
-    version = "6"
+    version = "7"
     requires = ("clusters", "candidates")
     provides = "outcome"
 
     def key(self, ctx: PDWContext):
         # The outcome depends on every config field (weights, limits, ...)
         # plus the solver-altering environment (fault injection / forced
-        # rung / race mode) — none of which may poison the clean-run cache.
+        # rung / presolve toggle) — none of which may poison the clean-run
+        # cache.
         return (ctx.synthesis_digest, ctx.config, faults.environment_token())
 
     def compute(self, ctx: PDWContext) -> IlpWashOutcome:
@@ -516,16 +514,14 @@ class ScheduleIlpStage(StageBase):
             "absorbed": float(len(outcome.absorbed)),
             "rungs_tried": float(len(outcome.attempts)),
         }
-        # Only reported when they fired, so default ladder runs keep the
-        # exact pre-race counter set (plan JSON embeds these).
+        # Only reported when they fired, so the counter set of a plain
+        # run stays fixed (plan JSON embeds these).
         if outcome.warm_started:
             stats["warm_started"] = 1.0
         if outcome.model_reused:
             stats["model_reused"] = 1.0
         if outcome.mip_gap is not None:
             stats["mip_gap"] = outcome.mip_gap
-        if outcome.solver_mode == "race":
-            stats["race_wall_s"] = round(outcome.race_wall_s, 6)
         if outcome.presolve_time_s > 0 or outcome.presolve_dropped_constraints:
             stats["presolve_time_s"] = round(outcome.presolve_time_s, 6)
             stats["presolve_fixed_binaries"] = float(outcome.presolve_fixed_binaries)
@@ -535,17 +531,10 @@ class ScheduleIlpStage(StageBase):
             stats["presolve_dropped_candidates"] = float(
                 outcome.presolve_dropped_candidates
             )
-        if outcome.components:
-            stats["components"] = float(outcome.components)
-        if outcome.solver_mode == "decompose":
-            stats["decompose_wall_s"] = round(outcome.decompose_wall_s, 6)
         return stats
 
     def detail(self, outcome: IlpWashOutcome) -> str:
-        mode = f" [{outcome.solver_mode}]" if outcome.solver_mode != "ladder" else ""
-        return (
-            f"{outcome.status.value} via {outcome.rung}{mode}; {outcome.model_stats}"
-        )
+        return f"{outcome.status.value} via {outcome.rung}; {outcome.model_stats}"
 
 
 class AssembleStage(StageBase):

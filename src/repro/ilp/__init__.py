@@ -15,9 +15,8 @@ equivalent substrate without proprietary dependencies:
 * :class:`~repro.ilp.portfolio.SolverPortfolio` — the budgeted degradation
   ladder (HiGHS → relaxed retry → branch-and-bound) with per-rung
   :class:`~repro.ilp.portfolio.RungAttempt` instrumentation and
-  deterministic fault injection (:mod:`repro.ilp.faults`), the concurrent
-  rung race (:mod:`repro.ilp.race`) and warm-started incremental re-solve
-  (:mod:`repro.ilp.incremental`),
+  deterministic fault injection (:mod:`repro.ilp.faults`) and
+  warm-started incremental re-solve (:mod:`repro.ilp.incremental`),
 * :func:`~repro.ilp.lpwriter.write_lp` — CPLEX LP-format export for
   debugging models offline.
 

@@ -54,13 +54,8 @@ ENV_FAULT = "REPRO_INJECT_SOLVER_FAULT"
 ENV_FORCE = "REPRO_FORCE_SOLVER"
 #: Environment variable seeding the ``flaky`` pseudo-random stream.
 ENV_SEED = "REPRO_FAULT_SEED"
-#: Environment variable selecting the portfolio execution mode.
-ENV_MODE = "REPRO_SOLVER_MODE"
-#: Environment variable toggling ILP model reduction (presolve + decompose).
+#: Environment variable toggling ILP model reduction (presolve).
 ENV_PRESOLVE = "REPRO_PRESOLVE"
-
-#: Valid ``REPRO_SOLVER_MODE`` / ``PDWConfig.solver_mode`` values.
-MODE_CHOICES = ("ladder", "race")
 
 #: Valid ``REPRO_PRESOLVE`` / ``PDWConfig.presolve`` values.
 PRESOLVE_CHOICES = ("on", "off")
@@ -123,31 +118,6 @@ def forced_solver() -> Optional[str]:
     return raw
 
 
-def env_solver_mode() -> Optional[str]:
-    """The portfolio mode from ``REPRO_SOLVER_MODE``, or ``None``."""
-    raw = os.environ.get(ENV_MODE, "").strip()
-    if not raw:
-        return None
-    if raw not in MODE_CHOICES:
-        raise SolverError(
-            f"unknown {ENV_MODE} value {raw!r}; expected one of {MODE_CHOICES}"
-        )
-    return raw
-
-
-def resolve_solver_mode(config_mode: str = "ladder") -> str:
-    """Effective portfolio mode: config wins unless left at the default.
-
-    Mirrors the ``pathgen_workers`` convention — an explicit
-    ``PDWConfig.solver_mode`` (or ``--solver-mode``) beats the
-    environment; ``REPRO_SOLVER_MODE`` only overrides the ``"ladder"``
-    default, so a suite can be flipped to racing without touching configs.
-    """
-    if config_mode != "ladder":
-        return config_mode
-    return env_solver_mode() or config_mode
-
-
 def env_presolve() -> Optional[str]:
     """The presolve toggle from ``REPRO_PRESOLVE``, or ``None``."""
     raw = os.environ.get(ENV_PRESOLVE, "").strip()
@@ -163,7 +133,7 @@ def env_presolve() -> Optional[str]:
 def resolve_presolve(config_presolve: str = "on") -> str:
     """Effective presolve toggle: config wins unless left at the default.
 
-    Same convention as :func:`resolve_solver_mode` — an explicit
+    Mirrors the ``pathgen_workers`` convention — an explicit
     ``PDWConfig.presolve`` (or ``--presolve``) beats the environment;
     ``REPRO_PRESOLVE`` only overrides the ``"on"`` default, so a suite can
     be flipped to raw models without touching configs.
@@ -177,21 +147,17 @@ def environment_token() -> str:
     """Cache-key token covering the solver-altering environment.
 
     Empty in a clean environment, so existing digests are unchanged when
-    no variable is set.  ``REPRO_SOLVER_MODE`` is covered because a raced
-    solve may legitimately select a different rung's incumbent than the
-    serial ladder would, and that outcome must not masquerade as the
-    ladder's in any solve-covering cache.  ``REPRO_PRESOLVE`` is covered
-    for the same reason: presolved and raw models are meant to agree, but
-    that equivalence is an invariant under test, not an assumption caches
-    may bake in — presolved and raw artifacts must never collide.
+    no variable is set.  ``REPRO_PRESOLVE`` is covered because presolved
+    and raw models are meant to agree, but that equivalence is an
+    invariant under test, not an assumption caches may bake in —
+    presolved and raw artifacts must never collide.
     """
     fault = os.environ.get(ENV_FAULT, "").strip()
     force = os.environ.get(ENV_FORCE, "").strip()
-    mode = os.environ.get(ENV_MODE, "").strip()
     presolve = os.environ.get(ENV_PRESOLVE, "").strip()
-    if not fault and not force and not mode and not presolve:
+    if not fault and not force and not presolve:
         return ""
-    return f"fault={fault};force={force};mode={mode};presolve={presolve}"
+    return f"fault={fault};force={force};presolve={presolve}"
 
 
 def reset() -> None:

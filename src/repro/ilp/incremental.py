@@ -13,7 +13,7 @@ This module provides the two halves of exploiting that:
   inputs that shape the constraint system: the synthesis digest plus the
   candidate-affecting config knobs (the same fields the pathgen stage
   keys on) plus the solver-altering environment.  Objective weights,
-  budgets and solver/mode selections are deliberately excluded.
+  budgets and solver selections are deliberately excluded.
 * **incumbent reuse** — :func:`store_incumbent` /
   :func:`load_incumbent` persist the winning assignment (keyed by
   variable *name*, digest-addressed in the artifact cache) and
@@ -63,7 +63,7 @@ def structure_key(synthesis_digest: str, config: Any) -> Tuple:
     Mirrors the pathgen stage key — everything that shapes clusters,
     candidate pools and therefore the constraint system — plus the
     solver-altering environment.  Weights (alpha/beta/gamma), budgets
-    (``time_limit_s``, ``mip_gap``) and solver/mode pins are excluded:
+    (``time_limit_s``, ``mip_gap``) and solver pins are excluded:
     jobs differing only in those share one structure.
     """
     necessity = getattr(config, "necessity", None)

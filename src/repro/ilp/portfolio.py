@@ -20,12 +20,6 @@ fall back to greedy plan assembly and still report what was tried.
 
 Fault injection (:mod:`repro.ilp.faults`) hooks the HiGHS rungs, making
 every path through the ladder deterministically testable.
-
-Under ``mode="race"`` (``PDWConfig.solver_mode`` / ``--solver-mode`` /
-``REPRO_SOLVER_MODE``) the same rungs run *concurrently* instead, each
-with the full budget, and the first acceptable incumbent wins under the
-deterministic grace-window rule of :mod:`repro.ilp.race`; the serial
-ladder remains the default so existing plans stay byte-identical.
 """
 
 from __future__ import annotations
@@ -72,10 +66,6 @@ class PortfolioResult:
     solution: Solution
     rung: str
     attempts: Tuple[RungAttempt, ...] = ()
-    #: How the portfolio executed: ``"ladder"`` (serial) or ``"race"``.
-    mode: str = "ladder"
-    #: Wall-clock of the whole race (0.0 for ladder runs).
-    race_wall_s: float = 0.0
 
 
 def _publish_attempt(attempt: RungAttempt) -> None:
@@ -109,16 +99,6 @@ class SolverPortfolio:
         ``greedy``).  ``None`` consults ``REPRO_FORCE_SOLVER``; ``greedy``
         skips every backend and raises :class:`LadderExhausted` so the
         caller's last-resort assembly takes over.
-    mode:
-        ``"ladder"`` (default) walks the rungs serially with sliced
-        budgets; ``"race"`` runs them concurrently in subprocesses via
-        :mod:`repro.ilp.race`, each with the full budget, and takes the
-        first acceptable incumbent under the deterministic grace-window
-        rule.  ``None`` consults ``REPRO_SOLVER_MODE``.  A forced single
-        rung has nothing to race, so ``force`` implies ladder execution.
-    race_grace_s:
-        The fixed grace window: once the first acceptable incumbent
-        arrives, higher-priority rungs get this long to beat it.
     incumbent:
         Optional warm-start solution (from an earlier structurally
         identical solve).  HiGHS via ``scipy.optimize.milp`` cannot
@@ -131,8 +111,6 @@ class SolverPortfolio:
     PRIMARY_SHARE = 0.5
     #: Relaxed-gap floor used by the retry rung.
     RELAXED_GAP = 0.05
-    #: Default grace window of the race's selection rule (seconds).
-    RACE_GRACE_S = 0.25
 
     def __init__(
         self,
@@ -141,8 +119,6 @@ class SolverPortfolio:
         force: Optional[str] = None,
         bb_max_nodes: int = 200_000,
         min_rung_budget_s: float = 1.0,
-        mode: Optional[str] = None,
-        race_grace_s: float = RACE_GRACE_S,
         incumbent: Optional[Solution] = None,
     ):
         if time_limit_s <= 0:
@@ -155,13 +131,6 @@ class SolverPortfolio:
                 f"unknown forced solver {self.force!r}; expected one of "
                 f"{faults.FORCE_CHOICES}"
             )
-        self.mode = mode if mode is not None else faults.resolve_solver_mode()
-        if self.mode not in faults.MODE_CHOICES:
-            raise SolverError(
-                f"unknown solver mode {self.mode!r}; expected one of "
-                f"{faults.MODE_CHOICES}"
-            )
-        self.race_grace_s = float(race_grace_s)
         self.bb_max_nodes = bb_max_nodes
         self.min_rung_budget_s = min_rung_budget_s
         self.incumbent = incumbent
@@ -174,7 +143,6 @@ class SolverPortfolio:
             time_limit_s=config.time_limit_s,
             mip_gap=config.mip_gap,
             force=None if solver == "auto" else solver,
-            mode=faults.resolve_solver_mode(getattr(config, "solver_mode", "ladder")),
             incumbent=incumbent,
         )
 
@@ -227,40 +195,11 @@ class SolverPortfolio:
         return min(remaining, max(self.min_rung_budget_s, share))
 
     def solve(self, model: Model) -> PortfolioResult:
-        """Solve via the configured mode (serial ladder or concurrent race).
+        """Walk the ladder until a rung yields a usable solution.
 
         Raises :class:`LadderExhausted` (carrying the attempt records)
-        when no rung produces a usable solution.  A forced rung always
-        executes as a (single-rung) ladder — there is nothing to race.
+        when no rung produces a usable solution.
         """
-        if self.mode == "race" and self.force is None:
-            return self._solve_race(model)
-        return self._solve_ladder(model)
-
-    def _solve_race(self, model: Model) -> PortfolioResult:
-        from repro.ilp.race import run_race
-
-        started = time.perf_counter()
-        rungs = [rung for rung, _ in self._rungs()]
-        solution, winner, attempts = run_race(
-            model,
-            rungs,
-            time_limit_s=self.time_limit_s,
-            grace_s=self.race_grace_s,
-            mip_gap=self.mip_gap,
-            relaxed_gap=self.RELAXED_GAP,
-            bb_max_nodes=self.bb_max_nodes,
-        )
-        return PortfolioResult(
-            solution,
-            winner,
-            attempts,
-            mode="race",
-            race_wall_s=time.perf_counter() - started,
-        )
-
-    def _solve_ladder(self, model: Model) -> PortfolioResult:
-        """Walk the ladder until a rung yields a usable solution."""
         deadline = time.perf_counter() + self.time_limit_s
         attempts: List[RungAttempt] = []
         for rung, runner in self._rungs():

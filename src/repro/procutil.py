@@ -1,23 +1,18 @@
-"""Shared subprocess plumbing for the supervisor and the solver race.
+"""Subprocess plumbing for the suite supervisor.
 
-Both :class:`~repro.experiments.supervisor.SuiteSupervisor` (benchmark
-isolation) and :mod:`repro.ilp.race` (concurrent solver rungs) launch
-worker subprocesses, collect results over a pipe, and must kill and reap
-workers that lost their reason to exist.  The helpers here are that shared
-machinery, factored out so the ILP layer does not import the experiments
-package (which imports the ILP layer back).
+:class:`~repro.experiments.supervisor.SuiteSupervisor` isolates each
+benchmark in a worker subprocess, collects its result over a pipe, and
+must kill and reap workers that lost their reason to exist.  The helpers
+here are that machinery.
 
 * :data:`MP` — the preferred multiprocessing context: ``fork`` where
-  available so workers inherit the warmed interpreter (and, for the race,
-  the already-built model without pickling), ``spawn`` otherwise.
+  available so workers inherit the warmed interpreter, ``spawn``
+  otherwise.
 * :func:`safe_send` — a pipe send that never raises: a dead parent or an
   unpicklable payload degrades to "worker exited silently", which every
   consumer already classifies from the exit code.
 * :func:`terminate` / :func:`reap` — hard-kill a worker and join it with
   a bounded wait, escalating once if it survives the first join.
-* :func:`in_daemon_process` — whether the current process is a daemonic
-  multiprocessing worker (such processes may not have children, so
-  subprocess-based strategies must fall back to threads).
 """
 
 from __future__ import annotations
@@ -56,8 +51,3 @@ def reap(proc) -> None:
     if proc.is_alive():
         terminate(proc)
         proc.join(timeout=5.0)
-
-
-def in_daemon_process() -> bool:
-    """Whether this process is a daemonic worker (cannot have children)."""
-    return bool(getattr(multiprocessing.current_process(), "daemon", False))

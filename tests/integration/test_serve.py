@@ -126,6 +126,13 @@ class TestEndpoints:
         code, body = client.json("POST", "/v1/jobs", {"benchmark": "bogus"})
         assert code == 400 and "unknown benchmark" in body["error"]
 
+    def test_removed_config_key_is_400(self, client):
+        # A retired PDWConfig option posted by an old client must be
+        # rejected at the wire, not crash PDWConfig(**kwargs) into a 500.
+        job = {"benchmark": "PCR", "config": {"solver_mode": "race"}}
+        code, body = client.json("POST", "/v1/jobs", job)
+        assert code == 400 and "unknown config key" in body["error"]
+
     def test_cancel_queued_job(self, client, server):
         gate = threading.Event()
         server._execute = lambda job: gate.wait(30.0)

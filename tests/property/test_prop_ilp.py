@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import LadderExhausted
 from repro.ilp import BranchAndBoundSolver, LinExpr, Model, SolveStatus
 
 small_int = st.integers(min_value=-5, max_value=5)
@@ -59,44 +58,3 @@ def test_solutions_satisfy_all_constraints(model):
             assert var.lb - 1e-6 <= value <= var.ub + 1e-6
             if var.is_integral:
                 assert value == int(value)
-
-
-@given(random_milp())
-@settings(max_examples=8, deadline=None)
-def test_race_is_deterministic_and_agrees_with_ladder(model):
-    """Racing the rungs twice picks the same winner and a valid solution.
-
-    The grace window is generous (1s) relative to these toy solves, so
-    the higher-priority rung always gets its chance and the selection
-    rule — not OS scheduling — decides the winner.
-    """
-    from repro.ilp import SolverPortfolio
-
-    first = None
-    try:
-        first = SolverPortfolio(
-            time_limit_s=15.0, mode="race", race_grace_s=1.0
-        ).solve(model)
-    except LadderExhausted:
-        pass
-    second = None
-    try:
-        second = SolverPortfolio(
-            time_limit_s=15.0, mode="race", race_grace_s=1.0
-        ).solve(model)
-    except LadderExhausted:
-        pass
-    assert (first is None) == (second is None)
-    if first is None:
-        return
-    assert first.rung == second.rung
-    if first.solution.status.has_solution:
-        assert model.check_solution(first.solution) == []
-        ladder = SolverPortfolio(time_limit_s=15.0).solve(model)
-        if (
-            first.solution.status is SolveStatus.OPTIMAL
-            and ladder.solution.status is SolveStatus.OPTIMAL
-        ):
-            assert first.solution.objective == pytest.approx(
-                ladder.solution.objective, abs=1e-5
-            )

@@ -16,6 +16,7 @@ import pytest
 
 from repro.serve import ROUTES
 from repro.serve.jobs import JOB_STATES
+from repro.serve.wire import _CONFIG_FIELDS
 
 SERVICE_MD = Path(__file__).resolve().parents[2] / "docs" / "SERVICE.md"
 
@@ -76,6 +77,10 @@ class TestServiceDocs:
     def test_dedup_and_backpressure_sections_present(self):
         for heading in ("Dedup semantics", "Backpressure", "Operations"):
             assert heading in self.text, f"section {heading!r} missing"
+
+    def test_settable_config_keys_match_the_wire(self):
+        listed = self.text.split("Settable keys:", 1)[1].split("Unknown keys", 1)[0]
+        assert set(re.findall(r"`(\w+)`", listed)) == set(_CONFIG_FIELDS)
 
     def test_journal_location_documented(self):
         assert "journal/suite.jsonl" in self.text

@@ -26,7 +26,7 @@ class TestStructureDigest:
     def test_budget_and_solver_knobs_do_not_change_the_digest(self):
         a = incremental.structure_digest("syn", PDWConfig(time_limit_s=5.0))
         b = incremental.structure_digest(
-            "syn", PDWConfig(time_limit_s=300.0, mip_gap=0.2, solver_mode="race")
+            "syn", PDWConfig(time_limit_s=300.0, mip_gap=0.2, solver="branch_bound")
         )
         assert a == b
 

@@ -194,99 +194,6 @@ class TestForcedRungs:
         assert auto.force is None
 
 
-class TestRaceMode:
-    """The concurrent rung race (solver_mode="race")."""
-
-    def test_race_solves_and_reports_mode(self):
-        result = SolverPortfolio(
-            time_limit_s=30.0, mode="race", race_grace_s=1.0
-        ).solve(knapsack_model())
-        assert result.mode == "race"
-        assert result.race_wall_s > 0.0
-        assert result.solution.status.has_solution
-        assert result.solution.objective == pytest.approx(21.0)
-        # Every launched rung is accounted for: winner, finisher, or
-        # explicitly cancelled — never silently dropped.
-        assert {a.rung for a in result.attempts} == {
-            "highs", "highs-relaxed", "branch_bound",
-        }
-
-    def test_race_winner_is_deterministic(self):
-        winners = {
-            SolverPortfolio(time_limit_s=30.0, mode="race", race_grace_s=1.0)
-            .solve(knapsack_model())
-            .rung
-            for _ in range(3)
-        }
-        assert winners == {"highs"}
-
-    def test_race_attempts_in_priority_order(self):
-        result = SolverPortfolio(
-            time_limit_s=30.0, mode="race", race_grace_s=1.0
-        ).solve(knapsack_model())
-        rungs = [a.rung for a in result.attempts]
-        assert rungs == sorted(
-            rungs, key=lambda r: {"highs": 0, "highs-relaxed": 1, "branch_bound": 2}[r]
-        )
-
-    def test_race_proves_infeasible(self):
-        result = SolverPortfolio(
-            time_limit_s=30.0, mode="race", race_grace_s=1.0
-        ).solve(infeasible_model())
-        assert result.solution.status is SolveStatus.INFEASIBLE
-
-    def test_forced_rung_implies_ladder(self):
-        result = SolverPortfolio(
-            time_limit_s=30.0, mode="race", force="branch_bound"
-        ).solve(knapsack_model())
-        assert result.mode == "ladder"
-        assert result.rung == "branch_bound"
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(SolverError):
-            SolverPortfolio(mode="regatta")
-
-    def test_env_mode_overrides_default(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_MODE, "race")
-        assert SolverPortfolio(time_limit_s=30.0).mode == "race"
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_MODE, "ladder")
-        assert faults.resolve_solver_mode("race") == "race"
-
-    def test_junk_env_mode_rejected(self, monkeypatch):
-        monkeypatch.setenv(faults.ENV_MODE, "regatta")
-        with pytest.raises(SolverError):
-            faults.env_solver_mode()
-
-    def test_crash_fault_lets_concurrent_rung_win(self, solver_fault):
-        # The injected crash hits both HiGHS rungs (FAULT_TARGET_RUNGS),
-        # so branch_bound must win the race without serial waiting.
-        solver_fault("crash")
-        result = SolverPortfolio(
-            time_limit_s=30.0, mode="race", race_grace_s=1.0
-        ).solve(knapsack_model())
-        assert result.rung == "branch_bound"
-        assert result.solution.objective == pytest.approx(21.0)
-
-    def test_race_leaves_no_orphan_processes(self):
-        import multiprocessing
-
-        SolverPortfolio(
-            time_limit_s=30.0, mode="race", race_grace_s=0.05
-        ).solve(knapsack_model())
-        deadline = time.perf_counter() + 5.0
-        while time.perf_counter() < deadline:
-            racers = [
-                p for p in multiprocessing.active_children()
-                if not p.name.startswith("SyncManager")
-            ]
-            if not racers:
-                break
-            time.sleep(0.01)
-        assert not racers
-
-
 class TestFaultSpecParsing:
     def test_plain_kinds(self):
         for kind in ("timeout", "crash", "no_incumbent"):
@@ -324,10 +231,3 @@ class TestEnvironmentToken:
         monkeypatch.setenv(faults.ENV_FORCE, "branch_bound")
         tok_both = faults.environment_token()
         assert tok_fault and tok_both and tok_fault != tok_both
-
-    def test_token_covers_solver_mode(self, monkeypatch):
-        monkeypatch.delenv(faults.ENV_FAULT, raising=False)
-        monkeypatch.delenv(faults.ENV_FORCE, raising=False)
-        monkeypatch.setenv(faults.ENV_MODE, "race")
-        tok = faults.environment_token()
-        assert tok and "mode=race" in tok

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.assay import graph_to_dict
+from repro.core import PDWConfig
 from repro.serve import JobSpec, WireError, job_digest, parse_job
-from repro.serve.wire import job_id_for
+from repro.serve.wire import _CONFIG_FIELDS, job_id_for
 
 from tests.conftest import build_demo_assay
 
@@ -49,6 +52,12 @@ class TestValidation:
     def test_rejects_unknown_config_key(self):
         with pytest.raises(WireError, match="unknown config key"):
             _parse({"benchmark": "PCR", "config": {"turbo": True}})
+
+    def test_every_settable_key_is_a_config_field(self):
+        # A wire key PDWConfig lacks would pass validation and then fail
+        # in PDWConfig(**kwargs) as a 500 instead of a 400.
+        fields = {f.name for f in dataclasses.fields(PDWConfig)}
+        assert set(_CONFIG_FIELDS) <= fields, set(_CONFIG_FIELDS) - fields
 
     def test_rejects_mistyped_config_values(self):
         with pytest.raises(WireError, match="must be a number"):
