@@ -51,14 +51,13 @@ def chip_cost(chip: Chip, schedule: Optional[Schedule] = None) -> ChipCostReport
         table = layer.actuation_table(schedule)
         control_ports = table.control_port_count()
         valve_switches = table.switch_count()
-    length = sum(
-        chip.edge_length_mm(a, b) for a, b in chip.graph.edges
-    )
+    edges = chip.edges()
+    length = sum(chip.edge_length_mm(a, b) for a, b in edges)
     return ChipCostReport(
         devices=len(chip.devices),
         flow_ports=len(chip.flow_ports),
         waste_ports=len(chip.waste_ports),
-        channel_segments=chip.graph.number_of_edges(),
+        channel_segments=len(edges),
         channel_length_mm=length,
         valves=layer.valve_count,
         control_ports=control_ports,

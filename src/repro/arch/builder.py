@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.arch.chip import Chip, NodeKind
 from repro.arch.device import Device, DeviceKind
 from repro.errors import ArchitectureError
@@ -30,7 +28,9 @@ class ChipBuilder:
     def __init__(self, name: str, parameters: PhysicalParameters = DEFAULT_PARAMETERS):
         self.name = name
         self.parameters = parameters
-        self._graph = nx.Graph()
+        self._kinds: Dict[str, NodeKind] = {}
+        self._positions: Dict[str, Tuple[float, float]] = {}
+        self._channels: List[Tuple[str, str, float]] = []
         self._devices: Dict[str, Device] = {}
         self._flow_ports: List[str] = []
         self._waste_ports: List[str] = []
@@ -38,12 +38,11 @@ class ChipBuilder:
     # -- nodes ---------------------------------------------------------------
 
     def _add_node(self, node: str, kind: NodeKind, pos: Optional[Tuple[float, float]]) -> None:
-        if node in self._graph:
+        if node in self._kinds:
             raise ArchitectureError(f"duplicate node {node!r}")
-        attrs = {"kind": kind}
+        self._kinds[node] = kind
         if pos is not None:
-            attrs["pos"] = pos
-        self._graph.add_node(node, **attrs)
+            self._positions[node] = pos
 
     def add_junction(self, node: str, pos: Optional[Tuple[float, float]] = None) -> "ChipBuilder":
         """Add a plain channel junction node (a ``s_i`` switch)."""
@@ -85,11 +84,11 @@ class ChipBuilder:
     def add_channel(self, a: str, b: str, length_mm: Optional[float] = None) -> "ChipBuilder":
         """Add a channel segment between two existing nodes."""
         for node in (a, b):
-            if node not in self._graph:
+            if node not in self._kinds:
                 raise ArchitectureError(f"unknown node {node!r}; add it before connecting")
         if a == b:
             raise ArchitectureError(f"self-loop channel on {a!r}")
-        self._graph.add_edge(a, b, length_mm=length_mm or self.parameters.cell_pitch_mm)
+        self._channels.append((a, b, length_mm or self.parameters.cell_pitch_mm))
         return self
 
     def connect(self, *nodes: str) -> "ChipBuilder":
@@ -106,9 +105,11 @@ class ChipBuilder:
         """Validate and return the finished :class:`Chip`."""
         return Chip(
             self.name,
-            self._graph,
+            self._kinds,
+            self._channels,
             self._devices,
             self._flow_ports,
             self._waste_ports,
             self.parameters,
+            positions=self._positions,
         )

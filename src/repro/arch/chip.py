@@ -14,9 +14,7 @@ node sequences through this graph, e.g.
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.arch.device import Device, DeviceKind
 from repro.errors import ArchitectureError, RoutingError
@@ -40,19 +38,40 @@ class Chip:
 
     Build instances through :class:`~repro.arch.builder.ChipBuilder` (or the
     synthesis flow); the constructor validates the assembled network.
+
+    ``nodes`` maps every node id to its :class:`NodeKind`, in the order the
+    network iterates them; ``channels`` lists ``(a, b, length_mm)``
+    segments between declared nodes (a repeated segment keeps its first
+    position and takes the last length).  The network is stored as one
+    insertion-ordered adjacency dict, so node, neighbour and edge order are
+    those the nodes and channels were declared in — routing tie-breaks and
+    float sums over edges depend on that order.
     """
 
     def __init__(
         self,
         name: str,
-        graph: nx.Graph,
+        nodes: Mapping[str, NodeKind],
+        channels: Iterable[Tuple[str, str, float]],
         devices: Dict[str, Device],
         flow_ports: Sequence[str],
         waste_ports: Sequence[str],
         parameters: PhysicalParameters = DEFAULT_PARAMETERS,
+        *,
+        positions: Optional[Mapping[str, Tuple[float, float]]] = None,
     ) -> None:
         self.name = name
-        self.graph = graph
+        self._kind: Dict[str, NodeKind] = dict(nodes)
+        self._pos: Dict[str, Tuple[float, float]] = dict(positions or {})
+        #: node -> {neighbour: segment length in mm}, both directions.
+        self._adj: Dict[str, Dict[str, float]] = {n: {} for n in self._kind}
+        for a, b, length_mm in channels:
+            if a not in self._adj or b not in self._adj:
+                raise ArchitectureError(f"channel {a!r}-{b!r} names an undeclared node")
+            if a == b:
+                raise ArchitectureError(f"self-loop channel on {a!r}")
+            self._adj[a][b] = length_mm
+            self._adj[b][a] = length_mm
         self.devices = dict(devices)
         self.flow_ports = list(flow_ports)
         self.waste_ports = list(waste_ports)
@@ -67,31 +86,88 @@ class Chip:
         if not self.waste_ports:
             raise ArchitectureError(f"chip {self.name!r} has no waste ports")
         for node in list(self.devices) + self.flow_ports + self.waste_ports:
-            if node not in self.graph:
+            if node not in self._adj:
                 raise ArchitectureError(f"node {node!r} referenced but absent from the network")
         for name, device in self.devices.items():
             if name != device.name:
                 raise ArchitectureError(
                     f"device registered under {name!r} but named {device.name!r}"
                 )
-        kinds = nx.get_node_attributes(self.graph, "kind")
-        missing = [n for n in self.graph.nodes if n not in kinds]
-        if missing:
-            raise ArchitectureError(f"nodes missing 'kind' attribute: {missing[:5]}")
-        if self.graph.number_of_nodes() and not nx.is_connected(self.graph):
-            parts = [len(c) for c in nx.connected_components(self.graph)]
+        parts = self.components()
+        if len(parts) > 1:
             raise ArchitectureError(
-                f"chip {self.name!r} flow network is disconnected (components: {parts})"
+                f"chip {self.name!r} flow network is disconnected "
+                f"(components: {[len(c) for c in parts]})"
             )
         for port in self.flow_ports + self.waste_ports:
-            if self.graph.degree(port) == 0:
+            if not self._adj[port]:
                 raise ArchitectureError(f"port {port!r} is not attached to any channel")
+
+    # -- network queries ----------------------------------------------------
+
+    @property
+    def nodes(self) -> List[str]:
+        """All node ids, in declaration order."""
+        return list(self._adj)
+
+    def has_node(self, node: str) -> bool:
+        """Whether ``node`` is part of the flow network."""
+        return node in self._adj
+
+    def edges(self) -> List[Tuple[str, str]]:
+        """Every channel segment once, as ``(a, b)``.
+
+        Nodes are walked in declaration order and each yields its
+        segments to not-yet-walked neighbours, in neighbour order (the
+        order ``networkx.Graph.edges`` gives).
+        """
+        walked = set()
+        out = []
+        for node, nbrs in self._adj.items():
+            out.extend((node, nbr) for nbr in nbrs if nbr not in walked)
+            walked.add(node)
+        return out
+
+    def has_edge(self, a: str, b: str) -> bool:
+        """Whether a channel segment joins ``a`` and ``b``."""
+        return b in self._adj.get(a, ())
+
+    def neighbors(self, node: str) -> List[str]:
+        """Adjacent nodes in the flow network (the paper's ``AC`` sets)."""
+        return list(self._adj[node])
+
+    def degree(self, node: str) -> int:
+        """Number of channel segments at ``node``."""
+        return len(self._adj[node])
+
+    def components(self, nodes: Optional[Iterable[str]] = None) -> List[List[str]]:
+        """Connected components of the network induced by ``nodes``.
+
+        ``nodes`` defaults to the whole chip.  Components come in the order
+        of their first node in ``nodes``; each lists its nodes breadth-first.
+        """
+        order = self._adj if nodes is None else list(nodes)
+        keep = set(order)
+        seen = set()
+        out = []
+        for start in order:
+            if start in seen:
+                continue
+            seen.add(start)
+            component = [start]
+            for node in component:  # grows while it is walked
+                for nbr in self._adj[node]:
+                    if nbr in keep and nbr not in seen:
+                        seen.add(nbr)
+                        component.append(nbr)
+            out.append(component)
+        return out
 
     # -- node queries -----------------------------------------------------
 
     def kind_of(self, node: str) -> NodeKind:
         """The :class:`NodeKind` of ``node``."""
-        return self.graph.nodes[node]["kind"]
+        return self._kind[node]
 
     def is_port(self, node: str) -> bool:
         """Whether ``node`` is a flow or waste port."""
@@ -103,11 +179,7 @@ class Chip:
 
     def position(self, node: str) -> Optional[Tuple[float, float]]:
         """Layout coordinates of ``node`` if known (for rendering)."""
-        return self.graph.nodes[node].get("pos")
-
-    def neighbors(self, node: str) -> List[str]:
-        """Adjacent nodes in the flow network (the paper's ``AC`` sets)."""
-        return list(self.graph.neighbors(node))
+        return self._pos.get(node)
 
     def devices_of_kind(self, kind: DeviceKind) -> List[Device]:
         """All devices of a given kind, in name order."""
@@ -119,21 +191,21 @@ class Chip:
     @property
     def channel_nodes(self) -> List[str]:
         """All plain channel/junction nodes."""
-        return [n for n in self.graph.nodes if self.kind_of(n) is NodeKind.CHANNEL]
+        return [n for n, kind in self._kind.items() if kind is NodeKind.CHANNEL]
 
     @property
     def washable_nodes(self) -> List[str]:
         """Nodes that can hold residue: channels and devices (not ports)."""
-        return [n for n in self.graph.nodes if not self.is_port(n)]
+        return [n for n in self._adj if not self.is_port(n)]
 
     # -- geometry -------------------------------------------------------------
 
     def edge_length_mm(self, a: str, b: str) -> float:
         """Physical length of the channel segment between two adjacent nodes."""
-        data = self.graph.get_edge_data(a, b)
-        if data is None:
+        length = self._adj.get(a, {}).get(b)
+        if length is None:
             raise RoutingError(f"no channel segment between {a!r} and {b!r}")
-        return data.get("length_mm", self.parameters.cell_pitch_mm)
+        return length
 
     def path_length_mm(self, path: Sequence[str]) -> float:
         """Total physical length of a flow path (sum of its segments)."""
@@ -148,7 +220,7 @@ class Chip:
         if len(path) < 2:
             raise RoutingError(f"flow path needs at least two nodes, got {list(path)}")
         for a, b in zip(path, path[1:]):
-            if not self.graph.has_edge(a, b):
+            if not self.has_edge(a, b):
                 raise RoutingError(f"path hop {a!r} -> {b!r} is not a channel segment")
         return tuple(path)
 
@@ -165,8 +237,8 @@ class Chip:
     def stats(self) -> Dict[str, int]:
         """Size summary of the architecture."""
         return {
-            "nodes": self.graph.number_of_nodes(),
-            "edges": self.graph.number_of_edges(),
+            "nodes": len(self._adj),
+            "edges": sum(map(len, self._adj.values())) // 2,
             "devices": len(self.devices),
             "flow_ports": len(self.flow_ports),
             "waste_ports": len(self.waste_ports),

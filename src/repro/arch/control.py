@@ -59,17 +59,16 @@ class ControlLayer:
     # -- placement ----------------------------------------------------------
 
     def _needs_valve(self, a: str, b: str) -> bool:
-        graph = self.chip.graph
         return (
-            graph.degree(a) >= 3
-            or graph.degree(b) >= 3
+            self.chip.degree(a) >= 3
+            or self.chip.degree(b) >= 3
             or self.chip.is_port(a)
             or self.chip.is_port(b)
         )
 
     def _place_valves(self) -> None:
         index = 1
-        for a, b in sorted(map(lambda e: _norm(*e), self.chip.graph.edges)):
+        for a, b in sorted(map(lambda e: _norm(*e), self.chip.edges())):
             if self._needs_valve(a, b):
                 edge = _norm(a, b)
                 self.valves[edge] = Valve(f"v{index}", edge)

@@ -21,9 +21,7 @@ Channel entries are ``[a, b]`` or ``[a, b, length_mm]``.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
-
-import networkx as nx
+from typing import Any, Dict, List, Tuple
 
 from repro.arch.chip import Chip, NodeKind
 from repro.arch.device import Device, DeviceKind
@@ -34,7 +32,7 @@ from repro.units import PhysicalParameters
 def chip_to_dict(chip: Chip) -> Dict[str, Any]:
     """Serialize a chip to plain data."""
     nodes: List[Dict[str, Any]] = []
-    for node in sorted(chip.graph.nodes):
+    for node in sorted(chip.nodes):
         entry: Dict[str, Any] = {"id": node, "kind": chip.kind_of(node).value}
         pos = chip.position(node)
         if pos is not None:
@@ -46,7 +44,7 @@ def chip_to_dict(chip: Chip) -> Dict[str, Any]:
                 entry["capacity"] = device.capacity
         nodes.append(entry)
     channels = []
-    for a, b in sorted(map(lambda e: tuple(sorted(e)), chip.graph.edges)):
+    for a, b in sorted(map(lambda e: tuple(sorted(e)), chip.edges())):
         length = chip.edge_length_mm(a, b)
         if length == chip.parameters.cell_pitch_mm:
             channels.append([a, b])
@@ -68,17 +66,17 @@ def chip_from_dict(data: Dict[str, Any]) -> Chip:
     """Rebuild a chip from :func:`chip_to_dict` output."""
     try:
         params = PhysicalParameters(**data.get("parameters", {}))
-        graph = nx.Graph()
+        kinds: Dict[str, NodeKind] = {}
+        positions: Dict[str, Tuple[float, float]] = {}
+        channels: List[Tuple[str, str, float]] = []
         devices: Dict[str, Device] = {}
         flow_ports: List[str] = []
         waste_ports: List[str] = []
         for entry in data["nodes"]:
             node = entry["id"]
-            kind = NodeKind(entry["kind"])
-            attrs: Dict[str, Any] = {"kind": kind}
+            kind = kinds[node] = NodeKind(entry["kind"])
             if "pos" in entry:
-                attrs["pos"] = tuple(entry["pos"])
-            graph.add_node(node, **attrs)
+                positions[node] = tuple(entry["pos"])
             if kind is NodeKind.DEVICE:
                 devices[node] = Device(
                     node,
@@ -92,10 +90,13 @@ def chip_from_dict(data: Dict[str, Any]) -> Chip:
         for channel in data["channels"]:
             a, b = channel[0], channel[1]
             length = channel[2] if len(channel) > 2 else params.cell_pitch_mm
-            graph.add_edge(a, b, length_mm=length)
+            channels.append((a, b, length))
+        return Chip(
+            data.get("name", "chip"), kinds, channels, devices, flow_ports, waste_ports,
+            params, positions=positions,
+        )
     except (KeyError, ValueError, TypeError) as exc:
         raise ArchitectureError(f"malformed chip document: {exc}") from exc
-    return Chip(data.get("name", "chip"), graph, devices, flow_ports, waste_ports, params)
 
 
 def chip_to_json(chip: Chip, indent: int = 2) -> str:

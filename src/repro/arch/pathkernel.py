@@ -1,11 +1,9 @@
 """CSR-backed shortest-path kernel for chip flow networks.
 
-:mod:`networkx` is excellent for building and validating the chip graph,
-but its per-query generality is the wrong trade for routing: candidate
-generation issues *thousands* of point-to-point queries per chip (every
-visit-order probe of every port pair of every cluster), and each
-``nx.shortest_path`` call pays for subgraph views, attribute lookups and
-generator plumbing.  This module precomputes, once per :class:`Chip`, a
+Candidate generation issues *thousands* of point-to-point queries per
+chip (every visit-order probe of every port pair of every cluster), so
+routing must not walk the chip's dict adjacency per query.  This module
+precomputes, once per :class:`Chip`, a
 compressed-sparse-row (CSR) adjacency — index-mapped nodes with
 ``array``-backed offset/target/weight columns — and answers queries with
 a heapq Dijkstra plus Yen's algorithm for k shortest loop-free paths,
@@ -68,20 +66,19 @@ class PathKernel:
             # every entry immortal — one leaked kernel (plus its LRU) per
             # chip instance, forever.
             self._chip_ref = weakref.ref(chip)
-            graph = chip.graph
-            default_mm = chip.parameters.cell_pitch_mm
-            #: Node order: graph insertion order, matching networkx
-            #: adjacency iteration so tie-breaks stay comparable.
-            self.nodes: List[str] = list(graph.nodes)
+            #: Node order: the chip's declaration order, and neighbour
+            #: lists in the chip's adjacency order, so tie-breaks match
+            #: the networkx-era router.
+            self.nodes: List[str] = chip.nodes
             self.index: Dict[str, int] = {n: i for i, n in enumerate(self.nodes)}
             n = len(self.nodes)
             offsets = array("l", [0]) if n else array("l")
             targets = array("l")
             weights = array("d")
             for node in self.nodes:
-                for nbr, data in graph.adj[node].items():
+                for nbr in chip.neighbors(node):
                     targets.append(self.index[nbr])
-                    weights.append(float(data.get("length_mm", default_mm)))
+                    weights.append(float(chip.edge_length_mm(node, nbr)))
                 offsets.append(len(targets))
             self.offsets = offsets
             self.targets = targets

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from repro.arch.chip import Chip, FlowPath
 from repro.arch.pathkernel import PathKernel, kernel_for
 from repro.errors import RoutingError
@@ -161,19 +159,19 @@ class Router:
         """
         if len(targets) == 1:
             return list(targets)
-        sub = self.chip.graph.subgraph(targets)
-        degrees = dict(sub.degree())
-        if any(d > 2 for d in degrees.values()):
+        inside = set(targets)
+        sub = {t: [n for n in self.chip.neighbors(t) if n in inside] for t in targets}
+        if any(len(nbrs) > 2 for nbrs in sub.values()):
             return None
-        if not nx.is_connected(sub):
+        if len(self.chip.components(targets)) != 1:
             return None
-        endpoints = [n for n, d in degrees.items() if d <= 1]
+        endpoints = [n for n, nbrs in sub.items() if len(nbrs) <= 1]
         if len(endpoints) != 2:
             return None
         order: List[str] = [min(endpoints)]
         seen = {order[0]}
         while len(order) < len(targets):
-            nxt = [n for n in sub.neighbors(order[-1]) if n not in seen]
+            nxt = [n for n in sub[order[-1]] if n not in seen]
             if not nxt:
                 return None
             order.append(nxt[0])

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.assay.fluids import composite_fluid
 from repro.assay.operations import default_duration, is_transformative, spec_for
 from repro.errors import AssayError
@@ -78,18 +76,28 @@ class SequencingGraph:
         if not name:
             raise AssayError("assay name cannot be empty")
         self.name = name
-        self._graph = nx.DiGraph()
+        #: Insertion-ordered adjacency: node -> {successor/predecessor: None}.
+        self._succ: Dict[str, Dict[str, None]] = {}
+        self._pred: Dict[str, Dict[str, None]] = {}
         self._reagents: Dict[str, Reagent] = {}
         self._operations: Dict[str, Operation] = {}
 
     # -- construction ----------------------------------------------------------
 
+    def _add_node(self, node_id: str) -> None:
+        self._succ[node_id] = {}
+        self._pred[node_id] = {}
+
+    def _add_edge(self, src: str, dst: str) -> None:
+        self._succ[src][dst] = None
+        self._pred[dst][src] = None
+
     def add_reagent(self, reagent: Reagent) -> None:
         """Register an input reagent node."""
-        if reagent.id in self._graph:
+        if reagent.id in self._succ:
             raise AssayError(f"duplicate node id {reagent.id!r}")
         self._reagents[reagent.id] = reagent
-        self._graph.add_node(reagent.id, kind="reagent")
+        self._add_node(reagent.id)
 
     def add_operation(self, op: Operation, inputs: Sequence[str]) -> None:
         """Register an operation node consuming the given producers.
@@ -97,17 +105,17 @@ class SequencingGraph:
         ``inputs`` may name reagents or previously added operations; each
         input contributes one dependency edge (:math:`e_{j,i}`).
         """
-        if op.id in self._graph:
+        if op.id in self._succ:
             raise AssayError(f"duplicate node id {op.id!r}")
         if not inputs:
             raise AssayError(f"operation {op.id!r} must consume at least one input")
         for src in inputs:
-            if src not in self._graph:
+            if src not in self._succ:
                 raise AssayError(f"operation {op.id!r}: unknown input {src!r}")
         self._operations[op.id] = op
-        self._graph.add_node(op.id, kind="operation")
+        self._add_node(op.id)
         for src in inputs:
-            self._graph.add_edge(src, op.id)
+            self._add_edge(src, op.id)
 
     def add_input(self, op_id: str, src: str) -> None:
         """Add an extra dependency edge from ``src`` into existing ``op_id``.
@@ -116,11 +124,11 @@ class SequencingGraph:
         """
         if op_id not in self._operations:
             raise AssayError(f"unknown operation {op_id!r}")
-        if src not in self._graph:
+        if src not in self._succ:
             raise AssayError(f"unknown input {src!r}")
-        if self._graph.has_edge(src, op_id):
+        if op_id in self._succ[src]:
             raise AssayError(f"edge {src!r} -> {op_id!r} already exists")
-        self._graph.add_edge(src, op_id)
+        self._add_edge(src, op_id)
 
     # -- queries -----------------------------------------------------------------
 
@@ -147,11 +155,11 @@ class SequencingGraph:
 
     def inputs_of(self, op_id: str) -> List[str]:
         """Producer node ids feeding ``op_id``."""
-        return sorted(self._graph.predecessors(op_id))
+        return sorted(self._pred[op_id])
 
     def consumers_of(self, node_id: str) -> List[str]:
         """Operation ids consuming the output of ``node_id``."""
-        return sorted(self._graph.successors(node_id))
+        return sorted(self._succ[node_id])
 
     def terminal_operations(self) -> List[str]:
         """Operations whose output leaves the chip as assay product/waste."""
@@ -159,12 +167,51 @@ class SequencingGraph:
 
     def dependency_edges(self) -> List[Tuple[str, str]]:
         """All (producer, consumer) edges, producers may be reagents."""
-        return list(self._graph.edges())
+        return [(src, dst) for src, succ in self._succ.items() for dst in succ]
+
+    def _topological_order(self) -> List[str]:
+        """All node ids in Kahn order; :class:`AssayError` on a cycle.
+
+        ``order`` doubles as the FIFO queue: the producer-free nodes come
+        first, and each node is appended once its last producer has been
+        taken off the queue.  So the order runs generation by generation
+        (every node of one all-inputs-ready layer before any of the next),
+        which is the order ``networkx.topological_sort`` yields.
+        """
+        indegree = {n: len(pred) for n, pred in self._pred.items() if pred}
+        order = [n for n, pred in self._pred.items() if not pred]
+        for node in order:  # grows while it is walked
+            for child in self._succ[node]:
+                indegree[child] -= 1
+                if not indegree[child]:
+                    order.append(child)
+                    del indegree[child]
+        if indegree:
+            raise AssayError(f"dependency cycle: {self._cycle_in(indegree)}")
+        return order
+
+    def _cycle_in(self, blocked: Dict[str, int]) -> List[Tuple[str, str]]:
+        """One cycle among ``blocked`` nodes, as its list of edges.
+
+        Every node Kahn's pass never released keeps a producer that was
+        never released either (``blocked`` maps them to their remaining
+        in-degree), so walking such producers back from any
+        blocked node must revisit one: that loop is a cycle.
+        """
+        walk = [next(iter(blocked))]
+        at = {walk[0]: 0}
+        while True:
+            prev = next(p for p in self._pred[walk[-1]] if p in blocked)
+            if prev in at:
+                loop = walk[at[prev]:][::-1]
+                return list(zip(loop, loop[1:] + loop[:1]))
+            at[prev] = len(walk)
+            walk.append(prev)
 
     def topological_operations(self) -> List[str]:
         """Operation ids in a valid execution order."""
         self.validate()
-        return [n for n in nx.topological_sort(self._graph) if n in self._operations]
+        return [n for n in self._topological_order() if n in self._operations]
 
     # -- size metrics (Table II conventions) ------------------------------------
 
@@ -176,7 +223,7 @@ class SequencingGraph:
     @property
     def edge_count(self) -> int:
         """|E| — dependency edges plus terminal output edges (see module doc)."""
-        return self._graph.number_of_edges() + len(self.terminal_operations())
+        return len(self.dependency_edges()) + len(self.terminal_operations())
 
     def required_device_kinds(self) -> Dict[str, int]:
         """How many concurrent devices each kind needs at minimum (>= 1 each)."""
@@ -197,7 +244,7 @@ class SequencingGraph:
         """
         self.validate()
         types: Dict[str, str] = {r.id: r.fluid_type for r in self.reagents}
-        for node in nx.topological_sort(self._graph):
+        for node in self._topological_order():
             if node in types:
                 continue
             op = self._operations[node]
@@ -217,11 +264,12 @@ class SequencingGraph:
             problems.append("assay has no operations")
         if not self._reagents:
             problems.append("assay has no input reagents")
-        if not nx.is_directed_acyclic_graph(self._graph):
-            cycle = nx.find_cycle(self._graph)
-            problems.append(f"dependency cycle: {cycle}")
+        try:
+            self._topological_order()
+        except AssayError as exc:
+            problems.append(str(exc))
         for reagent in self._reagents.values():
-            if not list(self._graph.successors(reagent.id)):
+            if not self._succ[reagent.id]:
                 problems.append(f"reagent {reagent.id!r} is never consumed")
         for op in self._operations.values():
             if not is_transformative(op.op_type) and len(self.inputs_of(op.id)) > 1:

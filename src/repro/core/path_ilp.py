@@ -17,9 +17,7 @@ default PDW pipeline uses the candidate-path pool instead.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Set
-
-import networkx as nx
+from typing import Dict, List, Sequence, Set
 
 from repro.arch.chip import Chip, FlowPath
 from repro.errors import WashError
@@ -42,13 +40,13 @@ def exact_wash_path(
     if not target_set:
         raise WashError("a wash path needs at least one target")
     banned = set(forbidden) - target_set
-    missing = target_set - set(chip.graph.nodes)
+    missing = {t for t in target_set if not chip.has_node(t)}
     if missing:
         raise WashError(f"unknown wash targets: {sorted(missing)}")
     if target_set & set(chip.flow_ports + chip.waste_ports):
         raise WashError("ports cannot be wash targets")
 
-    nodes = [n for n in chip.graph.nodes if n not in banned]
+    nodes = [n for n in chip.nodes if n not in banned]
     node_set = set(nodes)
     flow_ports = [p for p in chip.flow_ports if p in node_set]
     waste_ports = [p for p in chip.waste_ports if p in node_set]
@@ -92,10 +90,10 @@ def exact_wash_path(
             raise WashError(
                 f"exact path ILP {solution.status.value} for targets {sorted(target_set)}"
             )
-        chosen = {n for n in nodes if solution.rounded(u[n]) == 1}
+        chosen = [n for n in nodes if solution.rounded(u[n]) == 1]
         subtours = _port_free_components(chip, chosen)
         if not subtours:
-            return _order_path(chip, chosen)
+            return _order_path(chip, set(chosen))
         for component in subtours:
             model.add_linear_constraint(
                 [(u[n], 1.0) for n in component],
@@ -106,14 +104,13 @@ def exact_wash_path(
     raise WashError("exact path ILP did not converge (too many subtours)")
 
 
-def _port_free_components(chip: Chip, chosen: Set[str]) -> List[FrozenSet[str]]:
+def _port_free_components(chip: Chip, chosen: List[str]) -> List[List[str]]:
     """Selected components containing no port (must be cut off)."""
-    sub = chip.graph.subgraph(chosen)
-    out = []
-    for component in nx.connected_components(sub):
-        if not any(chip.is_port(n) for n in component):
-            out.append(frozenset(component))
-    return out
+    return [
+        component
+        for component in chip.components(chosen)
+        if not any(chip.is_port(n) for n in component)
+    ]
 
 
 def _order_path(chip: Chip, chosen: Set[str]) -> FlowPath:

@@ -390,6 +390,11 @@ class PathGenStage(StageBase):
 _MODEL_MEMO = incremental.ModelMemo(capacity=4)
 
 
+def clear_model_memo() -> None:
+    """Drop every memoized model, so the next ILP stage builds cold."""
+    _MODEL_MEMO.clear()
+
+
 class ScheduleIlpStage(StageBase):
     """Build and solve the scheduling ILP (Eqs. 1-8, 16-26).
 

@@ -191,7 +191,7 @@ def derive(chip: Chip, schedule, spec: DegradationSpec) -> Degradation:
     ports = frozenset(chip.flow_ports) | frozenset(chip.waste_ports)
 
     for node in spec.dead:
-        if node not in chip.graph.nodes:
+        if not chip.has_node(node):
             raise DegradationError(f"dead= names unknown chip node {node!r}")
         if node in ports:
             raise DegradationError(f"cannot fail port {node!r} (chip boundary)")

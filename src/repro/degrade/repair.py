@@ -125,7 +125,7 @@ def parse_fault(text: str, plan: WashPlan, synthesis: SynthesisResult) -> Channe
         raise DegradationError(
             f"malformed online fault {text!r} (expected 'auto' or 'node@tick')"
         )
-    if node not in synthesis.chip.graph.nodes:
+    if not synthesis.chip.has_node(node):
         raise DegradationError(f"online fault names unknown chip node {node!r}")
     try:
         when = int(tick)

@@ -46,7 +46,7 @@ from repro.pipeline import chaos
 
 #: Global salt for every digest; bump to invalidate all cached artifacts
 #: (e.g. after a serialization-format change).
-CACHE_FORMAT_VERSION = "2"
+CACHE_FORMAT_VERSION = "3"
 
 #: Leading magic bytes of every entry file.
 ENTRY_MAGIC = b"RPDW"

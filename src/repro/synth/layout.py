@@ -23,8 +23,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-import networkx as nx
-
 from repro.arch.chip import Chip, NodeKind
 from repro.arch.device import Device
 from repro.arch.grid import Cell, Grid
@@ -125,22 +123,21 @@ def generate_layout(
         for x in range(1, grid.width - 1):
             etch((x, y))
 
-    # Assemble the graph: adjacent occupied cells are channel segments.
-    graph = nx.Graph()
-    for cell, (node, kind) in occupied.items():
-        graph.add_node(node, kind=kind, pos=(float(cell[0]), float(cell[1])))
-    for cell, (node, _) in occupied.items():
-        for neighbor in grid.neighbors(cell):
-            if neighbor in occupied:
-                graph.add_edge(node, occupied[neighbor][0], length_mm=parameters.cell_pitch_mm)
-
+    # Assemble the network: adjacent occupied cells are channel segments.
     chip = Chip(
         name=name,
-        graph=graph,
+        nodes=dict(occupied.values()),
+        channels=[
+            (node, occupied[neighbor][0], parameters.cell_pitch_mm)
+            for cell, (node, _) in occupied.items()
+            for neighbor in grid.neighbors(cell)
+            if neighbor in occupied
+        ],
         devices={d.name: d for d in devices},
         flow_ports=flow_names,
         waste_ports=waste_names,
         parameters=parameters,
+        positions={node: (float(x), float(y)) for (x, y), (node, _) in occupied.items()},
     )
     _check_device_ends(chip)
     return chip
@@ -149,7 +146,7 @@ def generate_layout(
 def _check_device_ends(chip: Chip) -> None:
     """Every generated device must have exactly two channel ends."""
     for name in chip.devices:
-        degree = chip.graph.degree(name)
+        degree = chip.degree(name)
         if degree != 2:
             raise SynthesisError(
                 f"layout bug: device {name!r} has {degree} channel ends (expected 2)"

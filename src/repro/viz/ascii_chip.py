@@ -30,7 +30,7 @@ def _glyph(chip: Chip, node: str) -> str:
 def render_chip(chip: Chip, highlight: Optional[Sequence[str]] = None) -> str:
     """Render ``chip`` as ASCII art; returns a placeholder without positions."""
     positions: Dict[str, Tuple[float, float]] = {}
-    for node in chip.graph.nodes:
+    for node in chip.nodes:
         pos = chip.position(node)
         if pos is not None:
             positions[node] = pos
@@ -53,7 +53,7 @@ def render_chip(chip: Chip, highlight: Optional[Sequence[str]] = None) -> str:
         )
 
     # channel segments first, then node glyphs on top
-    for a, b in chip.graph.edges:
+    for a, b in chip.edges():
         if a not in positions or b not in positions:
             continue
         ax, ay = cell(a)

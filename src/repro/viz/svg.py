@@ -23,7 +23,7 @@ _PATH_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"
 
 def _positions(chip: Chip) -> Dict[str, Tuple[float, float]]:
     positions = {}
-    for node in chip.graph.nodes:
+    for node in chip.nodes:
         pos = chip.position(node)
         if pos is not None:
             positions[node] = pos
@@ -68,7 +68,7 @@ def render_svg(
     ]
 
     # channels
-    for a, b in chip.graph.edges:
+    for a, b in chip.edges():
         if a not in positions or b not in positions:
             continue
         (x1, y1), (x2, y2) = xy(a), xy(b)

@@ -65,7 +65,7 @@ def test_chip_json_round_trip(n_devices, flow_ports, waste_ports):
     chip = generate_layout(devices, ArchSpec(flow_ports, waste_ports))
     restored = chip_from_json(chip_to_json(chip))
     assert restored.stats() == chip.stats()
-    assert sorted(restored.graph.nodes) == sorted(chip.graph.nodes)
+    assert sorted(restored.nodes) == sorted(chip.nodes)
     assert restored.flow_ports == chip.flow_ports
-    for a, b in chip.graph.edges:
+    for a, b in chip.edges():
         assert restored.edge_length_mm(a, b) == chip.edge_length_mm(a, b)

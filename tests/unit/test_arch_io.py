@@ -12,8 +12,8 @@ class TestRoundTrip:
         original = figure2_chip()
         restored = chip_from_json(chip_to_json(original))
         assert restored.name == original.name
-        assert sorted(restored.graph.nodes) == sorted(original.graph.nodes)
-        assert restored.graph.number_of_edges() == original.graph.number_of_edges()
+        assert sorted(restored.nodes) == sorted(original.nodes)
+        assert len(restored.edges()) == len(original.edges())
         assert restored.flow_ports == original.flow_ports
         assert restored.waste_ports == original.waste_ports
 
@@ -30,7 +30,7 @@ class TestRoundTrip:
     def test_positions_preserved(self):
         original = figure2_chip()
         restored = chip_from_json(chip_to_json(original))
-        for node in original.graph.nodes:
+        for node in original.nodes:
             assert restored.position(node) == original.position(node)
 
     def test_synthesized_chip_round_trip(self, demo_synthesis):

@@ -145,6 +145,20 @@ class TestValidation:
         with pytest.raises(AssayError):
             g.validate()
 
+    def test_back_edge_is_a_dependency_cycle(self, graph):
+        graph.add_input("o1", "o5")  # o1 -> o3 -> o5 -> o1
+        with pytest.raises(AssayError, match="dependency cycle") as info:
+            graph.validate()
+        message = str(info.value)
+        for edge in [("o1", "o3"), ("o3", "o5"), ("o5", "o1")]:
+            assert repr(edge) in message
+        with pytest.raises(AssayError, match="dependency cycle"):
+            graph.topological_operations()
+
+    def test_self_loop_is_a_dependency_cycle(self, graph):
+        graph.add_input("o5", "o5")
+        assert any("dependency cycle: [('o5', 'o5')]" in i for i in graph.issues())
+
     def test_empty_graph_invalid(self):
         g = SequencingGraph("empty")
         assert g.issues()

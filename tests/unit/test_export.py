@@ -79,14 +79,10 @@ class TestSvg:
         assert "#1f77b4" in svg and "#d62728" in svg
 
     def test_chip_without_positions(self):
-        import networkx as nx
         from repro.arch.chip import Chip, NodeKind
-        
-        g = nx.Graph()
-        g.add_node("in1", kind=NodeKind.FLOW_PORT)
-        g.add_node("out1", kind=NodeKind.WASTE_PORT)
-        g.add_edge("in1", "out1", length_mm=1.5)
-        chip = Chip("bare", g, {}, ["in1"], ["out1"])
+
+        nodes = {"in1": NodeKind.FLOW_PORT, "out1": NodeKind.WASTE_PORT}
+        chip = Chip("bare", nodes, [("in1", "out1", 1.5)], {}, ["in1"], ["out1"])
         svg = render_svg(chip)
         assert "no layout coordinates" in svg
         ET.fromstring(svg)

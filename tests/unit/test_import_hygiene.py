@@ -5,10 +5,12 @@ since imported the whole stack.
 
 * Commands that solve nothing — ``pdw --help``, ``pdw list``, ``pdw cache
   info`` — and a bare ``import repro`` / ``import repro.cli`` must not load
-  numpy or scipy.
+  numpy, scipy or networkx.
 * The modules that fork suite workers or announce ``pdw serve`` readiness
   must load the solve stack at import, so forked workers inherit it and the
   first served job does not pay for it.
+* networkx is a test-only dependency: no runtime module loads it, the
+  solving ones included.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
 
-HEAVY = ("numpy", "scipy")
+HEAVY = ("numpy", "scipy", "networkx")
 
 
 def _loaded_after(code: str, tmp_path: Path) -> set:
@@ -72,7 +74,28 @@ def test_non_solving_entry_points_skip_the_solver_stack(code, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "module", ["repro.experiments.supervisor", "repro.sched.executor", "repro.serve"]
+    "module",
+    [
+        "repro.experiments.supervisor",
+        "repro.experiments.runner",
+        "repro.sched.executor",
+        "repro.serve",
+    ],
 )
 def test_forking_and_serving_modules_load_the_solver_eagerly(module, tmp_path):
-    assert "scipy.optimize" in _loaded_after(f"import {module}", tmp_path)
+    loaded = _loaded_after(f"import {module}", tmp_path)
+    assert "scipy.optimize" in loaded
+    assert "networkx" not in loaded
+
+
+def test_a_solve_runs_with_networkx_unimportable(tmp_path):
+    loaded = _loaded_after(
+        """
+        import sys
+        sys.modules["networkx"] = None  # any import of it now raises
+        from repro.cli import main
+        assert main(["run", "PCR", "--no-cache"]) == 0
+        """,
+        tmp_path,
+    )
+    assert "scipy.optimize" in loaded

@@ -404,3 +404,21 @@ class TestBenchCli:
         code = main(["bench", "--out", str(out), "--compare", str(baseline)])
         assert code == 1
         assert "REGRESSION PCR.wall_s" in capsys.readouterr().out
+
+
+class TestBenchSamples:
+    def test_every_sample_builds_its_model_cold(self, monkeypatch):
+        """No bench sample reuses an earlier sample's built ILP model."""
+        from repro.experiments import runner
+
+        runs = []
+        cold_run = runner.run_benchmark
+
+        def recording_run(*args, **kwargs):
+            runs.append(cold_run(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(runner, "run_benchmark", recording_run)
+        perf.run_bench(["PCR"], iterations=2)
+        assert len(runs) == 2
+        assert [run.pdw.notes.get("stage.ilp.model_reused") for run in runs] == [None, None]

@@ -4,7 +4,8 @@ The :class:`~repro.arch.pathkernel.PathKernel` replaced networkx on the
 routing hot path; these tests pin its contract to the reference
 implementation on random grids and on every benchmark chip's generated
 layout: same shortest-path cost, valid simple paths, identical k-path
-cost ordering, and cache-served results identical to cold queries.
+cost ordering, and cache-served results identical to cold queries.  The
+reference graph is each chip's networkx twin (``tests/nxoracle.py``).
 """
 
 import random
@@ -19,8 +20,7 @@ from repro.bench import BENCHMARKS
 from repro.errors import RoutingError
 from repro.synth.binding import build_device_list
 from repro.synth.layout import generate_layout
-
-WEIGHT = "length_mm"
+from tests.nxoracle import WEIGHT, with_twin
 
 
 def nx_cost(graph, src, dst, banned=frozenset()):
@@ -41,8 +41,8 @@ def assert_valid_path(chip, path, src, dst, length):
     assert is_simple(path)
     total = 0.0
     for a, b in zip(path, path[1:]):
-        assert chip.graph.has_edge(a, b)
-        total += chip.graph.edges[a, b][WEIGHT]
+        assert chip.has_edge(a, b)
+        total += chip.edge_length_mm(a, b)
     assert length == pytest.approx(total)
 
 
@@ -72,7 +72,7 @@ def random_grid_chip(seed, width=6, height=5):
 
 def query_pairs(chip, rng, count=12):
     """Port pairs plus random interior pairs of one chip."""
-    nodes = list(chip.graph.nodes)
+    nodes = chip.nodes
     pairs = [(fp, wp) for fp in chip.flow_ports for wp in chip.waste_ports]
     for _ in range(count):
         a, b = rng.choice(nodes), rng.choice(nodes)
@@ -82,18 +82,19 @@ def query_pairs(chip, rng, count=12):
 
 
 @pytest.fixture(scope="module", params=sorted(BENCHMARKS))
-def bench_chip(request):
+def bench_twin(request):
     spec = BENCHMARKS[request.param]
     devices = build_device_list(spec.inventory)
-    return generate_layout(devices, name=f"{spec.name}-chip")
+    return with_twin(lambda: generate_layout(devices, name=f"{spec.name}-chip"))
 
 
 class TestBenchmarkChipEquivalence:
-    def test_shortest_costs_match_networkx(self, bench_chip):
+    def test_shortest_costs_match_networkx(self, bench_twin):
+        bench_chip, graph = bench_twin
         kernel = PathKernel(bench_chip)
         rng = random.Random(7)
         for src, dst in query_pairs(bench_chip, rng):
-            expected = nx_cost(bench_chip.graph, src, dst)
+            expected = nx_cost(graph, src, dst)
             if expected is None:
                 with pytest.raises(RoutingError):
                     kernel.shortest(src, dst)
@@ -102,16 +103,17 @@ class TestBenchmarkChipEquivalence:
             assert length == pytest.approx(expected)
             assert_valid_path(bench_chip, path, src, dst, length)
 
-    def test_avoid_sets_match_networkx_subgraph(self, bench_chip):
+    def test_avoid_sets_match_networkx_subgraph(self, bench_twin):
+        bench_chip, graph = bench_twin
         kernel = PathKernel(bench_chip)
         rng = random.Random(11)
-        interior = [n for n in bench_chip.graph.nodes if not bench_chip.is_port(n)]
+        interior = [n for n in bench_chip.nodes if not bench_chip.is_port(n)]
         for src, dst in query_pairs(bench_chip, rng, count=6):
             banned = frozenset(
                 n for n in rng.sample(interior, min(3, len(interior)))
                 if n not in (src, dst)
             )
-            expected = nx_cost(bench_chip.graph, src, dst, banned)
+            expected = nx_cost(graph, src, dst, banned)
             if expected is None:
                 with pytest.raises(RoutingError):
                     kernel.shortest(src, dst, banned)
@@ -121,7 +123,8 @@ class TestBenchmarkChipEquivalence:
             assert not banned & set(path[1:-1])
             assert_valid_path(bench_chip, path, src, dst, length)
 
-    def test_k_path_cost_ordering_matches_networkx(self, bench_chip):
+    def test_k_path_cost_ordering_matches_networkx(self, bench_twin):
+        bench_chip, graph = bench_twin
         kernel = PathKernel(bench_chip)
         k = 4
         for src in bench_chip.flow_ports[:2]:
@@ -129,16 +132,11 @@ class TestBenchmarkChipEquivalence:
                 found = kernel.k_shortest(src, dst, k)
                 costs = [length for _, length in found]
                 assert costs == sorted(costs)
-                gen = nx.shortest_simple_paths(
-                    bench_chip.graph, src, dst, weight=WEIGHT
-                )
+                gen = nx.shortest_simple_paths(graph, src, dst, weight=WEIGHT)
                 expected = []
                 for path in gen:
                     expected.append(
-                        sum(
-                            bench_chip.graph.edges[a, b][WEIGHT]
-                            for a, b in zip(path, path[1:])
-                        )
+                        sum(graph.edges[a, b][WEIGHT] for a, b in zip(path, path[1:]))
                     )
                     if len(expected) == len(found):
                         break
@@ -150,24 +148,24 @@ class TestBenchmarkChipEquivalence:
 class TestRandomGridEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_shortest_costs_match_networkx(self, seed):
-        chip = random_grid_chip(seed)
+        chip, graph = with_twin(lambda: random_grid_chip(seed))
         kernel = PathKernel(chip)
         rng = random.Random(seed * 101)
         for src, dst in query_pairs(chip, rng, count=20):
-            expected = nx_cost(chip.graph, src, dst)
+            expected = nx_cost(graph, src, dst)
             path, length = kernel.shortest(src, dst)
             assert length == pytest.approx(expected)
             assert_valid_path(chip, path, src, dst, length)
 
     @pytest.mark.parametrize("seed", [4, 5])
     def test_k_path_cost_ordering_matches_networkx(self, seed):
-        chip = random_grid_chip(seed)
+        chip, graph = with_twin(lambda: random_grid_chip(seed))
         kernel = PathKernel(chip)
-        gen = nx.shortest_simple_paths(chip.graph, "in1", "out1", weight=WEIGHT)
+        gen = nx.shortest_simple_paths(graph, "in1", "out1", weight=WEIGHT)
         expected = []
         for path in gen:
             expected.append(
-                sum(chip.graph.edges[a, b][WEIGHT] for a, b in zip(path, path[1:]))
+                sum(graph.edges[a, b][WEIGHT] for a, b in zip(path, path[1:]))
             )
             if len(expected) == 5:
                 break
@@ -202,7 +200,7 @@ class TestCache:
     def test_eviction_bounds_cache(self):
         chip = random_grid_chip(12)
         kernel = PathKernel(chip, cache_size=4)
-        nodes = list(chip.graph.nodes)[:6]
+        nodes = chip.nodes[:6]
         for a in nodes:
             for b in nodes:
                 if a != b:

@@ -132,6 +132,26 @@ class TestArtifactCache:
         cache.put(digest, "new")
         assert cache.get(digest) == "new"
 
+    def test_benchmark_run_round_trip_keeps_graph_queries(self, tmp_path):
+        """A pickled run still answers the assay and chip graph queries."""
+        from repro.experiments.runner import BenchmarkRun, run_benchmark
+        from repro.export import canonical_plan_json
+
+        run = run_benchmark("Kinase-act-1", use_cache=False)
+        cache = ArtifactCache(tmp_path)
+        digest = stable_digest("benchmark-run")
+        cache.put(digest, run)
+        restored = cache.get(digest)
+        assert isinstance(restored, BenchmarkRun)
+        assay, chip = run.synthesis.assay, run.synthesis.chip
+        assert (
+            restored.synthesis.assay.topological_operations()
+            == assay.topological_operations()
+        )
+        for node in chip.nodes:
+            assert restored.synthesis.chip.neighbors(node) == chip.neighbors(node)
+        assert canonical_plan_json(restored.pdw) == canonical_plan_json(run.pdw)
+
 
 class TestDefaults:
     def test_cache_dir_env_override(self, monkeypatch, tmp_path):

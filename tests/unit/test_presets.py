@@ -42,9 +42,9 @@ class TestFigure2Topology:
             assert path[-1] in chip.waste_ports
 
     def test_positions_available_for_rendering(self, chip):
-        for node in chip.graph.nodes:
+        for node in chip.nodes:
             assert chip.position(node) is not None
 
     def test_devices_have_two_channel_ends(self, chip):
         for device in chip.devices:
-            assert chip.graph.degree(device) == 2, device
+            assert chip.degree(device) == 2, device

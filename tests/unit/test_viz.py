@@ -1,6 +1,5 @@
 """Unit tests for the ASCII chip renderer."""
 
-import networkx as nx
 import pytest
 
 from repro.arch import figure2_chip
@@ -33,13 +32,10 @@ class TestRenderChip:
         assert "*=highlighted" in art
 
     def test_chip_without_positions_is_placeholder(self):
-        g = nx.Graph()
-        g.add_node("in1", kind=NodeKind.FLOW_PORT)
-        g.add_node("m", kind=NodeKind.DEVICE)
-        g.add_node("out1", kind=NodeKind.WASTE_PORT)
-        g.add_edge("in1", "m", length_mm=1.5)
-        g.add_edge("m", "out1", length_mm=1.5)
-        chip = Chip("bare", g, {"m": Device("m", DeviceKind.MIXER)}, ["in1"], ["out1"])
+        nodes = {"in1": NodeKind.FLOW_PORT, "m": NodeKind.DEVICE, "out1": NodeKind.WASTE_PORT}
+        channels = [("in1", "m", 1.5), ("m", "out1", 1.5)]
+        devices = {"m": Device("m", DeviceKind.MIXER)}
+        chip = Chip("bare", nodes, channels, devices, ["in1"], ["out1"])
         assert "no layout coordinates" in render_chip(chip)
 
     def test_synthesized_chip_renders(self, demo_synthesis):
