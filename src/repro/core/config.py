@@ -72,12 +72,6 @@ class PDWConfig:
         produces byte-identical canonical plans.  ``"off"`` emits the
         raw constraint system (``REPRO_PRESOLVE`` overrides ``"on"``
         from the environment; see DESIGN.md §16).
-    pathgen_workers:
-        Thread-pool width for per-cluster candidate-path generation.
-        ``0`` (default) defers to the ``REPRO_PATHGEN_WORKERS``
-        environment variable, falling back to serial; results are merged
-        in cluster order, so every worker count produces the identical
-        candidate pools (see docs/PERFORMANCE.md).
     degrade:
         Chip-degradation scenario (DESIGN.md §14): a preset
         (``light`` / ``moderate`` / ``heavy``) or a
@@ -102,7 +96,6 @@ class PDWConfig:
     integration_window_s: float = 10.0
     solver: str = "auto"
     presolve: str = "on"
-    pathgen_workers: int = 0
     degrade: str = ""
 
     def __post_init__(self) -> None:
@@ -122,8 +115,6 @@ class PDWConfig:
             raise WashError(f"unknown solver {self.solver!r}")
         if self.presolve not in ("on", "off"):
             raise WashError(f"unknown presolve setting {self.presolve!r}")
-        if self.pathgen_workers < 0:
-            raise WashError("pathgen workers must be >= 0 (0 = env/serial)")
         if self.degrade:
             # Normalize eagerly: the canonical token is what every cache
             # key sees, so equal scenarios written differently (preset vs

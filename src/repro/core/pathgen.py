@@ -17,27 +17,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.chip import Chip, FlowPath
 from repro.arch.routing import RoutedPath, Router, is_simple
-from repro.envutil import env_int
 from repro.errors import RoutingError, WashError
-
-#: Environment override for the pathgen worker count (see
-#: :func:`resolve_pathgen_workers`).
-WORKERS_ENV = "REPRO_PATHGEN_WORKERS"
-
-
-def resolve_pathgen_workers(config) -> int:
-    """Worker count for per-cluster candidate generation.
-
-    Precedence: a positive ``config.pathgen_workers`` wins, then a positive
-    :data:`WORKERS_ENV` environment value, then serial (1).  A malformed
-    environment value is warned about and ignored rather than failing the
-    run (see :func:`repro.envutil.env_int`).
-    """
-    configured = int(getattr(config, "pathgen_workers", 0) or 0)
-    if configured > 0:
-        return configured
-    return env_int(WORKERS_ENV, default=1, minimum=1)
-
 
 def _bump(stats: Optional[Dict[str, int]], key: str) -> None:
     """Increment a routing-outcome counter when a stats dict is supplied."""

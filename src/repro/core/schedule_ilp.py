@@ -632,7 +632,7 @@ class WashScheduleIlp:
 
         The feasible region is weight-independent, so a job that differs
         from this one only in alpha/beta/gamma can reuse the variables,
-        constraints and COO triplet buffers as-is — only the objective is
+        constraint rows (the triplet arrays) as-is — only the objective is
         rebuilt, exactly as :meth:`_add_objective` would under the new
         weights.  This is the incremental-re-solve fast path used by the
         Pareto sweep (see :mod:`repro.ilp.incremental`).
@@ -718,7 +718,7 @@ class WashScheduleIlp:
             mip_gap=solution.mip_gap,
             n_variables=len(self.model.variables),
             n_binaries=self.model.num_binaries,
-            n_constraints=len(self.model.constraints),
+            n_constraints=self.model.num_rows,
             rung=result.rung,
             attempts=result.attempts,
             build_time_s=self.build_time_s,

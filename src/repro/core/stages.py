@@ -25,7 +25,6 @@ alone, so whichever runs first populates the artifact the other reuses.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -35,11 +34,7 @@ from repro.contam.necessity import NecessityReport
 from repro.core.config import PDWConfig
 from repro.core.fallback import greedy_outcome
 from repro.core.path_ilp import exact_wash_path
-from repro.core.pathgen import (
-    candidate_paths,
-    integration_candidates,
-    resolve_pathgen_workers,
-)
+from repro.core.pathgen import candidate_paths, integration_candidates
 from repro.obs import metrics
 from repro.core.plan import WashOperation, WashPlan
 from repro.core.schedule_ilp import IlpWashOutcome, WashScheduleIlp
@@ -207,31 +202,23 @@ class PathgenResult:
     ``exact_fallbacks``) are part of the cached artifact so the silent
     routing failures inside path generation stay visible in the run
     report even on cache hits.  ``routing_cache_hits`` / ``_misses`` are
-    the kernel path-cache deltas accumulated while the pools were built;
-    ``workers`` is the thread-pool width that built them (not part of the
-    cache key — every width produces identical pools).
+    the kernel path-cache deltas accumulated while the pools were built.
     """
 
     candidates: Dict[str, List]
     skips: Dict[str, int] = field(default_factory=dict)
     routing_cache_hits: int = 0
     routing_cache_misses: int = 0
-    workers: int = 1
 
 
 class PathGenStage(StageBase):
     """Candidate wash paths per cluster (Section II-C, optionally exact).
 
-    Clusters are independent, so their candidate pools are generated on a
-    thread pool (``PDWConfig.pathgen_workers`` / ``REPRO_PATHGEN_WORKERS``;
-    serial by default).  Each cluster gets a private stats dict and the
-    merge walks clusters in their original order, so the artifact is
-    byte-identical for every worker count — which is also why ``workers``
-    stays out of the cache key.
+    Clusters are routed one after another, in their original order.
     """
 
     name = "pathgen"
-    version = "4"
+    version = "5"
     requires = ("clusters",)
     provides = "candidates"
 
@@ -255,7 +242,6 @@ class PathGenStage(StageBase):
         dead = ctx.dead_nodes
         removals = ctx.synthesis.schedule.tasks(TaskKind.REMOVAL)
         window = config.integration_window_s
-        workers = resolve_pathgen_workers(config)
         kernel = kernel_for(chip)
         hits_before, misses_before = kernel.cache_hits, kernel.cache_misses
 
@@ -295,12 +281,11 @@ class PathGenStage(StageBase):
                 stats["uncovered_clusters"] = stats.get("uncovered_clusters", 0) + 1
                 return []
 
-        def one_cluster(cluster) -> Tuple[List, Dict[str, int]]:
-            stats: Dict[str, int] = {}
+        def one_cluster(cluster, stats: Dict[str, int]) -> List:
             pool = base_pool(cluster, stats)
             seen: Set[Tuple[str, ...]] = {tuple(p) for p in pool}
             if not pool:
-                return pool, stats
+                return pool
             if config.enable_integration:
                 nearby = [
                     rm.path
@@ -332,37 +317,21 @@ class PathGenStage(StageBase):
                     # Fall back to the greedy pool — but count the skip so
                     # the degraded path quality is visible in the report.
                     stats["exact_fallbacks"] = stats.get("exact_fallbacks", 0) + 1
-            return pool, stats
+            return pool
 
-        if workers > 1 and len(ctx.clusters) > 1:
-            with ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="pathgen"
-            ) as executor:
-                # executor.map preserves input order, so the merge below is
-                # deterministic regardless of completion order.
-                results = list(executor.map(one_cluster, ctx.clusters))
-        else:
-            results = [one_cluster(cluster) for cluster in ctx.clusters]
-
-        candidates: Dict[str, List] = {}
         skips: Dict[str, int] = {}
-        for cluster, (pool, stats) in zip(ctx.clusters, results):
-            candidates[cluster.id] = pool
-            for key, value in stats.items():
-                skips[key] = skips.get(key, 0) + value
+        candidates = {cluster.id: one_cluster(cluster, skips) for cluster in ctx.clusters}
 
         hits = kernel.cache_hits - hits_before
         misses = kernel.cache_misses - misses_before
         reg = metrics.registry()
         reg.counter("pdw_routing_cache_hits_total", chip=chip.name).inc(hits)
         reg.counter("pdw_routing_cache_misses_total", chip=chip.name).inc(misses)
-        reg.gauge("pdw_pathgen_workers").set(float(workers))
         return PathgenResult(
             candidates=candidates,
             skips=skips,
             routing_cache_hits=hits,
             routing_cache_misses=misses,
-            workers=workers,
         )
 
     def counters(self, result: PathgenResult) -> Dict[str, float]:
@@ -372,7 +341,6 @@ class PathGenStage(StageBase):
             "candidates": float(sum(len(p) for p in pools)),
             "routing_cache_hits": float(result.routing_cache_hits),
             "routing_cache_misses": float(result.routing_cache_misses),
-            "workers": float(result.workers),
         }
         stats.update({k: float(v) for k, v in sorted(result.skips.items())})
         return stats

@@ -1,9 +1,9 @@
 """Warn-not-crash parsing and precedence of ``REPRO_*`` environment knobs.
 
 Several subsystems take integer tuning knobs from the environment —
-``REPRO_SUITE_WORKERS`` (suite fan-out), ``REPRO_PATHGEN_WORKERS``
-(per-cluster candidate generation), ``REPRO_SCHED_WORKERS`` (the stage-DAG
-scheduler) and ``REPRO_CACHE_MAX_BYTES`` (artifact-cache size bound).
+``REPRO_SUITE_WORKERS`` (suite fan-out), ``REPRO_SCHED_WORKERS`` (the
+stage-DAG scheduler) and ``REPRO_CACHE_MAX_BYTES`` (artifact-cache size
+bound).
 They share one failure policy: a malformed value must never crash whatever
 pipeline happened to read it first.  :func:`env_int` is the single
 implementation of that policy; a bad value raises a :class:`RuntimeWarning`

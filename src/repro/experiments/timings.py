@@ -96,29 +96,23 @@ def routing_cache_line(runs: Sequence[BenchmarkRun]) -> str:
     """Aggregate routing-kernel cache traffic across the suite.
 
     The pathgen stage publishes its shortest-path cache counters
-    (``routing_cache_hits`` / ``routing_cache_misses``) and thread-pool
-    width; cache-served stage records carry the counters of the original
-    computation, so the aggregate reflects actual routing work.
+    (``routing_cache_hits`` / ``routing_cache_misses``); cache-served
+    stage records carry the counters of the original computation, so the
+    aggregate reflects actual routing work.
     """
     hits = misses = 0
-    workers = []
     for run in runs:
         rec = run.report.get("pdw.pathgen") if run.report else None
         if rec is None:
             continue
         hits += int(rec.counters.get("routing_cache_hits", 0))
         misses += int(rec.counters.get("routing_cache_misses", 0))
-        w = rec.counters.get("workers")
-        if w:
-            workers.append(int(w))
     total = hits + misses
     if total == 0:
         return ""
-    rate = hits / total
-    width = max(workers) if workers else 1
     return (
         f"Routing cache: {hits} hits / {misses} misses "
-        f"({rate:.1%} hit rate); pathgen workers: {width}\n"
+        f"({hits / total:.1%} hit rate)\n"
     )
 
 

@@ -6,7 +6,9 @@ equivalent substrate without proprietary dependencies:
 * :class:`~repro.ilp.expr.Variable` / :class:`~repro.ilp.expr.LinExpr` —
   linear expressions with natural operator overloading,
 * :class:`~repro.ilp.model.Model` — constraint container with big-M /
-  indicator helpers used by the scheduling formulation (Eqs. 1-26),
+  indicator helpers used by the scheduling formulation (Eqs. 1-26); its
+  rows live once, as triplet arrays that
+  :meth:`~repro.ilp.model.Model.row_matrix` turns into a CSR matrix,
 * :func:`~repro.ilp.solver.solve` — exact solve via ``scipy.optimize.milp``
   (the HiGHS solver), with time limits and best-effort status reporting,
 * :class:`~repro.ilp.branch_bound.BranchAndBoundSolver` — a pure-Python
@@ -27,6 +29,7 @@ Example
 >>> x = m.add_integer_var("x", lb=0, ub=10)
 >>> y = m.add_integer_var("y", lb=0, ub=10)
 >>> m.add_constr(x + y <= 7)
+0
 >>> m.set_objective(3 * x + 2 * y, sense="max")
 >>> sol = m.solve()
 >>> sol.objective
@@ -34,7 +37,7 @@ Example
 """
 
 from repro.ilp.expr import LinExpr, LinExprBuilder, Variable, VarType
-from repro.ilp.model import Constraint, Model
+from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 from repro.ilp.solver import HighsOptions, solve
 from repro.ilp.branch_bound import BranchAndBoundSolver
@@ -44,7 +47,6 @@ from repro.ilp.lpwriter import write_lp
 
 __all__ = [
     "BranchAndBoundSolver",
-    "Constraint",
     "FaultSpec",
     "HighsOptions",
     "LinExpr",

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 from scipy.optimize import linprog
 
-from repro.ilp.model import Model
+from repro.ilp.model import SENSE_CODES, Model
 from repro.ilp.solution import Solution, SolveStatus
 
 #: Tolerance under which a relaxation value counts as integral.
@@ -173,36 +173,28 @@ class BranchAndBoundSolver:
 
     @staticmethod
     def _standard_form(model: Model):
-        """Split the constraints into A_ub x <= b_ub and A_eq x == b_eq."""
-        n = len(model.variables)
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
+        """Split the rows into sparse A_ub x <= b_ub and A_eq x == b_eq.
 
-        c = np.zeros(n)
+        ``>=`` rows are negated into ``<=`` rows; both kinds keep their
+        model order in ``A_ub``, equalities follow in ``A_eq``.
+        """
+        c = np.zeros(len(model.variables))
         for var, coef in model.objective.terms.items():
             c[var.index] += coef
 
-        for constr in model.constraints:
-            row = np.zeros(n)
-            for var, coef in constr.expr.terms.items():
-                row[var.index] += coef
-            rhs = -constr.expr.constant
-            if constr.sense == "<=":
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-            elif constr.sense == ">=":
-                ub_rows.append(-row)
-                ub_rhs.append(-rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
+        rows = model.row_matrix()
+        is_eq = rows.sense == SENSE_CODES["=="]
+        ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
+        sign = np.where(rows.sense[ub] == SENSE_CODES[">="], -1.0, 1.0)
 
-        a_ub = np.vstack(ub_rows) if ub_rows else None
-        b_ub = np.array(ub_rhs) if ub_rhs else None
-        a_eq = np.vstack(eq_rows) if eq_rows else None
-        b_eq = np.array(eq_rhs) if eq_rhs else None
+        a_ub = b_ub = a_eq = b_eq = None
+        if len(ub):
+            a_ub = rows.a[ub]
+            a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
+            b_ub = sign * rows.rhs[ub]
+        if len(eq):
+            a_eq = rows.a[eq]
+            b_eq = rows.rhs[eq]
         return c, a_ub, b_ub, a_eq, b_eq
 
     @staticmethod

@@ -133,10 +133,9 @@ def env_presolve() -> Optional[str]:
 def resolve_presolve(config_presolve: str = "on") -> str:
     """Effective presolve toggle: config wins unless left at the default.
 
-    Mirrors the ``pathgen_workers`` convention — an explicit
-    ``PDWConfig.presolve`` (or ``--presolve``) beats the environment;
-    ``REPRO_PRESOLVE`` only overrides the ``"on"`` default, so a suite can
-    be flipped to raw models without touching configs.
+    An explicit ``PDWConfig.presolve`` (or ``--presolve``) beats the
+    environment; ``REPRO_PRESOLVE`` only overrides the ``"on"`` default,
+    so a suite can be flipped to raw models without touching configs.
     """
     if config_presolve != "on":
         return config_presolve

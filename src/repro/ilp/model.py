@@ -15,8 +15,9 @@ captures exactly that pattern.
 from __future__ import annotations
 
 from array import array
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ModelError
 from repro.ilp.expr import ExprLike, LinExpr, Variable, VarType
@@ -32,26 +33,20 @@ SENSE_CODES = {"<=": 0, ">=": 1, "==": 2}
 CoeffsLike = Union[Mapping[Variable, float], Iterable[Tuple[Variable, float]]]
 
 
-@dataclass
-class Constraint:
-    """A linear constraint ``expr (<=|>=|==) 0`` with an optional name."""
+class RowMatrix(NamedTuple):
+    """The constraint rows as one CSR matrix: ``lo <= a @ x <= hi``.
 
-    expr: LinExpr
-    sense: str
-    name: str = ""
+    ``sense`` keeps each row's :data:`SENSE_CODES` entry and ``rhs`` its
+    right-hand side, so readers that need the original orientation
+    (branch-and-bound's ``A_ub``/``A_eq`` split, the LP writer) recover
+    it without guessing from infinite bounds.
+    """
 
-    def __post_init__(self) -> None:
-        if self.sense not in SENSES:
-            raise ModelError(f"unknown constraint sense {self.sense!r}")
-
-    def violation(self, solution: Solution, tol: float = 1e-6) -> float:
-        """How much the constraint is violated under ``solution`` (0 if satisfied)."""
-        lhs = solution.value(self.expr)
-        if self.sense == "<=":
-            return max(0.0, lhs - tol)
-        if self.sense == ">=":
-            return max(0.0, -lhs - tol)
-        return max(0.0, abs(lhs) - tol)
+    a: Any  # scipy.sparse.csr_matrix, rows x variables
+    lo: Any
+    hi: Any
+    sense: Any
+    rhs: Any
 
 
 class Model:
@@ -70,18 +65,18 @@ class Model:
         self.name = name
         self.big_m = float(big_m)
         self.variables: List[Variable] = []
-        self.constraints: List[Constraint] = []
         self.objective: LinExpr = LinExpr()
         self.objective_sense: str = "min"
         self._names: set[str] = set()
-        # Triplet buffers mirroring `constraints` in sparse COO form, kept
-        # in sync by both add paths so the solver can assemble its matrix
-        # without re-walking every LinExpr (see `constraint_arrays`).
+        # The constraint rows, stored once: COO triplets plus one sense
+        # code, right-hand side and name per row.  `row_matrix` turns them
+        # into the CSR matrix every reader uses.
         self._rows = array("l")
         self._cols = array("l")
         self._vals = array("d")
         self._sense_codes = array("b")
         self._rhs = array("d")
+        self.row_names: List[str] = []
 
     # ------------------------------------------------------------------
     # variables
@@ -120,12 +115,13 @@ class Model:
     # constraints
     # ------------------------------------------------------------------
 
-    def add_constr(self, relation: Tuple[LinExpr, str] | bool, name: str = "") -> Constraint:
-        """Add a constraint produced by comparing expressions.
+    def add_constr(self, relation: Tuple[LinExpr, str] | bool, name: str = "") -> int:
+        """Add a constraint produced by comparing expressions; returns its row.
 
         ``relation`` is the ``(expr, sense)`` pair produced by ``lhs <= rhs``
         etc.  A bare ``bool`` (which Python produces when two *identical*
         plain numbers are compared) is rejected with a helpful error.
+        Exact-zero coefficients are dropped.
         """
         if isinstance(relation, bool):
             raise ModelError(
@@ -133,15 +129,15 @@ class Model:
                 "at least one side must involve a Variable"
             )
         expr, sense = relation
+        if sense not in SENSES:
+            raise ModelError(f"unknown constraint sense {sense!r}")
         for var in expr.terms:
             if var.index >= len(self.variables) or self.variables[var.index] is not var:
                 raise ModelError(f"variable {var.name!r} belongs to a different model")
-        constr = Constraint(expr.simplified(), sense, name)
-        self._append_row(constr.expr.terms, sense, -constr.expr.constant)
-        self.constraints.append(constr)
-        return constr
+        terms = {v: c for v, c in expr.terms.items() if abs(c) > 0.0}
+        return self._append_row(terms, sense, -expr.constant, name)
 
-    def add_constrs(self, relations: Iterable[Tuple[LinExpr, str]], prefix: str = "") -> List[Constraint]:
+    def add_constrs(self, relations: Iterable[Tuple[LinExpr, str]], prefix: str = "") -> List[int]:
         """Add several constraints, auto-naming them ``prefix_<i>``."""
         out = []
         for i, rel in enumerate(relations):
@@ -154,19 +150,16 @@ class Model:
         sense: str,
         rhs: float,
         name: str = "",
-    ) -> Constraint:
+    ) -> int:
         """Batch API: add ``sum(coef * var) <sense> rhs`` from raw coefficients.
 
         ``coeffs`` is a ``{var: coef}`` mapping or an iterable of
         ``(var, coef)`` pairs; repeated variables are summed and exact-zero
         coefficients dropped, matching what the operator-overloading path
         produces.  The row is appended straight into the model's triplet
-        buffers, bypassing every intermediate :class:`LinExpr` the
+        arrays, bypassing every intermediate :class:`LinExpr` the
         ``lhs <= rhs`` comparison chain would allocate — this is the hot
-        path for the PDW formulation loops.  The equivalent
-        :class:`Constraint` object is still recorded so diagnostics
-        (``check_solution``), the branch-and-bound fallback, and the LP
-        writer see an identical model.
+        path for the PDW formulation loops.  Returns the row index.
         """
         if sense not in SENSES:
             raise ModelError(f"unknown constraint sense {sense!r}")
@@ -186,15 +179,13 @@ class Model:
                 terms[var] = prev + coef
         if 0.0 in terms.values():
             terms = {v: c for v, c in terms.items() if c != 0.0}
-        rhs = float(rhs)
-        self._append_row(terms, sense, rhs)
-        constr = Constraint(LinExpr._raw(terms, -rhs), sense, name)
-        self.constraints.append(constr)
-        return constr
+        return self._append_row(terms, sense, float(rhs), name)
 
-    def _append_row(self, terms: Mapping[Variable, float], sense: str, rhs: float) -> None:
-        """Append one constraint row to the COO triplet buffers."""
-        row = len(self.constraints)
+    def _append_row(
+        self, terms: Mapping[Variable, float], sense: str, rhs: float, name: str
+    ) -> int:
+        """Append one constraint row to the triplet arrays; returns its index."""
+        row = len(self.row_names)
         rows, cols, vals = self._rows, self._cols, self._vals
         for var, coef in terms.items():
             rows.append(row)
@@ -202,20 +193,34 @@ class Model:
             vals.append(coef)
         self._sense_codes.append(SENSE_CODES[sense])
         self._rhs.append(rhs)
+        self.row_names.append(name)
+        return row
 
-    def constraint_arrays(self):
-        """The constraint matrix in COO triplet form, or ``None``.
+    @property
+    def num_rows(self) -> int:
+        """Number of constraint rows."""
+        return len(self.row_names)
 
-        Returns ``(rows, cols, vals, sense_codes, rhs)`` — ``array``-backed
-        buffers suitable for zero-copy :func:`numpy.asarray` — when the
-        buffers cover every recorded constraint.  Returns ``None`` when
-        they fell out of sync (only possible if external code mutated
-        ``constraints`` directly), in which case callers must rebuild from
-        the :class:`Constraint` objects.
+    def row_matrix(self) -> RowMatrix:
+        """The constraint rows as a CSR matrix with row bounds.
+
+        The one conversion from the triplet arrays: the HiGHS backend,
+        branch-and-bound, :meth:`check_solution` and the LP writer all
+        read rows through it.  The arrays are wrapped zero-copy, so the
+        matrix assembles in C.
         """
-        if len(self._rhs) != len(self.constraints):
-            return None
-        return self._rows, self._cols, self._vals, self._sense_codes, self._rhs
+        import numpy as np
+        from scipy import sparse
+
+        sense = np.asarray(self._sense_codes)
+        rhs = np.asarray(self._rhs)
+        a = sparse.csr_matrix(
+            (np.asarray(self._vals), (np.asarray(self._rows), np.asarray(self._cols))),
+            shape=(len(rhs), len(self.variables)),
+        )
+        lo = np.where(sense == SENSE_CODES["<="], -np.inf, rhs)
+        hi = np.where(sense == SENSE_CODES[">="], np.inf, rhs)
+        return RowMatrix(a, lo, hi, sense, rhs)
 
     # ------------------------------------------------------------------
     # big-M / indicator patterns (Eqs. 2, 3, 8, 19, 20)
@@ -259,7 +264,7 @@ class Model:
         binary: Variable,
         relation: Tuple[LinExpr, str],
         name: str = "impl",
-    ) -> Constraint:
+    ) -> int:
         """Add ``binary == 1  =>  relation`` via big-M relaxation.
 
         For ``expr <= 0`` the encoding is ``expr <= M (1 - binary)``;
@@ -349,12 +354,21 @@ class Model:
     # ------------------------------------------------------------------
 
     def check_solution(self, solution: Solution, tol: float = 1e-5) -> List[str]:
-        """Names (or indices) of constraints violated by ``solution``."""
-        bad = []
-        for i, constr in enumerate(self.constraints):
-            if constr.violation(solution, tol) > 0:
-                bad.append(constr.name or f"constraint_{i}")
-        return bad
+        """Names (or ``constraint_<i>``) of the rows ``solution`` violates.
+
+        One sparse product evaluates every row; a row is violated when
+        ``a @ x`` leaves ``[lo, hi]`` by more than ``tol``.
+        """
+        import numpy as np
+
+        rows = self.row_matrix()
+        x = np.array([solution.values[var] for var in self.variables], dtype=float)
+        lhs = rows.a @ x
+        excess = np.maximum(lhs - rows.hi, rows.lo - lhs)
+        return [
+            self.row_names[i] or f"constraint_{i}"
+            for i in np.flatnonzero(excess - tol > 0).tolist()
+        ]
 
     @property
     def num_binaries(self) -> int:
@@ -365,7 +379,7 @@ class Model:
         """One-line size summary, handy for logging."""
         return (
             f"{self.name}: {len(self.variables)} vars "
-            f"({self.num_binaries} bin), {len(self.constraints)} constrs"
+            f"({self.num_binaries} bin), {self.num_rows} constrs"
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

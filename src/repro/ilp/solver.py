@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import sparse
 from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
@@ -60,45 +59,8 @@ def _build_matrices(model: Model):
     lower = np.array([v.lb for v in model.variables])
     upper = np.array([v.ub for v in model.variables])
 
-    arrays = model.constraint_arrays()
-    if arrays is not None:
-        # Fast path: the model kept COO triplet buffers in sync, so the
-        # sparse matrix assembles in C instead of a Python loop over every
-        # LinExpr term (sense codes: 0 "<=", 1 ">=", 2 "==").
-        buf_rows, buf_cols, buf_vals, buf_senses, buf_rhs = arrays
-        coo_rows = np.asarray(buf_rows)
-        coo_cols = np.asarray(buf_cols)
-        coo_vals = np.asarray(buf_vals)
-        senses = np.asarray(buf_senses)
-        rhs = np.asarray(buf_rhs)
-        lo = np.where(senses == 0, -np.inf, rhs)
-        hi = np.where(senses == 1, np.inf, rhs)
-        a = sparse.csr_matrix(
-            (coo_vals, (coo_rows, coo_cols)), shape=(len(rhs), n)
-        )
-        return c, integrality, Bounds(lower, upper), LinearConstraint(a, lo, hi)
-
-    rows, cols, data, lo, hi = [], [], [], [], []
-    for i, constr in enumerate(model.constraints):
-        rhs = -constr.expr.constant
-        for var, coef in constr.expr.terms.items():
-            rows.append(i)
-            cols.append(var.index)
-            data.append(coef)
-        if constr.sense == "<=":
-            lo.append(-np.inf)
-            hi.append(rhs)
-        elif constr.sense == ">=":
-            lo.append(rhs)
-            hi.append(np.inf)
-        else:
-            lo.append(rhs)
-            hi.append(rhs)
-
-    a = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(model.constraints), n)
-    )
-    return c, integrality, Bounds(lower, upper), LinearConstraint(a, lo, hi)
+    rows = model.row_matrix()
+    return c, integrality, Bounds(lower, upper), LinearConstraint(rows.a, rows.lo, rows.hi)
 
 
 def solve(

@@ -59,7 +59,6 @@ _CONFIG_FIELDS: Dict[str, type] = {
     "enable_integration": bool,
     "integration_window_s": float,
     "solver": str,
-    "pathgen_workers": int,
     "degrade": str,
 }
 

@@ -133,6 +133,13 @@ class TestEndpoints:
         code, body = client.json("POST", "/v1/jobs", job)
         assert code == 400 and "unknown config key" in body["error"]
 
+    def test_removed_pathgen_workers_key_is_400(self, client):
+        # Thread-parallel pathgen is gone; its config key is rejected
+        # like every other unknown key.
+        job = {"benchmark": "PCR", "config": {"pathgen_workers": 4}}
+        code, body = client.json("POST", "/v1/jobs", job)
+        assert code == 400 and "unknown config key 'pathgen_workers'" in body["error"]
+
     def test_cancel_queued_job(self, client, server):
         gate = threading.Event()
         server._execute = lambda job: gate.wait(30.0)

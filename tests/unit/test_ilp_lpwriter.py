@@ -68,3 +68,89 @@ class TestLpWriter:
         m.add_continuous_var("free", lb=float("-inf"))
         m.set_objective(0 * m.variables[0])
         assert "-inf <= free <= +inf" in write_lp(m)
+
+    def test_coefficients_keep_every_digit(self):
+        m = Model()
+        x = m.add_continuous_var("x", 0, 10.000001)
+        y = m.add_continuous_var("y")
+        m.add_linear_constraint({x: 12.15005, y: -1e-05}, "<=", 1234567.5, "c")
+        m.set_objective(11.25005 * x + 3 * y)
+        text = write_lp(m)
+        assert "obj: 11.25005 x + 3 y" in text
+        assert "c: 12.15005 x - 1e-05 y <= 1234567.5" in text
+        assert "0 <= x <= 10.000001" in text
+
+
+def _scheduling_model(name):
+    """The PDW scheduling ILP of a Table II benchmark, built, not solved."""
+    from repro.bench import benchmark, load_benchmark
+    from repro.core import PDWConfig
+    from repro.core.schedule_ilp import WashScheduleIlp
+    from repro.core.stages import PDW_PIPELINE, PDWContext
+    from repro.synth import synthesize
+
+    synthesis = synthesize(load_benchmark(name), inventory=benchmark(name).inventory)
+    ctx = PDWContext(synthesis=synthesis, config=PDWConfig())
+    for stage in PDW_PIPELINE:
+        if stage.provides == "outcome":
+            break
+        stage.apply(ctx, stage.compute(ctx))
+    ilp = WashScheduleIlp(
+        synthesis.chip, synthesis.schedule, ctx.clusters, ctx.candidates, ctx.config
+    )
+    ilp.ensure_built()
+    return ilp.model
+
+
+def _parse_terms(body):
+    """``[(name, coefficient)]`` of an LP-format sum."""
+    if body == "0":
+        return []
+    tokens = body.split()
+    terms, i = [], 0
+    while i < len(tokens):
+        sign = 1.0
+        if tokens[i] in "+-":
+            sign = -1.0 if tokens[i] == "-" else 1.0
+            i += 1
+        if i + 1 < len(tokens) and tokens[i + 1] not in "+-":
+            coef, name = float(tokens[i]), tokens[i + 1]
+            i += 2
+        else:
+            coef, name = 1.0, tokens[i]
+            i += 1
+        terms.append((name, sign * coef))
+    return terms
+
+
+@pytest.mark.parametrize("benchmark_name", ["PCR", "IVD"])
+def test_lp_text_round_trips_the_scheduling_model(benchmark_name):
+    model = _scheduling_model(benchmark_name)
+    lines = write_lp(model).splitlines()
+    start, end = lines.index("Subject To"), lines.index("Bounds")
+
+    # Variable names in index order: Bounds lists the non-binaries, Binary
+    # the binaries, each in index order.
+    bounds = [line.split(" <= ")[1] for line in lines[end + 1:] if " <= " in line]
+    binaries = lines[lines.index("Binary") + 1:lines.index("End")]
+    pools = {True: iter(b.strip() for b in binaries), False: iter(bounds)}
+    index = {
+        next(pools[var.vtype.name == "BINARY"]): var.index for var in model.variables
+    }
+
+    objective = _parse_terms(lines[2].split("obj: ", 1)[1])
+    assert [(index[n], c) for n, c in objective] == sorted(
+        (var.index, coef) for var, coef in model.objective.terms.items()
+    )
+
+    rows = model.row_matrix()
+    sense_tokens = {0: "<=", 1: ">=", 2: "="}
+    constraint_lines = lines[start + 1:end]
+    assert len(constraint_lines) == model.num_rows
+    for i, line in enumerate(constraint_lines):
+        body, sense, rhs = line.split(": ", 1)[1].rsplit(" ", 2)
+        span = slice(rows.a.indptr[i], rows.a.indptr[i + 1])
+        want = list(zip(rows.a.indices[span].tolist(), rows.a.data[span].tolist()))
+        assert [(index[n], c) for n, c in _parse_terms(body)] == want, line
+        assert sense == sense_tokens[int(rows.sense[i])], line
+        assert float(rhs) == rows.rhs[i], line

@@ -42,22 +42,33 @@ class TestModelConstruction:
     def test_add_constrs_prefix_names(self):
         m = Model()
         x = m.add_continuous_var("x")
-        cs = m.add_constrs([x >= 0, x <= 5], prefix="p")
-        assert [c.name for c in cs] == ["p_0", "p_1"]
+        rows = m.add_constrs([x >= 0, x <= 5], prefix="p")
+        assert rows == [0, 1]
+        assert m.row_names == ["p_0", "p_1"]
+        assert m.num_rows == 2
 
 
 def _matrices(model):
     """Dense (c, integrality, lb, ub, A, lo, hi) of a model."""
     c, integrality, bounds, lin = _build_matrices(model)
-    a = lin.A
-    if hasattr(a, "toarray"):
-        a = a.toarray()
-    return c, integrality, bounds.lb, bounds.ub, np.asarray(a), lin.lb, lin.ub
+    return (
+        c, integrality, bounds.lb, bounds.ub, lin.A.toarray(), lin.lb, lin.ub
+    )
 
 
 def assert_same_matrices(m1, m2):
     for left, right in zip(_matrices(m1), _matrices(m2)):
-        np.testing.assert_allclose(left, right)
+        np.testing.assert_array_equal(left, right)
+
+
+def row_terms(model, row):
+    """``{variable name: coefficient}`` of one CSR row."""
+    a = model.row_matrix().a
+    span = slice(a.indptr[row], a.indptr[row + 1])
+    return {
+        model.variables[col].name: coef
+        for col, coef in zip(a.indices[span].tolist(), a.data[span].tolist())
+    }
 
 
 class TestAddLinearConstraint:
@@ -81,37 +92,34 @@ class TestAddLinearConstraint:
         m_b.add_linear_constraint([(x2, 3.0), (y2, -1.0), (z2, 1.0)], ">=", -2, "c1")
         m_b.add_linear_constraint([(z2, 1.0)], "==", 1, "c2")
         assert_same_matrices(m_op, m_b)
-        for c_op, c_b in zip(m_op.constraints, m_b.constraints):
-            assert c_op.sense == c_b.sense
-            assert c_op.expr.constant == c_b.expr.constant
-            assert {v.name: k for v, k in c_op.expr.terms.items()} == {
-                v.name: k for v, k in c_b.expr.terms.items()
-            }
-
-    def test_fast_path_matches_python_fallback(self):
-        (m, x, y, z), _ = self._twin_models()
-        m.add_linear_constraint([(x, 1.0), (y, 2.0)], "<=", 5)
-        m.add_constr(3 * x - y + z >= -2)
-        m.add_linear_constraint({z: 1.0}, "==", 1)
-        assert m.constraint_arrays() is not None
-        fast = _matrices(m)
-        m.constraint_arrays = lambda: None  # force the Python loop
-        slow = _matrices(m)
-        for left, right in zip(fast, slow):
-            np.testing.assert_allclose(left, right)
+        op, batch = m_op.row_matrix(), m_b.row_matrix()
+        np.testing.assert_array_equal(op.sense, batch.sense)
+        np.testing.assert_array_equal(op.rhs, batch.rhs)
+        np.testing.assert_array_equal(op.a.indptr, batch.a.indptr)
+        np.testing.assert_array_equal(op.a.indices, batch.a.indices)
+        assert m_op.row_names == m_b.row_names == ["c0", "c1", "c2"]
 
     def test_duplicate_coefficients_merge(self):
         m = Model()
         x = m.add_continuous_var("x")
-        c = m.add_linear_constraint([(x, 1.0), (x, 2.0)], "<=", 6)
-        assert c.expr.terms == {x: 3.0}
+        row = m.add_linear_constraint([(x, 1.0), (x, 2.0)], "<=", 6)
+        assert row_terms(m, row) == {"x": 3.0}
 
     def test_cancelled_coefficients_drop(self):
         m = Model()
         x = m.add_continuous_var("x")
         y = m.add_continuous_var("y")
-        c = m.add_linear_constraint([(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 6)
-        assert c.expr.terms == {y: 2.0}
+        row = m.add_linear_constraint([(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 6)
+        assert row_terms(m, row) == {"y": 2.0}
+        assert m.row_matrix().a.nnz == 1
+
+    def test_operator_path_drops_cancelled_coefficients(self):
+        m = Model()
+        x = m.add_continuous_var("x")
+        y = m.add_continuous_var("y")
+        row = m.add_constr(x + 2 * y - x <= 6)
+        assert row_terms(m, row) == {"y": 2.0}
+        assert m.row_matrix().a.nnz == 1
 
     def test_unknown_sense_rejected(self):
         m = Model()
@@ -125,23 +133,42 @@ class TestAddLinearConstraint:
         with pytest.raises(ModelError):
             m2.add_linear_constraint([(x, 1.0)], "<=", 1)
 
+    def test_rejected_row_leaves_no_trace(self):
+        m1, m2 = Model("a"), Model("b")
+        x = m1.add_continuous_var("x")
+        y = m2.add_continuous_var("y")
+        with pytest.raises(ModelError):
+            m2.add_linear_constraint([(y, 1.0), (x, 1.0)], "<=", 1)
+        with pytest.raises(ModelError):
+            m2.add_constr(y + x <= 1)
+        assert m2.num_rows == 0
+        assert m2.row_matrix().a.nnz == 0
+
     def test_mapping_accepted(self):
         m = Model()
         x = m.add_continuous_var("x")
-        c = m.add_linear_constraint({x: 2.0}, ">=", 4)
-        assert c.expr.terms == {x: 2.0}
-        assert c.expr.constant == -4.0
+        row = m.add_linear_constraint({x: 2.0}, ">=", 4)
+        assert row_terms(m, row) == {"x": 2.0}
+        rows = m.row_matrix()
+        assert rows.rhs.tolist() == [4.0]
+        assert rows.lo.tolist() == [4.0]
+        assert rows.hi.tolist() == [np.inf]
 
     def test_mixed_adds_keep_arrays_consistent(self):
         m = Model()
         x = m.add_continuous_var("x", 0, 10)
-        m.add_constr(x <= 7)
-        m.add_linear_constraint([(x, 1.0)], ">=", 2)
-        arrays = m.constraint_arrays()
-        assert arrays is not None
-        _, _, _, senses, rhs = arrays
-        assert list(senses) == [0, 1]
-        assert list(rhs) == [7.0, 2.0]
+        assert m.add_constr(x <= 7, "cap") == 0
+        assert m.add_linear_constraint([(x, 1.0)], ">=", 2) == 1
+        assert m.add_constr(LinExpr.from_any(x) == 4) == 2
+        rows = m.row_matrix()
+        assert rows.a.shape == (3, 1)
+        assert rows.sense.tolist() == [0, 1, 2]
+        assert rows.rhs.tolist() == [7.0, 2.0, 4.0]
+        assert rows.lo.tolist() == [-np.inf, 2.0, 4.0]
+        assert rows.hi.tolist() == [7.0, np.inf, 4.0]
+        assert rows.a.toarray().tolist() == [[1.0], [1.0], [1.0]]
+        assert m.row_names == ["cap", "", ""]
+        assert m.num_rows == 3
 
 
 class TestDisjunction:
@@ -221,16 +248,29 @@ class TestSolutionChecking:
     def test_check_solution_flags_violations(self):
         m = Model()
         x = m.add_integer_var("x", 0, 10)
-        c = m.add_constr(x <= 5, "cap")
+        m.add_constr(x <= 5, "cap")
         sol = m.solve()
         assert m.check_solution(sol) == []
         sol.values[x] = 9.0
         assert m.check_solution(sol) == ["cap"]
 
-    def test_constraint_violation_amount(self):
+    def test_check_solution_names_unnamed_rows_by_index(self):
         m = Model()
         x = m.add_continuous_var("x", 0, 10)
-        c = m.add_constr(x <= 5)
+        m.add_constr(x >= 1, "floor")
+        m.add_constr(x <= 5)
+        m.add_linear_constraint({x: 1.0}, "==", 3)
         sol = m.solve()
         sol.values[x] = 8.0
-        assert c.violation(sol) == pytest.approx(3.0, abs=1e-5)
+        assert m.check_solution(sol) == ["constraint_1", "constraint_2"]
+        sol.values[x] = 0.0
+        assert m.check_solution(sol) == ["floor", "constraint_2"]
+
+    def test_check_solution_honours_tolerance(self):
+        m = Model()
+        x = m.add_continuous_var("x", 0, 10)
+        m.add_constr(x <= 5, "cap")
+        sol = m.solve()
+        sol.values[x] = 5.0 + 5e-6
+        assert m.check_solution(sol, tol=1e-5) == []
+        assert m.check_solution(sol, tol=1e-6) == ["cap"]

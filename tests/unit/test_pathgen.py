@@ -1,15 +1,11 @@
 """Unit tests for candidate wash-path generation."""
 
-import json
-
 import pytest
 
 from repro.arch import figure2_chip
 from repro.arch.routing import is_simple
-from repro.core import PDWConfig, optimize_washes
-from repro.core.pathgen import WORKERS_ENV, candidate_paths, resolve_pathgen_workers
+from repro.core.pathgen import candidate_paths
 from repro.errors import WashError
-from repro.export import plan_to_dict
 
 
 @pytest.fixture(scope="module")
@@ -54,56 +50,3 @@ class TestCandidatePaths:
         with pytest.raises(WashError):
             candidate_paths(chip, [])
 
-
-class TestWorkerResolution:
-    def test_defaults_to_serial(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert resolve_pathgen_workers(PDWConfig()) == 1
-
-    def test_config_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "8")
-        assert resolve_pathgen_workers(PDWConfig(pathgen_workers=2)) == 2
-
-    def test_env_used_when_config_unset(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "3")
-        assert resolve_pathgen_workers(PDWConfig()) == 3
-
-    def test_malformed_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "many")
-        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
-            assert resolve_pathgen_workers(PDWConfig()) == 1
-
-    def test_non_positive_env_ignored(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "0")
-        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
-            assert resolve_pathgen_workers(PDWConfig()) == 1
-
-    def test_negative_config_rejected(self):
-        with pytest.raises(WashError):
-            PDWConfig(pathgen_workers=-1)
-
-
-def _plan_bytes(plan) -> bytes:
-    """Canonical plan JSON with run-dependent wall times stripped.
-
-    The per-run pipeline report and solver wall clock legitimately differ
-    between executions; everything the plan *decides* (tasks, washes,
-    metrics) must not.
-    """
-    data = plan_to_dict(plan)
-    data.pop("pipeline", None)
-    data.pop("solve_time_s", None)
-    return json.dumps(data, sort_keys=True).encode()
-
-
-class TestParallelDeterminism:
-    def test_worker_count_does_not_change_plan(self, demo_synthesis, monkeypatch):
-        cfg = PDWConfig(time_limit_s=30.0)
-        monkeypatch.setenv(WORKERS_ENV, "1")
-        serial = optimize_washes(demo_synthesis, cfg)
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        threaded = optimize_washes(demo_synthesis, cfg)
-        # The pool actually engaged (multiple clusters, 4 workers)...
-        assert threaded.report.get("pathgen").counters["workers"] == 4.0
-        # ...and produced a byte-identical plan.
-        assert _plan_bytes(threaded) == _plan_bytes(serial)

@@ -46,7 +46,7 @@ class TestPct:
 
 
 class TestRoutingCacheLine:
-    def _run(self, hits, misses, workers):
+    def _run(self, hits, misses):
         from types import SimpleNamespace
 
         from repro.pipeline import RunReport
@@ -58,7 +58,6 @@ class TestRoutingCacheLine:
             counters={
                 "routing_cache_hits": float(hits),
                 "routing_cache_misses": float(misses),
-                "workers": float(workers),
             },
         )
         return SimpleNamespace(report=rep)
@@ -66,10 +65,8 @@ class TestRoutingCacheLine:
     def test_aggregates_across_runs(self):
         from repro.experiments.timings import routing_cache_line
 
-        line = routing_cache_line([self._run(90, 10, 1), self._run(10, 90, 4)])
-        assert "100 hits / 100 misses" in line
-        assert "50.0% hit rate" in line
-        assert "workers: 4" in line
+        line = routing_cache_line([self._run(90, 10), self._run(10, 90)])
+        assert line == "Routing cache: 100 hits / 100 misses (50.0% hit rate)\n"
 
     def test_silent_without_counters(self):
         from types import SimpleNamespace

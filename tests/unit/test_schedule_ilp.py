@@ -145,37 +145,3 @@ class TestModelConstruction:
         ilp = WashScheduleIlp(chip, baseline, [cluster()], cands, PDWConfig())
         outcome = ilp.solve()
         assert outcome.build_time_s > 0.0
-
-
-class TestBatchMatrixEquivalence:
-    """The batch-built rows must produce the exact solver matrices the
-    operator-built ``Constraint`` objects describe."""
-
-    def _model(self, chip, baseline, integration):
-        cands = {"w1": [("in1", "a", "b", "out1")]}
-        ilp = WashScheduleIlp(
-            chip, baseline, [cluster()], cands,
-            PDWConfig(enable_integration=integration),
-        )
-        ilp.build()
-        return ilp.model
-
-    @pytest.mark.parametrize("integration", [True, False])
-    def test_fast_arrays_match_constraint_objects(self, chip, baseline, integration):
-        import numpy as np
-
-        from repro.ilp.solver import _build_matrices
-
-        model = self._model(chip, baseline, integration)
-        arrays = model.constraint_arrays()
-        assert arrays is not None  # every row went through the batch buffers
-        fast = _build_matrices(model)
-        model.constraint_arrays = lambda: None  # force the Python loop
-        slow = _build_matrices(model)
-        np.testing.assert_allclose(fast[0], slow[0])  # objective c
-        np.testing.assert_allclose(fast[1], slow[1])  # integrality
-        np.testing.assert_allclose(fast[2].lb, slow[2].lb)
-        np.testing.assert_allclose(fast[2].ub, slow[2].ub)
-        np.testing.assert_allclose(fast[3].A.toarray(), slow[3].A.toarray())
-        np.testing.assert_allclose(fast[3].lb, slow[3].lb)
-        np.testing.assert_allclose(fast[3].ub, slow[3].ub)
