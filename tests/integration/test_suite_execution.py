@@ -199,6 +199,9 @@ class TestCli:
         assert "PCR" in out
 
     def test_cache_verify_reports_corruption(self, tmp_path, monkeypatch, capsys):
+        # This tests the disk cache itself, so it must be on even where the
+        # suite runs with REPRO_CACHE=off.
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         assert cli_main(["run", "PCR", "--time-limit", "55"]) == 0
         capsys.readouterr()
