@@ -19,6 +19,13 @@ cannot matter); :attr:`PathKernel.exact_sums` records that, computed once
 from the weights.  It holds on every benchmark chip, where each segment is
 1.5 mm; callers fall back to pairwise legs where it does not.
 
+A ban set is an ``int`` bitmask over the kernel's node indices: bit ``i``
+bans ``nodes[i]`` (:attr:`PathKernel.bit`, :meth:`PathKernel.mask`), and
+``0`` bans nothing.  Callers build masks with integer ``|`` rather than
+allocating a set per query, and a search decodes its mask once into a
+``bytearray`` stop vector.  Two ban sets share a mask exactly when they
+ban the same chip nodes; names that are not chip nodes have no bit.
+
 Legs and rows share one avoid-set-aware LRU, keyed by
 ``(src, dst, banned)`` and ``(src, banned)`` and bounded by one
 ``cache_size``.  Routing repeats itself heavily — cluster merging and
@@ -50,16 +57,17 @@ from repro.arch.chip import Chip, FlowPath
 from repro.errors import RoutingError
 from repro.obs.trace import span
 
-#: Shared empty avoid set (the common case — keeps cache keys small).
-NO_AVOID: FrozenSet[str] = frozenset()
-
 #: Default bound on cached entries (legs plus rows) per kernel.  It bounds
-#: entries, not bytes, and an entry is not small: its key holds the query's
-#: ban set, often a fresh frozenset of up to a few hundred node names.  A
-#: cold Synthetic3 run stores 12,438 legs (30 MB) and 2,123 rows (9 MB).
+#: entries, not bytes.  A key's ban mask is one int of ``len(nodes)`` bits
+#: (~64 bytes on a 288-node chip); a leg value holds its path tuple and a
+#: row value one double per node.  See docs/PERFORMANCE.md "The cache" for
+#: the measured sizes of a cold Synthetic3 run.
 DEFAULT_CACHE_SIZE = 32768
 
 _INF = float("inf")
+
+#: ``bin(mask)`` digits to stop-vector bytes.
+_BITS_TO_STOPS = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class PathKernel:
@@ -68,7 +76,8 @@ class PathKernel:
     Build via :func:`kernel_for` (cached per chip) rather than directly;
     the constructor walks the whole graph once.  Queries are thread-safe:
     the CSR arrays are immutable after construction and the LRU cache is
-    guarded by a lock, so parallel path generation can share one kernel.
+    guarded by a lock, so the ``pdw serve`` worker threads and the
+    DAG-scheduled stages that route on one chip can share its kernel.
     """
 
     def __init__(self, chip: Chip, cache_size: int = DEFAULT_CACHE_SIZE):
@@ -83,6 +92,8 @@ class PathKernel:
             #: the networkx-era router.
             self.nodes: List[str] = chip.nodes
             self.index: Dict[str, int] = {n: i for i, n in enumerate(self.nodes)}
+            #: Ban-mask bit of each node: ``1 << index``.
+            self.bit: Dict[str, int] = {n: 1 << i for n, i in self.index.items()}
             n = len(self.nodes)
             offsets = array("l", [0]) if n else array("l")
             targets = array("l")
@@ -128,9 +139,34 @@ class PathKernel:
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
 
+    # -- ban masks ----------------------------------------------------------
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The ban mask of ``names``; names that are not chip nodes are ignored."""
+        bit = self.bit
+        m = 0
+        for name in names:
+            m |= bit.get(name, 0)
+        return m
+
+    def _stops(self, banned: int, *free: int) -> bytearray:
+        """``banned`` decoded to one byte per node, 1 where the node is banned.
+
+        The node indices in ``free`` — a search's own endpoints — are
+        never banned.
+        """
+        n = len(self.nodes)
+        stop = bytearray(n)
+        if banned:
+            bits = bin(banned)[:1:-1].encode().translate(_BITS_TO_STOPS)[:n]
+            stop[: len(bits)] = bits
+        for i in free:
+            stop[i] = 0
+        return stop
+
     # -- distance rows ------------------------------------------------------
 
-    def distances_from(self, src: str, banned: FrozenSet[str] = NO_AVOID) -> array:
+    def distances_from(self, src: str, banned: int = 0) -> array:
         """Shortest distance from ``src`` to every node, indexed like :attr:`nodes`.
 
         One single-source Dijkstra.  Banned nodes are reached as endpoints
@@ -153,20 +189,14 @@ class PathKernel:
         self._store(key, row)
         return row
 
-    def _row_uncached(self, src: str, banned: FrozenSet[str]) -> array:
+    def _row_uncached(self, src: str, banned: int) -> array:
         offsets, targets, weights = self.offsets, self.targets, self.weights
-        index = self.index
         n = len(self.nodes)
         dist: List[float] = [_INF] * n
-        s = index.get(src)
+        s = self.index.get(src)
         if s is None:
             return array("d", dist)
-        stop = bytearray(n)
-        for name in banned:
-            i = index.get(name)
-            if i is not None:
-                stop[i] = 1
-        stop[s] = 0
+        stop = self._stops(banned, s)
         seen: List[float] = [_INF] * n
         seen[s] = 0.0
         heap: List[Tuple[float, int]] = [(0.0, s)]
@@ -188,7 +218,7 @@ class PathKernel:
     # -- shortest path ------------------------------------------------------
 
     def shortest(
-        self, src: str, dst: str, banned: FrozenSet[str] = NO_AVOID
+        self, src: str, dst: str, banned: int = 0
     ) -> Tuple[FlowPath, float]:
         """Shortest path and its physical length, avoiding ``banned``.
 
@@ -214,7 +244,7 @@ class PathKernel:
         return result
 
     def _shortest_uncached(
-        self, src: str, dst: str, banned: FrozenSet[str]
+        self, src: str, dst: str, banned: int
     ) -> Optional[Tuple[FlowPath, float]]:
         index = self.index
         s = index.get(src)
@@ -223,15 +253,10 @@ class PathKernel:
             return None
         if s == t:
             return (src,), 0.0
-        banned_idx: Set[int] = set()
-        for name in banned:
-            i = index.get(name)
-            if i is not None and i != s and i != t:
-                banned_idx.add(i)
-        return self._bidijkstra(s, t, banned_idx)
+        return self._bidijkstra(s, t, self._stops(banned, s, t))
 
     def _bidijkstra(
-        self, s: int, t: int, banned: Set[int]
+        self, s: int, t: int, stop: bytearray
     ) -> Optional[Tuple[FlowPath, float]]:
         """Bidirectional Dijkstra over the CSR arrays.
 
@@ -274,7 +299,7 @@ class PathKernel:
             d_preds = preds[direction]
             for e in range(offsets[v], offsets[v + 1]):
                 w = targets[e]
-                if d_done[w] or w in banned:
+                if d_done[w] or stop[w]:
                     continue
                 vw = dist + weights[e]
                 if vw < d_seen[w]:
@@ -306,7 +331,7 @@ class PathKernel:
         self,
         s: int,
         t: int,
-        banned: Set[int],
+        stop: bytearray,
         banned_edges: Iterable[Tuple[int, int]],
     ) -> Optional[Tuple[List[int], float]]:
         """Parent array + distance to ``t``, or ``None`` when unreachable.
@@ -334,7 +359,7 @@ class PathKernel:
                 return parent, d
             for e in range(offsets[u], offsets[u + 1]):
                 v = targets[e]
-                if dist[v] != _INF or v in banned:
+                if dist[v] != _INF or stop[v]:
                     continue
                 if edge_ban is not None and (u, v) in edge_ban:
                     continue
@@ -366,7 +391,7 @@ class PathKernel:
         src: str,
         dst: str,
         k: int,
-        banned: FrozenSet[str] = NO_AVOID,
+        banned: int = 0,
     ) -> List[Tuple[FlowPath, float]]:
         """Up to ``k`` simple paths in increasing length order (Yen).
 
@@ -396,10 +421,8 @@ class PathKernel:
                         a, b = index[path[i]], index[path[i + 1]]
                         edge_ban.add((a, b))
                         edge_ban.add((b, a))
-                spur_banned = set(banned)
-                spur_banned.update(root[:-1])
                 spur_result = self._spur(
-                    spur, dst, frozenset(spur_banned), frozenset(edge_ban)
+                    spur, dst, banned | self.mask(root[:-1]), frozenset(edge_ban)
                 )
                 if spur_result is not None:
                     spur_path, spur_len = spur_result
@@ -418,19 +441,14 @@ class PathKernel:
         self,
         src: str,
         dst: str,
-        banned: FrozenSet[str],
+        banned: int,
         edge_ban: FrozenSet[Tuple[int, int]],
     ) -> Optional[Tuple[FlowPath, float]]:
         index = self.index
         s, t = index.get(src), index.get(dst)
         if s is None or t is None or s == t:
             return None
-        banned_idx = {
-            i
-            for i in (index.get(name) for name in banned)
-            if i is not None and i != s and i != t
-        }
-        result = self._dijkstra(s, t, banned_idx, edge_ban)
+        result = self._dijkstra(s, t, self._stops(banned, s, t), edge_ban)
         if result is None:
             return None
         return self._walk_back(result, s, t)

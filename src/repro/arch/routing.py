@@ -16,7 +16,7 @@ path-only signatures.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.arch.chip import Chip, FlowPath
 from repro.arch.pathkernel import PathKernel, kernel_for
@@ -37,39 +37,36 @@ class Router:
     """Shortest-path router over a :class:`~repro.arch.chip.Chip`.
 
     ``base_avoid`` bans a node set from *every* query this router issues
-    (degraded-chip routing threads the dead-node set here).  Unlike the
-    per-query ``avoid`` argument, the base set is folded into one shared
-    frozenset up front, so the no-``avoid`` fast path below — and with it
-    the kernel's LRU hit rate — survives arbitrarily large dead sets.
+    (degraded-chip routing threads the dead-node set here).  Like every
+    ban set in the router it is a kernel ban mask (an ``int`` over node
+    indices, see :mod:`repro.arch.pathkernel`), folded once up front with
+    the ports; each query ORs its own bans onto it.
     """
 
     def __init__(self, chip: Chip, base_avoid: Optional[Iterable[str]] = None):
         self.chip = chip
         self.kernel: PathKernel = kernel_for(chip)
-        #: Ports are never transited: fluid would leave the chip there.
-        self._port_ban = frozenset(chip.flow_ports) | frozenset(chip.waste_ports)
-        #: The every-query ban set: ports plus the router-level avoid set.
+        mask = self.kernel.mask
+        #: The every-query ban mask: the ports, which are never transited
+        #: (fluid would leave the chip there), plus ``base_avoid``.
         self._base_ban = (
-            self._port_ban | frozenset(base_avoid) if base_avoid else self._port_ban
+            mask(chip.flow_ports) | mask(chip.waste_ports) | mask(base_avoid or ())
         )
         #: ``_visit_orders`` answers by ``(src, targets, banned)``.
-        self._orders: Dict[Tuple[str, Tuple[str, ...], FrozenSet[str]], List[List[str]]] = {}
+        self._orders: Dict[Tuple[str, Tuple[str, ...], int], List[List[str]]] = {}
 
     # -- basic shortest paths ------------------------------------------------
 
-    def _banned(self, avoid: Optional[Iterable[str]]) -> FrozenSet[str]:
-        """Banned-node set for one routing query.
+    def _banned(self, avoid: Optional[Iterable[str]]) -> int:
+        """Ban mask for one routing query.
 
         Ports are always banned: a flow cannot transit an inlet or outlet —
         fluid would leave the chip there.  The kernel never bans a query's
-        own endpoints, so the set needs no per-endpoint copy.  The
-        no-``avoid`` case returns the shared base frozenset itself: the
-        kernel's LRU keys on this set, and an identity-stable frozenset
-        hashes once ever, so repeated queries stay cheap cache hits.
+        own endpoints, so the mask needs no per-endpoint copy.  Names in
+        ``avoid`` that are not chip nodes have no bit, so such a query
+        shares its cache entries with the same query without them.
         """
-        if not avoid:
-            return self._base_ban
-        return self._base_ban.union(avoid)
+        return self._base_ban | self.kernel.mask(avoid or ())
 
     def shortest_path(
         self,
@@ -104,7 +101,7 @@ class Router:
         ]
 
     def _distances(
-        self, src: str, targets: Sequence[str], banned: FrozenSet[str]
+        self, src: str, targets: Sequence[str], banned: int
     ) -> Dict[str, float]:
         """Shortest distance from ``src`` to each target (``inf`` if none).
 
@@ -197,7 +194,7 @@ class Router:
         return order
 
     def _visit_orders(
-        self, src: str, targets: List[str], banned: FrozenSet[str]
+        self, src: str, targets: List[str], banned: int
     ) -> List[List[str]]:
         """Candidate target visit orders: distance sweeps + reversals.
 
@@ -215,7 +212,7 @@ class Router:
         return orders
 
     def _compute_visit_orders(
-        self, src: str, targets: List[str], banned: FrozenSet[str]
+        self, src: str, targets: List[str], banned: int
     ) -> List[List[str]]:
         near = self._distances(src, targets, banned)
         ascending = sorted(targets, key=lambda t: (near[t], t))
@@ -243,7 +240,7 @@ class Router:
         src: str,
         order: List[str],
         dst: str,
-        banned: FrozenSet[str],
+        banned: int,
         protect_future: bool = True,
     ) -> Optional[RoutedPath]:
         """Chain legs through ``order`` without revisiting any node.
@@ -252,25 +249,30 @@ class Router:
         in the order, so a leg never enters a constrained node (e.g. a
         two-ended device) from the side that strands the rest of the tour.
         """
-        shortest = self.kernel.shortest
+        kernel = self.kernel
+        shortest, mask, bit = kernel.shortest, kernel.mask, kernel.bit
+        # later[i]: the mask of order[i + 1:] (all zero without protection).
+        later = [0] * len(order)
+        if protect_future:
+            for i in range(len(order) - 1, 0, -1):
+                later[i - 1] = later[i] | bit.get(order[i], 0)
         path: List[str] = [src]
         length = 0.0
         current = src
-        covered = {src}
+        covered = bit.get(src, 0)
         for i, target in enumerate(order):
-            if target in covered:
+            if covered & bit.get(target, 0):
                 continue
-            later = order[i + 1:] if protect_future else ()
             try:
-                leg, leg_mm = shortest(current, target, banned.union(covered, later))
+                leg, leg_mm = shortest(current, target, banned | covered | later[i])
             except RoutingError:
                 return None
             path.extend(leg[1:])
             length += leg_mm
-            covered.update(leg)
+            covered |= mask(leg)
             current = target
         try:
-            leg, leg_mm = shortest(current, dst, banned.union(covered))
+            leg, leg_mm = shortest(current, dst, banned | covered)
         except RoutingError:
             return None
         path.extend(leg[1:])
@@ -282,19 +284,24 @@ class Router:
         src: str,
         remaining: Iterable[str],
         dst: str,
-        banned: FrozenSet[str],
+        banned: int,
     ) -> RoutedPath:
         """Nearest-neighbor walk that may revisit nodes (last resort)."""
+        mask = self.kernel.mask
         remaining = set(remaining)
         path: List[str] = [src]
+        visited = mask(path)
         length = 0.0
         current = src
         while remaining:
-            current, (leg, leg_mm) = self._nearest_leg(current, remaining, banned, path)
+            current, (leg, leg_mm) = self._nearest_leg(
+                current, remaining, banned, visited
+            )
             remaining.difference_update(leg)
             path.extend(leg[1:])
+            visited |= mask(leg)
             length += leg_mm
-        last_leg, last_mm = self._leg(current, dst, banned, path)
+        last_leg, last_mm = self._leg(current, dst, banned, visited)
         path.extend(last_leg[1:])
         length += last_mm
         return tuple(path), length
@@ -303,8 +310,8 @@ class Router:
         self,
         current: str,
         remaining: Set[str],
-        banned: FrozenSet[str],
-        visited: Sequence[str],
+        banned: int,
+        visited: int,
     ) -> Tuple[str, RoutedPath]:
         """Shortest leg from ``current`` to the closest remaining target.
 
@@ -312,7 +319,7 @@ class Router:
         possible, else relaxed.  Only the chosen leg is routed.
         """
         targets = sorted(remaining)
-        dist = self._distances(current, targets, banned.union(visited))
+        dist = self._distances(current, targets, banned | visited)
         cut_off = [t for t in targets if dist[t] == _INF]
         if cut_off:
             dist.update(self._distances(current, cut_off, banned))
@@ -325,12 +332,12 @@ class Router:
         self,
         src: str,
         dst: str,
-        banned: FrozenSet[str],
-        visited: Sequence[str],
+        banned: int,
+        visited: int,
     ) -> RoutedPath:
-        """One leg; try to stay simple first, then relax the visited set."""
+        """One leg; try to stay simple first, then relax the visited mask."""
         try:
-            return self.kernel.shortest(src, dst, banned.union(visited))
+            return self.kernel.shortest(src, dst, banned | visited)
         except RoutingError:
             return self.kernel.shortest(src, dst, banned)
 

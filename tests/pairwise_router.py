@@ -35,7 +35,7 @@ class PairwiseRouter:
 
     def _shortest(self, src, dst, avoid) -> RoutedPath:
         banned = (self._base_ban | frozenset(avoid)) - {src, dst}
-        return self.kernel.shortest(src, dst, banned)
+        return self.kernel.shortest(src, dst, self.kernel.mask(banned))
 
     def _dist(self, a, b, avoid) -> float:
         try:

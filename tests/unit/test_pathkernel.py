@@ -15,7 +15,7 @@ import pytest
 
 from repro.arch.builder import ChipBuilder
 from repro.arch.pathkernel import PathKernel, kernel_for
-from repro.arch.routing import is_simple
+from repro.arch.routing import Router, is_simple
 from repro.bench import BENCHMARKS
 from repro.errors import RoutingError
 from repro.synth.binding import build_device_list
@@ -116,9 +116,9 @@ class TestBenchmarkChipEquivalence:
             expected = nx_cost(graph, src, dst, banned)
             if expected is None:
                 with pytest.raises(RoutingError):
-                    kernel.shortest(src, dst, banned)
+                    kernel.shortest(src, dst, kernel.mask(banned))
                 continue
-            path, length = kernel.shortest(src, dst, banned)
+            path, length = kernel.shortest(src, dst, kernel.mask(banned))
             assert length == pytest.approx(expected)
             assert not banned & set(path[1:-1])
             assert_valid_path(bench_chip, path, src, dst, length)
@@ -188,7 +188,7 @@ class TestCache:
         chip = random_grid_chip(10)
         kernel = PathKernel(chip)
         # in1 attaches to the grid only through n0_0; banning it cuts in1 off.
-        banned = frozenset({"n0_0"})
+        banned = kernel.mask({"n0_0"})
         with pytest.raises(RoutingError):
             kernel.shortest("in1", "out1", banned)
         _, misses0, _ = kernel.cache_info()
@@ -220,7 +220,7 @@ class TestRowCache:
         nodes = chip.nodes
         kernel.distances_from(nodes[0])
         for a in nodes:
-            kernel.distances_from(a, frozenset(nodes[:3]))
+            kernel.distances_from(a, kernel.mask(nodes[:3]))
             for b in nodes[:4]:
                 kernel.shortest(a, b)
             assert kernel.cache_info()[2] <= 16
@@ -231,13 +231,80 @@ class TestRowCache:
     def test_a_row_lookup_counts_as_one_hit_or_miss(self):
         chip = random_grid_chip(16)
         kernel = PathKernel(chip)
-        cold = kernel.distances_from("in1", frozenset({"n0_0"}))
+        cold = kernel.distances_from("in1", kernel.mask({"n0_0"}))
         assert kernel.cache_info() == (0, 1, 1)
-        warm = kernel.distances_from("in1", frozenset({"n0_0"}))
+        warm = kernel.distances_from("in1", kernel.mask({"n0_0"}))
         assert warm is cold
         assert kernel.cache_info() == (1, 1, 1)
         kernel.clear_cache()
         assert kernel.cache_info()[2] == 0
+
+
+class TestBanMasks:
+    def test_mask_ignores_names_that_are_not_chip_nodes(self):
+        chip = random_grid_chip(17)
+        kernel = PathKernel(chip)
+        a, b = kernel.bit["n0_0"], kernel.bit["n1_0"]
+        assert a == 1 << kernel.index["n0_0"]
+        assert kernel.mask(()) == 0
+        assert kernel.mask(["no-such-node"]) == 0
+        assert kernel.mask(["n0_0", "no-such-node", "n1_0", "n0_0"]) == a | b
+
+    def test_stop_vector_equals_naive_decode(self):
+        spec = BENCHMARKS["Synthetic3"]
+        chip = generate_layout(build_device_list(spec.inventory), name="s3-chip")
+        kernel = PathKernel(chip)
+        n = len(kernel.nodes)
+        rng = random.Random(19)
+        masks = [0, 1, 1 << (n - 1), (1 << n) - 1]
+        masks += [rng.getrandbits(n) for _ in range(20)]
+        for m in masks:
+            naive = bytearray((m >> i) & 1 for i in range(n))
+            assert kernel._stops(m) == naive, hex(m)
+            s, t = rng.randrange(n), rng.randrange(n)
+            naive[s] = naive[t] = 0
+            assert kernel._stops(m, s, t) == naive, (hex(m), s, t)
+
+    def test_non_node_avoid_name_shares_the_cache_entry(self):
+        """A name that is not a chip node has no bit in a ban mask, so a
+        query whose ``avoid`` also holds one is served by the cache entry
+        of the same query without it: one miss, then a hit.  This is the
+        one visible difference from the frozenset keys masks replaced,
+        under which the two queries were two misses."""
+        router = Router(random_grid_chip(18))
+        kernel = router.kernel
+        first = router.shortest_path_mm("in1", "out1", avoid=["n2_2"])
+        assert kernel.cache_info()[:2] == (0, 1)
+        second = router.shortest_path_mm("in1", "out1", avoid=["n2_2", "ghost"])
+        assert kernel.cache_info()[:2] == (1, 1)
+        assert second == first
+
+
+def test_cache_keys_hold_int_masks_not_frozensets():
+    """Structural memory guard: candidate generation leaves only ``int``
+    ban masks in the kernel LRU's keys, never a frozenset of node names
+    (which cost ~2 KB a key on the larger benchmark chips)."""
+    from repro.bench import benchmark, load_benchmark
+    from repro.core.pathgen import integration_candidates
+    from repro.schedule.tasks import TaskKind
+    from repro.synth import synthesize
+
+    synthesis = synthesize(load_benchmark("IVD"), inventory=benchmark("IVD").inventory)
+    chip = synthesis.chip
+    removals = [rm.path for rm in synthesis.schedule.tasks(TaskKind.REMOVAL)]
+    assert removals
+    targets = sorted(chip.devices)[:2]
+    kernel = kernel_for(chip)
+    kernel.clear_cache()
+    Router(chip).port_to_port_candidates_mm(targets)
+    after_ports = len(kernel._cache)
+    integration_candidates(chip, targets, removals)
+    keys = list(kernel._cache)
+    assert len(keys) > after_ports > 0
+    assert {len(key) for key in keys} == {2, 3}  # rows and legs both ran
+    for key in keys:
+        assert type(key[-1]) is int, key
+        assert not any(isinstance(part, frozenset) for part in key), key
 
 
 def test_pathgen_counters_count_every_kernel_lookup(monkeypatch):
