@@ -7,10 +7,13 @@ shared JSONL run journal, artifact-cache writes), so ``GET
 /v1/jobs/<id>`` progress is read straight from the journal and ``GET
 /v1/jobs/<id>/plan`` is served from the same content-addressed cache a
 CLI run would populate.  Jobs run **in-process** deliberately: the
-per-chip ``PathKernel`` routing caches, the incremental-ILP ``ModelMemo``
-and the whole-run memo all live in this process, so the second request
-for a chip the server has already seen starts warm — the throughput
-property the ROADMAP's service north-star is about.
+incremental-ILP ``ModelMemo`` and the whole-run memo live in this
+process, so a repeat request is served by digest dedup and a request
+that differs only in its weights reuses the pathgen artifact from the
+disk cache and reweights the memoised model.  Routing is not among what
+stays warm: each job builds or unpickles its own chip, so it routes on
+a fresh ``PathKernel``, and pathgen frees that kernel's LRU once PDW's
+candidate paths are built.
 
 Admission is bounded and fair: one lock makes digest-dedup, the
 queue-capacity check and the enqueue atomic (two racing submissions of
