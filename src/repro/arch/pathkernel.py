@@ -42,10 +42,10 @@ within a plan's clustering and candidate generation, and
 :class:`~repro.core.stages.PathGenStage`, the last stage that routes,
 empties it (:meth:`PathKernel.clear_cache`) so the ILP solve does not
 carry it.  The CSR snapshot and the hit/miss counters outlive the clear.
-A caller that plans the same chip again in one process (a Pareto sweep,
-an ablation, a multi-scenario degrade matrix) therefore re-routes each
-plan from an empty LRU; docs/PERFORMANCE.md "Where peak memory goes"
-has the measured cost.
+A caller that plans the same chip again in one process (an ablation, a
+multi-scenario degrade matrix) therefore re-routes each plan from an
+empty LRU; docs/PERFORMANCE.md "Where peak memory goes" has the measured
+cost.  A Pareto sweep routes once (:meth:`repro.core.PathDriverWash.sweep`).
 
 Determinism: neighbor lists preserve the graph's adjacency order and the
 heap breaks distance ties by insertion order (like networkx's Dijkstra),

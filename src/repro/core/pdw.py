@@ -27,7 +27,8 @@ times, counters and solver statistics into the plan's
 
 from __future__ import annotations
 
-from typing import Optional
+import dataclasses
+from typing import List, Optional, Sequence, Tuple
 
 from repro.contam import ContaminationTracker, contamination_violations
 from repro.core.config import PDWConfig
@@ -82,27 +83,54 @@ class PathDriverWash:
 
     def run(self, verify: bool = True) -> WashPlan:
         """Execute the full PDW pipeline and return the wash plan."""
-        with span("pdw", assay=self.synthesis.assay.name):
-            return self._run(verify)
+        cfg = self.config
+        return self.sweep([(cfg.alpha, cfg.beta, cfg.gamma)], verify)[0]
 
-    def _run(self, verify: bool) -> WashPlan:
-        ctx = PDWContext(
-            synthesis=self.synthesis, config=self.config, cache=self.cache
-        )
-        run = PipelineRun(label=f"PDW:{self.synthesis.assay.name}", cache=self.cache)
+    def sweep(
+        self, weights: Sequence[Tuple[float, float, float]], verify: bool = True
+    ) -> List[WashPlan]:
+        """One plan per ``(alpha, beta, gamma)`` point, routing once.
 
+        The weights enter only the ILP objective (Eq. 26), and replay,
+        necessity, clusters and pathgen key without them.  Those four run
+        for the first point alone; every later point reuses their
+        artifacts, records them as ``shared``, and runs only the ILP and
+        assembly, so each plan equals a standalone :meth:`run` under the
+        same weights.
+        """
+        plans: List[WashPlan] = []
+        for alpha, beta, gamma in weights:
+            config = dataclasses.replace(self.config, alpha=alpha, beta=beta, gamma=gamma)
+            with span("pdw", assay=self.synthesis.assay.name):
+                run = PipelineRun(label=f"PDW:{self.synthesis.assay.name}", cache=self.cache)
+                if plans:
+                    ctx = dataclasses.replace(ctx, config=config)
+                    for rec in upstream:
+                        run.provided(rec.stage, rec.counters)
+                else:
+                    ctx = self._prepare(config, run)
+                    upstream = list(run.report.stages)
+                plans.append(self._solve(ctx, run, verify))
+        return plans
+
+    def _prepare(self, config: PDWConfig, run: PipelineRun) -> PDWContext:
+        """Run the weight-independent stages: replay through pathgen."""
+        ctx = PDWContext(synthesis=self.synthesis, config=config, cache=self.cache)
         if self.tracker is not None:
             ctx.tracker = self.tracker
             run.provided(REPLAY_STAGE.name, REPLAY_STAGE.counters(self.tracker))
         else:
             ctx.tracker = run.run_stage(REPLAY_STAGE, ctx)
         ctx.necessity = run.run_stage(NECESSITY_STAGE, ctx)
+        if ctx.necessity.required:
+            ctx.clusters = run.run_stage(CLUSTER_STAGE, ctx)
+            ctx.candidates = run.run_stage(PATHGEN_STAGE, ctx).candidates
+        return ctx
 
+    def _solve(self, ctx: PDWContext, run: PipelineRun, verify: bool) -> WashPlan:
+        """Run the ILP and assembly on a prepared context."""
         if not ctx.necessity.required:
             return self._finish(no_wash_plan(ctx), run, verify=False)
-
-        ctx.clusters = run.run_stage(CLUSTER_STAGE, ctx)
-        ctx.candidates = run.run_stage(PATHGEN_STAGE, ctx).candidates
         ctx.outcome = run.run_stage(SCHEDULE_ILP_STAGE, ctx)
         record_ilp_rows(run, ctx.outcome)
         plan = run.run_stage(ASSEMBLE_STAGE, ctx)

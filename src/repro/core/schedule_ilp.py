@@ -87,8 +87,6 @@ class IlpWashOutcome:
     build_time_s: float = 0.0
     #: Whether a cached incumbent primed the solve (incremental re-solve).
     warm_started: bool = False
-    #: Whether the built model was reused from the in-process memo.
-    model_reused: bool = False
     #: Model-reduction accounting (all zero with ``presolve = "off"``).
     presolve_time_s: float = 0.0
     presolve_fixed_binaries: int = 0
@@ -597,16 +595,12 @@ class WashScheduleIlp:
                 0.0,
                 f"T_ge_wash[{cid}]",
             )
-        self.model.set_objective(self._objective_expr(self.config, t_assay))
-        self._t_assay = t_assay
-
-    def _objective_expr(self, config: PDWConfig, t_assay: Variable) -> LinExpr:
-        """Eq. 26 plus the drift tie-breaker, shared with :meth:`reweight`."""
+        cfg = self.config
         length_total = LinExpr.sum(self._wash_length(c) for c in self.clusters)
         objective = (
-            config.alpha * len(self.clusters)
-            + config.beta * length_total
-            + config.gamma * LinExpr.from_any(t_assay)
+            cfg.alpha * len(self.clusters)
+            + cfg.beta * length_total
+            + cfg.gamma * LinExpr.from_any(t_assay)
         )
         # Tiny pressure so tasks (and washes) do not float needlessly late;
         # washes are included so alternate-optimal wash placements collapse
@@ -625,22 +619,7 @@ class WashScheduleIlp:
         # A free absorption (psi flips nothing else in the objective) is
         # taken, so integration ties resolve the same way in both modes.
         absorb = LinExpr.sum(LinExpr.from_any(p) for p in self._psi.values())
-        return objective + 1e-5 * drift + 1e-5 * pick - 1e-5 * absorb
-
-    def reweight(self, config: PDWConfig) -> None:
-        """Re-point the built model at new objective weights (Eq. 26 only).
-
-        The feasible region is weight-independent, so a job that differs
-        from this one only in alpha/beta/gamma can reuse the variables,
-        constraint rows (the triplet arrays) as-is — only the objective is
-        rebuilt, exactly as :meth:`_add_objective` would under the new
-        weights.  This is the incremental-re-solve fast path used by the
-        Pareto sweep (see :mod:`repro.ilp.incremental`).
-        """
-        if not self.model.variables:
-            raise WashError("reweight requires a built model")
-        self.config = config
-        self.model.set_objective(self._objective_expr(config, self._t_assay))
+        m.set_objective(objective + 1e-5 * drift + 1e-5 * pick - 1e-5 * absorb)
 
     # -- solving / extraction -------------------------------------------------------------------
 

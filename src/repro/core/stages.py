@@ -326,8 +326,8 @@ class PathGenStage(StageBase):
         misses = kernel.cache_misses - misses_before
         # Pathgen is the last stage that routes: the LRU is this plan's
         # working memory, so free it before the ILP reaches its peak.  A
-        # later plan on the same chip (a Pareto point, an ablation
-        # variant, a degrade scenario or repair round) routes from empty.
+        # later plan on the same chip (an ablation variant, a degrade
+        # scenario or repair round) routes from empty.
         kernel.clear_cache()
         reg = metrics.registry()
         reg.counter("pdw_routing_cache_hits_total", chip=chip.name).inc(hits)
@@ -354,20 +354,6 @@ class PathGenStage(StageBase):
         ctx.candidates = result.candidates
 
 
-#: Built-model memo for the incremental re-solve fast path.  Keyed by the
-#: weight-independent structure digest, so jobs differing only in
-#: alpha/beta/gamma (the Pareto sweep) reuse the assembled constraint
-#: system via :meth:`WashScheduleIlp.reweight` instead of rebuilding.
-#: Checkout/checkin semantics keep entries single-owner under the suite
-#: DAG's worker threads (see :class:`repro.ilp.incremental.ModelMemo`).
-_MODEL_MEMO = incremental.ModelMemo(capacity=4)
-
-
-def clear_model_memo() -> None:
-    """Drop every memoized model, so the next ILP stage builds cold."""
-    _MODEL_MEMO.clear()
-
-
 class ScheduleIlpStage(StageBase):
     """Build and solve the scheduling ILP (Eqs. 1-8, 16-26).
 
@@ -383,16 +369,16 @@ class ScheduleIlpStage(StageBase):
     assembly so a fault-injected or solver-less run still produces a
     valid, degraded plan.
 
-    Incremental re-solve: structurally identical jobs (same synthesis and
-    candidate knobs, any objective weights) share the built model via an
-    in-process memo and warm-start from the previous winner's assignment,
-    which — once vetted against the constraints — primes the
-    branch-and-bound rung.  HiGHS accepts no starting point, so healthy
-    primary-rung outputs are unaffected.
+    Warm start: structurally identical jobs (same synthesis and
+    candidate knobs, any objective weights) start from the previous
+    winner's assignment in the artifact cache, which — once vetted
+    against the freshly built model — primes the branch-and-bound rung.
+    HiGHS accepts no starting point, so healthy primary-rung outputs are
+    unaffected.
     """
 
     name = "ilp"
-    version = "7"
+    version = "8"
     requires = ("clusters", "candidates")
     provides = "outcome"
 
@@ -414,52 +400,42 @@ class ScheduleIlpStage(StageBase):
         if len(covered) != len(ctx.clusters):
             solve_ctx = dataclasses.replace(ctx, clusters=covered)
 
+        ilp = WashScheduleIlp(
+            ctx.synthesis.chip,
+            ctx.synthesis.schedule,
+            solve_ctx.clusters,
+            ctx.candidates,
+            ctx.config,
+        )
+        ilp.ensure_built()
+        cache = ctx.cache
         structure = incremental.structure_digest(ctx.synthesis_digest, ctx.config)
-        ilp = _MODEL_MEMO.checkout(structure)
-        reused = ilp is not None
-        if reused:
-            incremental.observe("model_reused")
-            ilp.reweight(ctx.config)
-        else:
-            ilp = WashScheduleIlp(
-                ctx.synthesis.chip,
-                ctx.synthesis.schedule,
-                solve_ctx.clusters,
-                ctx.candidates,
-                ctx.config,
+        payload = incremental.load_incumbent(cache, structure)
+        if payload is None and ctx.config.degrade:
+            # Degraded re-solves (the online repair loop above all)
+            # warm-start from the *healthy* twin's winning assignment
+            # when no degraded incumbent exists yet: most variables
+            # survive the delta, and ``adopt_incumbent`` vets the
+            # assignment against the degraded constraints, so a
+            # stale/incompatible incumbent degrades to a cold solve.
+            healthy = incremental.structure_digest(
+                ctx.synthesis_digest,
+                dataclasses.replace(ctx.config, degrade=""),
             )
+            payload = incremental.load_incumbent(cache, healthy)
+        if payload is None:
+            incremental.observe("miss")
+            incumbent = None
+        else:
+            incumbent = incremental.adopt_incumbent(ilp.model, payload["values"])
+        portfolio = SolverPortfolio.from_config(ctx.config, incumbent=incumbent)
         try:
-            ilp.ensure_built()
-            cache = ctx.cache
-            payload = incremental.load_incumbent(cache, structure)
-            if payload is None and ctx.config.degrade:
-                # Degraded re-solves (the online repair loop above all)
-                # warm-start from the *healthy* twin's winning assignment
-                # when no degraded incumbent exists yet: most variables
-                # survive the delta, and ``adopt_incumbent`` vets the
-                # assignment against the degraded constraints, so a
-                # stale/incompatible incumbent degrades to a cold solve.
-                healthy = incremental.structure_digest(
-                    ctx.synthesis_digest,
-                    dataclasses.replace(ctx.config, degrade=""),
-                )
-                payload = incremental.load_incumbent(cache, healthy)
-            if payload is None:
-                incremental.observe("miss")
-                incumbent = None
-            else:
-                incumbent = incremental.adopt_incumbent(ilp.model, payload["values"])
-            portfolio = SolverPortfolio.from_config(ctx.config, incumbent=incumbent)
-            try:
-                outcome = ilp.solve(portfolio)
-            except LadderExhausted as exc:
-                return greedy_outcome(solve_ctx, exc.attempts)
-            outcome.model_reused = reused
-            if ilp.last_solution is not None:
-                incremental.store_incumbent(cache, structure, ilp.last_solution, ctx.config)
-            return outcome
-        finally:
-            _MODEL_MEMO.checkin(structure, ilp)
+            outcome = ilp.solve(portfolio)
+        except LadderExhausted as exc:
+            return greedy_outcome(solve_ctx, exc.attempts)
+        if ilp.last_solution is not None:
+            incremental.store_incumbent(cache, structure, ilp.last_solution, ctx.config)
+        return outcome
 
     @staticmethod
     def _empty_outcome(ctx: PDWContext) -> IlpWashOutcome:
@@ -496,8 +472,6 @@ class ScheduleIlpStage(StageBase):
         # run stays fixed (plan JSON embeds these).
         if outcome.warm_started:
             stats["warm_started"] = 1.0
-        if outcome.model_reused:
-            stats["model_reused"] = 1.0
         if outcome.mip_gap is not None:
             stats["mip_gap"] = outcome.mip_gap
         if outcome.presolve_time_s > 0 or outcome.presolve_dropped_constraints:

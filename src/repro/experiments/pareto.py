@@ -8,12 +8,11 @@ actually responds to its weights rather than having one dominant term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.bench import benchmark, load_benchmark
-from repro.contam import ContaminationTracker
-from repro.core import PDWConfig, optimize_washes
+from repro.core import PathDriverWash, PDWConfig
 from repro.experiments.reporting import render_table
 from repro.synth import synthesize
 
@@ -44,27 +43,20 @@ def pareto_points(
     sweep: Sequence[Tuple[str, float, float, float]] = DEFAULT_SWEEP,
     base: Optional[PDWConfig] = None,
 ) -> List[ParetoPoint]:
-    """Run the sweep on one benchmark."""
+    """Run the sweep on one benchmark, routing once for all its points."""
     cfg = base or PDWConfig(time_limit_s=60.0)
     spec = benchmark(bench_name)
     synthesis = synthesize(load_benchmark(bench_name), inventory=spec.inventory)
-    tracker = ContaminationTracker(synthesis.chip, synthesis.schedule)
-    points = []
-    for label, alpha, beta, gamma in sweep:
-        plan = optimize_washes(
-            synthesis,
-            replace(cfg, alpha=alpha, beta=beta, gamma=gamma),
-            tracker=tracker,
+    plans = PathDriverWash(synthesis, cfg).sweep([point[1:] for point in sweep])
+    return [
+        ParetoPoint(
+            label=label, alpha=alpha, beta=beta, gamma=gamma,
+            n_wash=plan.n_wash,
+            l_wash_mm=plan.l_wash_mm,
+            t_assay=plan.t_assay,
         )
-        points.append(
-            ParetoPoint(
-                label=label, alpha=alpha, beta=beta, gamma=gamma,
-                n_wash=plan.n_wash,
-                l_wash_mm=plan.l_wash_mm,
-                t_assay=plan.t_assay,
-            )
-        )
-    return points
+        for (label, alpha, beta, gamma), plan in zip(sweep, plans)
+    ]
 
 
 def pareto_report(bench_name: str = "PCR", base: Optional[PDWConfig] = None) -> str:

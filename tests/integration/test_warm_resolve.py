@@ -1,9 +1,9 @@
-"""End-to-end acceptance of the incremental re-solve.
+"""End-to-end acceptance of the warm-started re-solve.
 
-Structurally identical jobs that differ only in objective weights share
-the built model (``ModelMemo.reweight``) and prime the solve with the
-previous winner's assignment; neither may change the plan a cold solve
-of the same weights produces.
+Structurally identical jobs that differ only in objective weights build
+their own model and prime the solve with the previous winner's
+assignment from the artifact cache; priming may not change the plan a
+cold solve of the same weights produces.
 """
 
 from repro.core import PDWConfig, optimize_washes
@@ -22,7 +22,6 @@ class TestWarmResolve:
         )
         assert cold.notes.get("stage.ilp.warm_started") is None
         assert warm.notes.get("stage.ilp.warm_started") == 1.0
-        assert warm.notes.get("stage.ilp.model_reused") == 1.0
         assert validation_problems(warm, demo_synthesis) == []
 
     def test_warm_resolve_plan_equals_cold_plan(self, demo_synthesis, tmp_path):

@@ -104,3 +104,32 @@ class TestCliAssay:
         assert main(["assay", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("pdw: error:")
+
+
+class _SupervisorBuilt(Exception):
+    """Stops ``pdw suite`` once it has chosen its engine."""
+
+
+class TestCliSuiteEngine:
+    def test_worker_env_vars_choose_neither_engine_nor_width(self, monkeypatch):
+        from repro.experiments import supervisor
+        from repro.sched import executor
+
+        built = []
+
+        class Recording(supervisor.SuiteSupervisor):
+            def __init__(self, **kwargs):
+                super().__init__(**kwargs)
+                built.append(self)
+                raise _SupervisorBuilt
+
+        def no_dag(**kwargs):
+            raise AssertionError("pdw suite chose the DAG engine unasked")
+
+        monkeypatch.setattr(supervisor, "SuiteSupervisor", Recording)
+        monkeypatch.setattr(executor, "DagExecutor", no_dag)
+        monkeypatch.setenv("REPRO_SUITE_WORKERS", "4")
+        monkeypatch.setenv("REPRO_SCHED_WORKERS", "2")
+        with pytest.raises(_SupervisorBuilt):
+            main(["suite", "PCR", "--no-cache"])
+        assert [sup.workers for sup in built] == [1]

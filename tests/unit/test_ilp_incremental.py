@@ -105,32 +105,3 @@ class TestIncumbentRoundtrip:
         cache.put(digest, ["not", "a", "payload"])
         assert incremental.load_incumbent(cache, digest) is None
 
-
-class TestModelMemo:
-    def test_checkout_removes_the_entry(self):
-        memo = incremental.ModelMemo(capacity=2)
-        memo.checkin("k", "model")
-        assert memo.checkout("k") == "model"
-        # Single-owner semantics: a concurrent second checkout misses.
-        assert memo.checkout("k") is None
-
-    def test_lru_eviction_past_capacity(self):
-        memo = incremental.ModelMemo(capacity=2)
-        memo.checkin("a", 1)
-        memo.checkin("b", 2)
-        memo.checkin("c", 3)
-        assert memo.checkout("a") is None
-        assert memo.checkout("b") == 2
-        assert memo.checkout("c") == 3
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            incremental.ModelMemo(capacity=0)
-
-    def test_len_and_clear(self):
-        memo = incremental.ModelMemo()
-        memo.checkin("a", 1)
-        memo.checkin("b", 2)
-        assert len(memo) == 2
-        memo.clear()
-        assert len(memo) == 0

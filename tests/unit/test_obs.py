@@ -421,4 +421,4 @@ class TestBenchSamples:
         monkeypatch.setattr(runner, "run_benchmark", recording_run)
         perf.run_bench(["PCR"], iterations=2)
         assert len(runs) == 2
-        assert [run.pdw.notes.get("stage.ilp.model_reused") for run in runs] == [None, None]
+        assert [run.pdw.report.get("ilp.build") is not None for run in runs] == [True, True]
