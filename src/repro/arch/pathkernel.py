@@ -56,6 +56,7 @@ accumulated the length, so callers never re-walk the path to price it.
 
 from __future__ import annotations
 
+import sys
 import threading
 import weakref
 from array import array
@@ -65,6 +66,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.arch.chip import Chip, FlowPath
 from repro.errors import RoutingError
+from repro.forksafe import renew_lock_in_child
 from repro.obs.trace import span
 
 #: Default bound on cached entries (legs plus rows) per kernel.  It bounds
@@ -504,6 +506,7 @@ _NO_ROUTE = object()
 
 _KERNELS: "weakref.WeakKeyDictionary[Chip, PathKernel]" = weakref.WeakKeyDictionary()
 _KERNELS_LOCK = threading.Lock()
+renew_lock_in_child(sys.modules[__name__], "_KERNELS_LOCK")
 
 
 def kernel_for(chip: Chip) -> PathKernel:

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--workers", type=int, default=2,
-        help="job executor threads (default 2)",
+        help="jobs run at once, each in its own forked process (default 2)",
     )
     p_serve.add_argument(
         "--queue-cap", type=int, default=64, metavar="N",

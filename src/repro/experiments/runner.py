@@ -31,6 +31,7 @@ a :class:`~repro.experiments.supervisor.SuiteSupervisor` as
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
@@ -45,6 +46,7 @@ from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
 from repro.envutil import env_int
 from repro.errors import DegradedInfeasibleError, ReproError
+from repro.forksafe import renew_lock_in_child
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -181,6 +183,7 @@ class SuiteResult(Sequence):
 
 _CACHE: Dict[tuple, BenchmarkRun] = {}
 _CACHE_LOCK = threading.Lock()
+renew_lock_in_child(sys.modules[__name__], "_CACHE_LOCK")
 
 
 def _memo_key(name: str, config: PDWConfig) -> tuple:

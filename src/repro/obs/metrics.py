@@ -32,6 +32,8 @@ import math
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from repro.forksafe import renew_lock_in_child
+
 LabelValue = Union[str, int, float, bool]
 #: Canonical metric identity: name + sorted ``(label, value)`` pairs.
 MetricKey = Tuple[str, Tuple[Tuple[str, str], ...]]
@@ -297,6 +299,7 @@ def _sample(name: str, labels: Mapping[str, str], value: float) -> str:
 # ---------------------------------------------------------------------------
 
 _GLOBAL = MetricsRegistry()
+renew_lock_in_child(_GLOBAL, "_lock")
 
 
 def registry() -> MetricsRegistry:

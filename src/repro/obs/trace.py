@@ -35,6 +35,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Union
 
+from repro.forksafe import renew_lock_in_child
+
 #: Environment variable that enables tracing at import time.
 ENV_TRACE = "REPRO_TRACE"
 
@@ -321,6 +323,7 @@ class _noop_ctx:
 # ---------------------------------------------------------------------------
 
 _GLOBAL = Tracer(enabled=os.environ.get(ENV_TRACE, "") not in ("", "0", "off"))
+renew_lock_in_child(_GLOBAL, "_lock")
 
 
 def tracer() -> Tracer:

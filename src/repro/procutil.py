@@ -1,8 +1,9 @@
-"""Subprocess plumbing for the suite supervisor.
+"""Subprocess plumbing for the suite supervisor and the job server.
 
 :class:`~repro.experiments.supervisor.SuiteSupervisor` isolates each
-benchmark in a worker subprocess, collects its result over a pipe, and
-must kill and reap workers that lost their reason to exist.  The helpers
+benchmark in a worker subprocess, and :class:`~repro.serve.server.JobServer`
+each ``pdw serve`` job; both collect the result over a pipe and must
+kill and reap workers that lost their reason to exist.  The helpers
 here are that machinery.
 
 * :data:`MP` — the preferred multiprocessing context: ``fork`` where

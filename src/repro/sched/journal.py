@@ -16,14 +16,18 @@ The file is append-only and reads are tolerant of a truncated final line
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro.forksafe import renew_lock_in_child
+
 #: Serializes concurrent appends from the DAG executor's worker threads
 #: (the supervisor appends from a single thread; sharing the lock is free).
 _WRITE_LOCK = threading.Lock()
+renew_lock_in_child(sys.modules[__name__], "_WRITE_LOCK")
 
 
 def append_record(path: Path, record: dict) -> None:

@@ -4,8 +4,8 @@ The front door that turns the repository from "a CLI that runs
 benchmarks" into a long-running service (ROADMAP north star; DESIGN.md
 §15).  Stdlib-only — ``http.server`` + ``threading``, keeping the
 zero-dependency stance — and a thin layer over machinery that already
-exists: jobs compile to stage-DAG runs under the
-:class:`~repro.sched.executor.DagExecutor`, dedup rides the
+exists: each job runs in a forked child process as a stage-DAG run
+under the :class:`~repro.sched.executor.DagExecutor`, dedup rides the
 content-addressed artifact-cache digest, progress is read from the JSONL
 run journal, and ``/metrics`` is the Prometheus registry the rest of the
 system already populates.

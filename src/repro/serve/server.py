@@ -1,19 +1,35 @@
 """The ``pdw serve`` job server: admission, execution, lifecycle, shutdown.
 
-Execution rides the existing suite machinery instead of re-implementing
-any of it: each benchmark job becomes a one-benchmark stage-DAG run under
-:class:`~repro.sched.executor.DagExecutor` (per-node budget/retries, the
-shared JSONL run journal, artifact-cache writes), so ``GET
-/v1/jobs/<id>`` progress is read straight from the journal and ``GET
-/v1/jobs/<id>/plan`` is served from the same content-addressed cache a
-CLI run would populate.  Jobs run **in-process** deliberately: the
-whole-run memo and digest dedup live in this process, so a repeat
-request is served without a run, and a request that differs only in its
-weights reuses the replay, necessity, clusters and pathgen artifacts
-from the disk cache and builds and solves only its own ILP.  Routing is
-not among what stays warm: each job builds or unpickles its own chip, so it routes on
-a fresh ``PathKernel``, and pathgen frees that kernel's LRU once PDW's
-candidate paths are built.
+The server process keeps admission, dedup, the queue, HTTP and reading
+plans from the cache; it never routes or solves.  Each job runs in a
+child process that a worker thread forks (:data:`repro.procutil.MP`,
+the context the suite supervisor uses): a benchmark job is a
+one-benchmark stage-DAG run under
+:class:`~repro.sched.executor.DagExecutor` (the shared JSONL run
+journal, artifact-cache writes), an assay job calls the pipeline
+directly.  The child sends back ``(run_digest, canonical plan dict,
+metrics snapshot)`` or a failure kind over a pipe and exits; the worker
+merges the snapshot into the server's registry, so ``/metrics`` carries
+every job's series.  ``GET /v1/jobs/<id>`` progress is read from the
+journal and ``GET /v1/jobs/<id>/plan`` from the same content-addressed
+cache a CLI run would populate.
+
+Why a process per job: a job's routing and HiGHS heap leave with the
+child instead of staying in the server, a timeout kills and reaps the
+child (no thread keeps burning CPU), and a stage that exits fails only
+its own job.  What stays warm across jobs is digest dedup and the disk
+cache: a request that differs only in its weights reuses the replay,
+necessity, clusters and pathgen artifacts from disk and builds and
+solves only its own ILP.  The whole-run memo is per child, so under
+``--no-cache`` a request that differs from an earlier one only in
+``method`` runs again.
+
+Forking a multi-threaded process is safe here for two reasons (Python
+3.12 warns about it in general): everything a job imports is imported
+below, at module load, before the server starts a thread, so no child
+waits on an import lock; and every module-level lock a job takes is
+renewed in the child (:func:`repro.forksafe.renew_lock_in_child`), so
+no child waits on a lock another server thread held at fork time.
 
 Admission is bounded and fair: one lock makes digest-dedup, the
 queue-capacity check and the enqueue atomic (two racing submissions of
@@ -22,32 +38,109 @@ dropped), the per-client FIFO :class:`~repro.serve.queue.FairQueue`
 prevents one client's burst from starving others, and a full queue turns
 into ``429 Retry-After`` instead of an unbounded backlog.
 
-Shutdown (SIGTERM/SIGINT or :meth:`shutdown`) is graceful and
-idempotent: stop accepting, cancel everything still queued, join the
-executor threads, close the listener.  The CI serve job asserts this
-leaves no orphaned threads or processes.
+Shutdown (SIGTERM/SIGINT or :meth:`JobServer.shutdown`) is graceful and
+idempotent: stop accepting, cancel everything still queued, kill and
+reap the running jobs' children, join the worker threads, close the
+listener.  The CI serve job asserts this leaves no orphaned threads or
+processes.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import signal
 import threading
 import time
 from http.server import ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
+# Everything a job child runs is imported here, before any server
+# thread exists (see the module docstring).  repro.arch.io is loaded
+# lazily by the stage digests in the child otherwise.
+import repro.arch.io  # noqa: F401
+from repro.assay import graph_from_dict
+from repro.baselines import dawo_plan, immediate_wash_plan
+from repro.core import optimize_washes
 from repro.errors import ReproError
+from repro.experiments.runner import FailureRecord, run_digest
+from repro.experiments.supervisor import default_journal_path
+from repro.export.plan_json import canonical_plan_dict
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import ArtifactCache, default_cache
+from repro.procutil import MP, reap, safe_send, terminate
+from repro.sched import journal as sched_journal
+from repro.sched.executor import DagExecutor
 from repro.serve.jobs import Job, JobFailure, JobStore, job_progress
 from repro.serve.queue import FairQueue
 from repro.serve.routes import make_handler
 from repro.serve.wire import JobSpec, job_digest
+from repro.synth import synthesize
 
 #: Seconds clients are told to back off when admission rejects with 429.
 RETRY_AFTER_S = 5
+
+
+def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) -> None:
+    """Job child body: plan one job, send the outcome home, exit.
+
+    Sends ``("ok", run_digest, plan_dict, snapshot)`` or ``("fail",
+    kind, message, snapshot)``; a child that dies first sends nothing,
+    and the parent classifies it from the closed pipe.  The child has
+    no timeout of its own: the parent kills it past ``job_timeout_s``.
+    """
+    # The server's SIGTERM/SIGINT handler would run a second server
+    # shutdown in here; the parent kills its children instead.
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+    # The forked registry holds the server's own series; start empty so
+    # the parent-side merge adds only this job's work.
+    obs_metrics.reset()
+    try:
+        digest, plan = _plan_job(spec, cache, use_cache, journal_path)
+        outcome: tuple = ("ok", digest, canonical_plan_dict(plan))
+    except JobFailure as exc:
+        outcome = ("fail", exc.kind, str(exc))
+    except ReproError as exc:
+        outcome = ("fail", "error", str(exc))
+    except Exception as exc:  # a job child reports every failure it survives
+        outcome = ("fail", "crash", f"{type(exc).__name__}: {exc}")
+    safe_send(conn, outcome + (obs_metrics.snapshot(),))
+    conn.close()
+    # Skip interpreter teardown: it flushes std streams whose locks
+    # another server thread may have held at fork time.
+    os._exit(0)
+
+
+def _plan_job(
+    spec: JobSpec, cache: Optional[ArtifactCache], use_cache: bool, journal_path: Path
+) -> Tuple[Optional[str], Any]:
+    """``(run_digest or None, plan)`` for one job, in the job child."""
+    if spec.kind == "benchmark":
+        executor = DagExecutor(
+            cache=cache, use_cache=use_cache, workers=1, journal_path=journal_path
+        )
+        entry = executor.run([spec.benchmark], spec.config).entries[0]
+        if isinstance(entry, FailureRecord):
+            raise JobFailure(entry.kind, entry.message)
+        return run_digest(spec.benchmark, spec.config), _method_plan(entry, spec.method)
+    # User-assay jobs run the pipeline directly (no benchmark DAG).
+    synth = synthesize(graph_from_dict(dict(spec.assay)))
+    disk = cache if use_cache else None
+    if spec.method == "pdw":
+        return None, optimize_washes(synth, spec.config, cache=disk)
+    if spec.method == "dawo":
+        return None, dawo_plan(synth, cache=disk)
+    return None, immediate_wash_plan(synth)
+
+
+def _method_plan(run: Any, method: str):
+    if method == "pdw":
+        return run.pdw
+    if method == "dawo":
+        return run.dawo
+    return immediate_wash_plan(run.synthesis)
 
 
 class _HttpServer(ThreadingHTTPServer):
@@ -79,8 +172,6 @@ class JobServer:
         use_cache: bool = True,
         job_timeout_s: float = 600.0,
     ):
-        from repro.experiments.supervisor import default_journal_path
-
         self.cache = cache if cache is not None else (
             default_cache(cache_dir) if use_cache else None
         )
@@ -95,6 +186,11 @@ class JobServer:
         self._stop = threading.Event()
         self._shutdown_done = threading.Event()
         self._started_ts = time.time()
+        #: Where job children's metrics snapshots are merged: the process
+        #: registry, so ``/metrics`` shows each job's series.
+        self.job_metrics = obs_metrics.registry()
+        self._fork_lock = threading.Lock()
+        self._children: Set[Any] = set()
 
         self._http = _HttpServer((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
@@ -168,10 +264,6 @@ class JobServer:
                 self.store.mark_failed(job, exc.kind, str(exc))
                 self._count_job("failed")
                 self._journal_serve("failed", job)
-            except ReproError as exc:
-                self.store.mark_failed(job, "error", str(exc))
-                self._count_job("failed")
-                self._journal_serve("failed", job)
             except Exception as exc:  # pragma: no cover - crash guard
                 self.store.mark_failed(job, "crash", f"{type(exc).__name__}: {exc}")
                 self._count_job("failed")
@@ -185,62 +277,71 @@ class JobServer:
             ).observe(time.perf_counter() - started)
 
     def _execute(self, job: Job) -> None:
-        if job.spec.kind == "benchmark":
-            self._execute_benchmark(job)
-        else:
-            self._execute_assay(job)
+        """Plan ``job`` in a forked child; fill ``job.plan`` or raise
+        :class:`JobFailure` (``timeout`` past ``job_timeout_s``, ``crash``
+        when the child dies before reporting)."""
+        proc, conn = self._fork(job)
+        reported = False
+        outcome = None
+        try:
+            reported = conn.poll(self.job_timeout_s)
+            if reported:
+                try:
+                    outcome = conn.recv()
+                except (EOFError, OSError):
+                    outcome = None  # died without reporting: EOF
+        finally:
+            if not reported:
+                terminate(proc)
+            reap(proc)
+            conn.close()
+            with self._fork_lock:
+                self._children.discard(proc)
+        if not reported:
+            raise JobFailure(
+                "timeout", f"exceeded wall-clock budget of {self.job_timeout_s:g}s"
+            )
+        if outcome is None:
+            why = "killed by server shutdown" if self._stop.is_set() else "exited"
+            raise JobFailure(
+                "crash",
+                f"job process {why} with code {proc.exitcode} before reporting a result",
+            )
+        self._absorb_metrics(outcome[-1])
+        if outcome[0] != "ok":
+            raise JobFailure(outcome[1], outcome[2])
+        job.run_digest, job.plan = outcome[1], outcome[2]
 
-    def _execute_benchmark(self, job: Job) -> None:
-        """One-benchmark stage-DAG run; plan extracted per requested method."""
-        from repro.experiments.runner import FailureRecord, run_digest
-        from repro.experiments.supervisor import RunBudget
-        from repro.export.plan_json import canonical_plan_dict
-        from repro.sched.executor import DagExecutor
+    def _fork(self, job: Job):
+        """Start ``job``'s child; ``(process, read end of its pipe)``.
 
-        spec = job.spec
-        executor = DagExecutor(
-            budget=RunBudget(timeout_s=self.job_timeout_s),
-            cache=self.cache,
-            use_cache=self.use_cache,
-            workers=1,
-            journal_path=self.journal_path,
-        )
-        result = executor.run([spec.benchmark], spec.config)
-        entry = result.entries[0]
-        if isinstance(entry, FailureRecord):
-            raise JobFailure(entry.kind, entry.message)
-        job.run_digest = run_digest(spec.benchmark, spec.config)
-        plan = self._method_plan(entry, spec.method)
-        job.plan = canonical_plan_dict(plan)
+        Forks are serialized so that no child inherits another job's
+        pipe write end: the parent closes its copy before the next fork,
+        so each pipe reads EOF exactly when its own child is gone.
+        """
+        with self._fork_lock:
+            if self._stop.is_set():
+                raise JobFailure("crash", "server shut down before the job started")
+            conn, child_conn = MP.Pipe(duplex=False)
+            proc = MP.Process(
+                target=_job_entry,
+                args=(child_conn, job.spec, self.cache, self.use_cache, self.journal_path),
+                name=f"pdw-job-{job.id}",
+                daemon=True,
+            )
+            proc.start()
+            child_conn.close()  # the parent keeps only the read end
+            self._children.add(proc)
+        return proc, conn
 
-    def _execute_assay(self, job: Job) -> None:
-        """User-assay jobs run the pipeline directly (no benchmark DAG)."""
-        from repro.assay import graph_from_dict
-        from repro.baselines import dawo_plan, immediate_wash_plan
-        from repro.core import optimize_washes
-        from repro.export.plan_json import canonical_plan_dict
-        from repro.synth import synthesize
-
-        spec = job.spec
-        synth = synthesize(graph_from_dict(dict(spec.assay)))
-        cache = self.cache if self.use_cache else None
-        if spec.method == "pdw":
-            plan = optimize_washes(synth, spec.config, cache=cache)
-        elif spec.method == "dawo":
-            plan = dawo_plan(synth, cache=cache)
-        else:
-            plan = immediate_wash_plan(synth)
-        job.plan = canonical_plan_dict(plan)
-
-    @staticmethod
-    def _method_plan(run: Any, method: str):
-        from repro.baselines import immediate_wash_plan
-
-        if method == "pdw":
-            return run.pdw
-        if method == "dawo":
-            return run.dawo
-        return immediate_wash_plan(run.synthesis)
+    def _absorb_metrics(self, snapshot: Any) -> None:
+        """Merge one job child's metrics snapshot into ``job_metrics``."""
+        if not isinstance(snapshot, dict):
+            return
+        try:
+            self.job_metrics.merge(snapshot)
+        except (TypeError, ValueError):
+            pass  # a malformed snapshot must not fail a finished job
 
     # -- read endpoints ----------------------------------------------------------
 
@@ -250,8 +351,6 @@ class JobServer:
             return None
         progress = None
         if job.state == "running":
-            from repro.sched import journal as sched_journal
-
             progress = job_progress(
                 job, sched_journal.read_records(self.journal_path)
             )
@@ -282,13 +381,9 @@ class JobServer:
         """
         plan_dict = None
         if job.run_digest is not None and self.use_cache:
-            from repro.export.plan_json import canonical_plan_dict
-
             stored = self.cache.get(job.run_digest)
             if stored is not None:
-                plan_dict = canonical_plan_dict(
-                    self._method_plan(stored, job.spec.method)
-                )
+                plan_dict = canonical_plan_dict(_method_plan(stored, job.spec.method))
         if plan_dict is None:
             plan_dict = job.plan
         if plan_dict is None:
@@ -323,8 +418,6 @@ class JobServer:
         """Serve lifecycle events share the suite journal (event="serve");
         the suite's readers filter on their own event names, so the two
         record families coexist in one operational log."""
-        from repro.sched import journal as sched_journal
-
         sched_journal.append_record(
             self.journal_path,
             {
@@ -360,7 +453,7 @@ class JobServer:
             self.shutdown()
 
     def shutdown(self) -> None:
-        """Graceful, idempotent: drain, cancel queued, join, close."""
+        """Graceful, idempotent: cancel queued, kill running, join, close."""
         if self._stop.is_set():
             self._shutdown_done.wait(timeout=30.0)
             return
@@ -370,8 +463,14 @@ class JobServer:
             if self.store.mark_cancelled(job):
                 self._count_job("cancelled")
                 self._journal_serve("cancel", job)
+        # _fork checks _stop under the same lock, so no child starts
+        # after this kill pass; each worker reaps the child it waited on.
+        with self._fork_lock:
+            for proc in self._children:
+                terminate(proc)
         self._http.shutdown()
         self._http.server_close()
+        deadline = time.monotonic() + 15.0
         for thread in self._workers:
-            thread.join(timeout=max(10.0, self.job_timeout_s))
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
         self._shutdown_done.set()

@@ -7,6 +7,11 @@ on one job and one underlying run (the journal shows a single
 plan JSON, distinct configs past the queue cap are rejected with 429 +
 ``Retry-After``, and a SIGTERM'd ``pdw serve`` subprocess exits cleanly
 with no orphaned children.
+
+Each job runs in a forked child of the server: a timeout or an exiting
+stage costs only that job and leaves no thread or process behind, a
+fork while other threads hold the job's locks still completes, and the
+server's own registry never records a solve.
 """
 
 from __future__ import annotations
@@ -20,12 +25,43 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from contextlib import ExitStack
 from pathlib import Path
 
 import pytest
 
+from repro.arch import pathkernel
+from repro.experiments import runner
+from repro.obs import metrics as obs_metrics
+from repro.obs.trace import tracer
+from repro.pipeline import ArtifactCache
+from repro.procutil import MP
 from repro.sched import journal as sched_journal
-from repro.serve import JobServer
+from repro.sched.executor import DagExecutor
+from repro.serve import JobServer, parse_job
+from repro.serve import server as server_module
+
+needs_proc = pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="reads process parents from /proc"
+)
+
+
+def children_of(pid: int) -> set:
+    """Pids whose parent is ``pid``, zombies included (read from /proc)."""
+    kids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # exited while we looked
+        if int(fields[1]) == pid:
+            kids.add(int(stat.parent.name))
+    return kids
+
+
+def job_threads() -> set:
+    """Live threads other than the short-lived HTTP connection handlers."""
+    return {t for t in threading.enumerate() if "process_request" not in t.name}
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -77,6 +113,26 @@ def server(tmp_path):
 @pytest.fixture
 def client(server):
     return Client(server.host, server.port)
+
+
+@pytest.fixture
+def make_server(tmp_path):
+    """Factory for servers with their own settings and a disk cache that
+    stays on under ``REPRO_CACHE=off``; all are shut down afterwards."""
+    started = []
+
+    def make(**kwargs):
+        kwargs.setdefault("cache", ArtifactCache(tmp_path / "cache"))
+        srv = JobServer(port=0, workers=1, **kwargs)
+        thread = threading.Thread(target=srv.serve_forever, daemon=True)
+        thread.start()
+        started.append((srv, thread))
+        return srv, Client(srv.host, srv.port)
+
+    yield make
+    for srv, thread in started:
+        srv.shutdown()
+        thread.join(timeout=10.0)
 
 
 PCR_JOB = {"benchmark": "PCR", "config": {"time_limit_s": 20}}
@@ -233,6 +289,136 @@ class TestConcurrency:
             gate.set()
 
 
+def prom_series(text: bytes, name: str) -> dict:
+    """``{labels: value}`` of one series in a Prometheus exposition."""
+    out = {}
+    for line in text.decode().splitlines():
+        if line.startswith(name + "{") or line.startswith(name + " "):
+            key, value = line.rsplit(" ", 1)
+            out[key[len(name):]] = float(value)
+    return out
+
+
+class HoldLocksAcrossFork:
+    """Stand-in for :data:`repro.procutil.MP` whose ``Process.start``
+    forks while another thread holds every module-level lock a job takes."""
+
+    def Pipe(self, *args, **kwargs):
+        return MP.Pipe(*args, **kwargs)
+
+    def Process(self, *args, **kwargs):
+        proc = MP.Process(*args, **kwargs)
+        fork = proc.start
+
+        def start():
+            locks = [
+                sched_journal._WRITE_LOCK,
+                obs_metrics.registry()._lock,
+                tracer()._lock,
+                pathkernel._KERNELS_LOCK,
+                runner._CACHE_LOCK,
+            ]
+            held, release = threading.Event(), threading.Event()
+
+            def hold():
+                with ExitStack() as stack:
+                    for lock in locks:
+                        stack.enter_context(lock)
+                    held.set()
+                    release.wait(30.0)
+
+            holder = threading.Thread(target=hold, daemon=True)
+            holder.start()
+            assert held.wait(30.0)
+            try:
+                fork()
+            finally:
+                release.set()
+                holder.join(30.0)
+
+        proc.start = start
+        return proc
+
+
+@needs_proc
+class TestJobProcesses:
+    def test_timeout_kills_the_job_and_leaves_nothing_running(
+        self, make_server, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_INJECT_STAGE_FAULT", "ilp:hang:60@PCR")
+        srv, cli = make_server(job_timeout_s=3.0)
+        threads, kids = job_threads(), children_of(os.getpid())
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        status = cli.wait_done(body["id"], timeout_s=60.0)
+        assert status["state"] == "failed"
+        assert status["error"]["kind"] == "timeout"
+        assert job_threads() <= threads, "a timed-out job left a thread running"
+        assert children_of(os.getpid()) <= kids, "a job process outlived its job"
+
+    def test_an_exiting_stage_fails_only_its_own_job(self, make_server, monkeypatch):
+        monkeypatch.setenv("REPRO_INJECT_STAGE_FAULT", "ilp:exit@PCR")
+        srv, cli = make_server()
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        status = cli.wait_done(body["id"])
+        assert status["state"] == "failed"
+        assert status["error"]["kind"] == "crash"
+        assert "code 13" in status["error"]["message"]
+        _, body = cli.json(
+            "POST", "/v1/jobs", {"benchmark": "Kinase-act-1", "config": {"time_limit_s": 20}}
+        )
+        assert cli.wait_done(body["id"])["state"] == "done"
+
+    def test_job_completes_when_other_threads_hold_its_locks_at_fork(
+        self, make_server, monkeypatch
+    ):
+        monkeypatch.setattr(server_module, "MP", HoldLocksAcrossFork())
+        srv, cli = make_server(job_timeout_s=60.0)
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        status = cli.wait_done(body["id"], timeout_s=90.0)
+        assert status["state"] == "done", status.get("error")
+
+    def test_the_server_itself_never_routes_or_solves(self, make_server):
+        srv, cli = make_server()
+        srv.job_metrics = obs_metrics.MetricsRegistry()
+        obs_metrics.reset()
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        assert cli.wait_done(body["id"])["state"] == "done"
+        assert cli.request("GET", f"/v1/jobs/{body['id']}/plan")[0] == 200
+        own = {name for name, _ in obs_metrics.registry()._metrics}
+        assert own and all(name.startswith("pdw_serve_") for name in own), own
+        jobs = {name for name, _ in srv.job_metrics._metrics}
+        assert {
+            "pdw_solver_rung_attempts_total",
+            "pdw_routing_cache_misses_total",
+            "pdw_plan_validations_total",
+        } <= jobs
+
+    def test_metrics_carry_each_jobs_series(self, make_server, tmp_path):
+        # The counts one in-process run of the same job records.
+        obs_metrics.reset()
+        DagExecutor(
+            use_cache=False, workers=1, journal_path=tmp_path / "ref.jsonl"
+        ).run(["PCR"], parse_job(PCR_JOB).config)
+        expected = prom_series(
+            obs_metrics.registry().render_prometheus().encode(),
+            "pdw_plan_validations_total",
+        )
+        assert expected
+        obs_metrics.reset()
+        srv, cli = make_server()
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        assert cli.wait_done(body["id"])["state"] == "done"
+        raw = cli.request("GET", "/metrics")[1]
+        assert prom_series(raw, "pdw_plan_validations_total") == expected
+        assert not prom_series(raw, "pdw_run_cache_hits_total")
+        # Same run, other method: a new job whose child finds the run on
+        # disk, as a fresh `pdw run` on the warm cache would.
+        _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": "dawo"})
+        assert cli.wait_done(body["id"])["state"] == "done"
+        raw = cli.request("GET", "/metrics")[1]
+        assert prom_series(raw, "pdw_run_cache_hits_total") == {'{benchmark="PCR"}': 1.0}
+
+
 class TestShutdown:
     def test_sigterm_subprocess_exits_cleanly(self, tmp_path):
         env = dict(os.environ)
@@ -253,6 +439,38 @@ class TestShutdown:
             out, err = proc.communicate(timeout=30.0)
             assert proc.returncode == 0, f"stderr: {err}"
             assert "shut down cleanly" in out
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+
+    @needs_proc
+    def test_sigterm_with_a_hung_job_kills_and_reaps_it(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+        env["REPRO_INJECT_STAGE_FAULT"] = "ilp:hang:600@PCR"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0", "--workers", "1"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = proc.stdout.readline()
+            cli = Client("127.0.0.1", int(line.rsplit(":", 1)[1]))
+            code, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+            assert code == 201
+            deadline = time.monotonic() + 30.0
+            while not children_of(proc.pid) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            kids = children_of(proc.pid)
+            assert kids, "the job never started its process"
+            started = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            out, err = proc.communicate(timeout=20.0)
+            assert time.monotonic() - started < 20.0
+            assert proc.returncode == 0, f"stderr: {err}"
+            assert "shut down cleanly" in out
+            assert not [pid for pid in kids if Path(f"/proc/{pid}").exists()]
         finally:
             if proc.poll() is None:
                 proc.kill()

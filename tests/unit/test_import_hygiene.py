@@ -99,3 +99,38 @@ def test_a_solve_runs_with_networkx_unimportable(tmp_path):
         tmp_path,
     )
     assert "scipy.optimize" in loaded
+
+
+def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
+    # Job children fork from the multi-threaded server, where an import
+    # could wait forever on a lock another thread held at fork time; so
+    # importing repro.serve must already load everything a job runs.
+    _loaded_after(
+        """
+        import os
+        import sys
+        from repro.assay import graph_to_dict
+        from repro.bench import load_benchmark
+        from repro.obs import metrics
+        from repro.pipeline import ArtifactCache
+        from repro.procutil import MP
+        from repro.serve import parse_job, server
+
+        cache = ArtifactCache(os.environ["REPRO_CACHE_DIR"])
+        assay = graph_to_dict(load_benchmark("Kinase-act-1"))
+        payloads = [{"benchmark": "Kinase-act-1", "method": m} for m in ("pdw", "dawo")]
+        payloads += [{"assay": assay, "method": m} for m in ("pdw", "dawo", "immediate")]
+        before = set(sys.modules)
+        for payload in payloads:
+            spec = parse_job({**payload, "config": {"time_limit_s": 20}})
+            digest, plan = server._plan_job(spec, cache, True, cache.root / "j.jsonl")
+            if digest is not None:
+                server._method_plan(cache.get(digest), spec.method)
+            reader, writer = MP.Pipe(duplex=False)
+            writer.send(("ok", digest, server.canonical_plan_dict(plan), metrics.snapshot()))
+            reader.recv()
+        new = sorted(set(sys.modules) - before)
+        assert not new, new
+        """,
+        tmp_path,
+    )
