@@ -1,11 +1,12 @@
 """A pure-Python branch-and-bound MILP solver.
 
-This is the fallback/teaching backend: LP relaxations are solved with
-``scipy.optimize.linprog`` (HiGHS simplex) and integrality is enforced by
-branching on the most fractional variable.  It is exact but much slower than
-:func:`repro.ilp.solver.solve`; the test suite uses it to cross-check the
-primary backend on small models, and it keeps the library functional on
-SciPy builds without ``milp``.
+This is the fallback/teaching backend: LP relaxations are solved by HiGHS's
+dual simplex through :func:`repro.ilp.highs.run`, called as
+``scipy.optimize.linprog(method="highs")`` called it, and integrality is
+enforced by branching on the most fractional variable.  It is exact but much
+slower than :func:`repro.ilp.solver.solve`; the test suite uses it to
+cross-check the primary backend on small models, and the degradation ladder
+falls back to it when the MILP rungs fail.
 """
 
 from __future__ import annotations
@@ -18,13 +19,20 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
+from repro.ilp.highs import LP_OPTIONS, column_wise, run as run_highs
 from repro.ilp.model import SENSE_CODES, Model
 from repro.ilp.solution import Solution, SolveStatus
 
 #: Tolerance under which a relaxation value counts as integral.
 _INT_TOL = 1e-6
+
+#: How far an "optimal" relaxation may leave its bounds and rows before it
+#: is rejected: ``linprog``'s ``_check_result`` at its default ``tol=1e-9``.
+_LP_CHECK_TOL = math.sqrt(1e-9) * 10
+
+#: No integrality: every relaxation is solved as a pure LP.
+_NO_INTEGRALITY = np.empty(0, dtype=np.uint8)
 
 
 @dataclass(order=True)
@@ -75,7 +83,7 @@ class BranchAndBoundSolver:
         if n == 0:
             return Solution(SolveStatus.OPTIMAL, model.objective.constant, {})
 
-        c, a_ub, b_ub, a_eq, b_eq = self._standard_form(model)
+        c, a, lhs, rhs, n_ub = self._standard_form(model)
         sign = -1.0 if model.objective_sense == "max" else 1.0
         c = sign * c
 
@@ -106,7 +114,7 @@ class BranchAndBoundSolver:
                 continue
             explored += 1
 
-            res = self._solve_lp(c, a_ub, b_ub, a_eq, b_eq, node.lower, node.upper)
+            res = self._solve_lp(c, a, lhs, rhs, n_ub, node.lower, node.upper)
             if res is None:
                 if explored == 1:
                     proven_infeasible_root = True
@@ -173,10 +181,13 @@ class BranchAndBoundSolver:
 
     @staticmethod
     def _standard_form(model: Model):
-        """Split the rows into sparse A_ub x <= b_ub and A_eq x == b_eq.
+        """The rows as ``lhs <= A @ x <= rhs`` with ``A = [A_ub; A_eq]``.
 
         ``>=`` rows are negated into ``<=`` rows; both kinds keep their
-        model order in ``A_ub``, equalities follow in ``A_eq``.
+        model order in the ``n_ub`` leading rows (``lhs = -inf``),
+        equalities follow (``lhs = rhs = b_eq``).  ``A`` is column-wise,
+        as ``linprog`` stacks and converts it.  Returns
+        ``(c, A, lhs, rhs, n_ub)``.
         """
         c = np.zeros(len(model.variables))
         for var, coef in model.objective.terms.items():
@@ -185,29 +196,37 @@ class BranchAndBoundSolver:
         rows = model.row_matrix()
         is_eq = rows.sense == SENSE_CODES["=="]
         ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-        sign = np.where(rows.sense[ub] == SENSE_CODES[">="], -1.0, 1.0)
+        position = np.empty(len(is_eq), dtype=np.int64)  # model row -> stacked row
+        position[np.concatenate((ub, eq))] = np.arange(len(is_eq))
+        sign = np.where(rows.sense == SENSE_CODES[">="], -1.0, 1.0)
+        row_ids = rows.row_ids
+        a = column_wise(
+            position[row_ids], rows.indices, rows.data * sign[row_ids],
+            len(is_eq), len(model.variables),
+        )
 
-        a_ub = b_ub = a_eq = b_eq = None
-        if len(ub):
-            a_ub = rows.a[ub]
-            a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
-            b_ub = sign * rows.rhs[ub]
-        if len(eq):
-            a_eq = rows.a[eq]
-            b_eq = rows.rhs[eq]
-        return c, a_ub, b_ub, a_eq, b_eq
+        b_ub = sign[ub] * rows.rhs[ub]
+        b_eq = rows.rhs[eq]
+        lhs = np.concatenate((np.full(len(ub), -np.inf), b_eq))
+        rhs = np.concatenate((b_ub, b_eq))
+        return c, a, lhs, rhs, len(ub)
 
     @staticmethod
-    def _solve_lp(c, a_ub, b_ub, a_eq, b_eq, lower, upper) -> Optional[Tuple[float, np.ndarray]]:
-        """Solve one LP relaxation; ``None`` if infeasible."""
-        bounds = list(zip(lower, upper))
-        res = linprog(
-            c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-            bounds=bounds, method="highs",
-        )
-        if not res.success:
+    def _solve_lp(c, a, lhs, rhs, n_ub, lower, upper) -> Optional[Tuple[float, np.ndarray]]:
+        """Solve one LP relaxation; ``None`` unless HiGHS proves it optimal
+        and the point passes ``linprog``'s bound and residual check."""
+        res = run_highs(c, a, lhs, rhs, lower, upper, _NO_INTEGRALITY, LP_OPTIONS)
+        if res.status != 0 or res.x is None:
             return None
-        return float(res.fun), np.asarray(res.x)
+        x, tol = res.x, _LP_CHECK_TOL
+        slack = rhs - res.row_value
+        if np.isnan(x).any() or np.isnan(res.fun) or np.isnan(slack).any():
+            return None
+        if not np.all((x >= lower - tol) & (x <= upper + tol)):
+            return None
+        if (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any():
+            return None
+        return float(res.fun), x
 
     @staticmethod
     def _most_fractional(x: np.ndarray, integral: np.ndarray) -> Optional[int]:

@@ -19,9 +19,9 @@ This module provides the two halves of exploiting that:
   :func:`adopt_incumbent` re-keys it onto a freshly built model,
   **verifying it against every constraint** before anyone trusts it.
   The adopted solution warm-starts the branch-and-bound rung (pruning
-  from the first node); HiGHS via ``scipy.optimize.milp`` accepts no
-  starting point, so healthy primary-rung solves remain byte-identical
-  with or without a warm incumbent.
+  from the first node); the HiGHS MILP call passes HiGHS no starting
+  point, so healthy primary-rung solves remain byte-identical with or
+  without a warm incumbent.
 
 Every reuse decision is observable through the
 ``pdw_ilp_warm_start_total{outcome=...}`` counter.

@@ -34,19 +34,38 @@ CoeffsLike = Union[Mapping[Variable, float], Iterable[Tuple[Variable, float]]]
 
 
 class RowMatrix(NamedTuple):
-    """The constraint rows as one CSR matrix: ``lo <= a @ x <= hi``.
+    """The constraint rows as CSR arrays: ``lo <= A @ x <= hi``.
 
-    ``sense`` keeps each row's :data:`SENSE_CODES` entry and ``rhs`` its
-    right-hand side, so readers that need the original orientation
-    (branch-and-bound's ``A_ub``/``A_eq`` split, the LP writer) recover
-    it without guessing from infinite bounds.
+    Row ``i`` of ``A`` holds the coefficients ``data[indptr[i]:indptr[i+1]]``
+    on the columns ``indices[indptr[i]:indptr[i+1]]``, ascending — SciPy's
+    canonical CSR order.  ``sense`` keeps each row's :data:`SENSE_CODES`
+    entry and ``rhs`` its right-hand side, so readers that need the
+    original orientation (branch-and-bound's ``A_ub``/``A_eq`` split, the
+    LP writer) recover it without guessing from infinite bounds.
     """
 
-    a: Any  # scipy.sparse.csr_matrix, rows x variables
+    indptr: Any
+    indices: Any
+    data: Any
     lo: Any
     hi: Any
     sense: Any
     rhs: Any
+
+    @property
+    def row_ids(self) -> Any:
+        """The row of every stored coefficient, in storage order."""
+        import numpy as np
+
+        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
+
+    def activities(self, x) -> Any:
+        """``A @ x``, each row summed in storage order as SciPy's CSR
+        product sums it."""
+        import numpy as np
+
+        products = self.data * x[self.indices]
+        return np.bincount(self.row_ids, weights=products, minlength=len(self.rhs))
 
 
 class Model:
@@ -202,25 +221,26 @@ class Model:
         return len(self.row_names)
 
     def row_matrix(self) -> RowMatrix:
-        """The constraint rows as a CSR matrix with row bounds.
+        """The constraint rows as CSR arrays with row bounds.
 
         The one conversion from the triplet arrays: the HiGHS backend,
         branch-and-bound, :meth:`check_solution` and the LP writer all
-        read rows through it.  The arrays are wrapped zero-copy, so the
-        matrix assembles in C.
+        read rows through it.  A row never holds a variable twice, so
+        lexsorting the triplets by (row, column) gives exactly the CSR
+        arrays ``scipy.sparse.csr_matrix`` would build from them.
         """
         import numpy as np
-        from scipy import sparse
 
         sense = np.asarray(self._sense_codes)
         rhs = np.asarray(self._rhs)
-        a = sparse.csr_matrix(
-            (np.asarray(self._vals), (np.asarray(self._rows), np.asarray(self._cols))),
-            shape=(len(rhs), len(self.variables)),
-        )
+        rows = np.asarray(self._rows)
+        cols = np.asarray(self._cols)
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(len(rhs) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=len(rhs)), out=indptr[1:])
         lo = np.where(sense == SENSE_CODES["<="], -np.inf, rhs)
         hi = np.where(sense == SENSE_CODES[">="], np.inf, rhs)
-        return RowMatrix(a, lo, hi, sense, rhs)
+        return RowMatrix(indptr, cols[order], np.asarray(self._vals)[order], lo, hi, sense, rhs)
 
     # ------------------------------------------------------------------
     # big-M / indicator patterns (Eqs. 2, 3, 8, 19, 20)
@@ -356,14 +376,15 @@ class Model:
     def check_solution(self, solution: Solution, tol: float = 1e-5) -> List[str]:
         """Names (or ``constraint_<i>``) of the rows ``solution`` violates.
 
-        One sparse product evaluates every row; a row is violated when
-        ``a @ x`` leaves ``[lo, hi]`` by more than ``tol``.
+        One pass over the stored coefficients evaluates every row
+        (:meth:`RowMatrix.activities`); a row is violated when ``A @ x``
+        leaves ``[lo, hi]`` by more than ``tol``.
         """
         import numpy as np
 
         rows = self.row_matrix()
         x = np.array([solution.values[var] for var in self.variables], dtype=float)
-        lhs = rows.a @ x
+        lhs = rows.activities(x)
         excess = np.maximum(lhs - rows.hi, rows.lo - lhs)
         return [
             self.row_names[i] or f"constraint_{i}"

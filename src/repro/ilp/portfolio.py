@@ -101,8 +101,8 @@ class SolverPortfolio:
         caller's last-resort assembly takes over.
     incumbent:
         Optional warm-start solution (from an earlier structurally
-        identical solve).  HiGHS via ``scipy.optimize.milp`` cannot
-        accept a starting point, so healthy primary-rung outputs stay
+        identical solve).  The HiGHS MILP call passes HiGHS no
+        starting point, so healthy primary-rung outputs stay
         byte-identical; the branch-and-bound rung is primed with it to
         prune from the first node.
     """

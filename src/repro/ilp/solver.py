@@ -1,10 +1,11 @@
 """HiGHS backend: solve a :class:`~repro.ilp.model.Model` exactly.
 
-``scipy.optimize.milp`` wraps the HiGHS mixed-integer solver, which plays the
-role Gurobi plays in the paper.  The adapter below converts our model into
-the sparse matrix form scipy expects, maps statuses back, and honours a
-wall-clock time limit so runs stay within the paper's 15-minute best-effort
-budget.
+The HiGHS mixed-integer solver plays the role Gurobi plays in the paper.
+The adapter below hands it our model through :func:`repro.ilp.highs.run`
+exactly as ``scipy.optimize.milp`` did (column-wise matrix, ``float64``
+bounds, ``uint8`` integrality, the same options), maps statuses back, and
+honours a wall-clock time limit so runs stay within the paper's 15-minute
+best-effort budget.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import Bounds, LinearConstraint, milp
 
 from repro.errors import SolverError
+from repro.ilp.highs import column_wise, run as run_highs
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -24,7 +25,8 @@ from repro.ilp.solution import Solution, SolveStatus
 #: numerically broken incumbent, not rounding noise.
 _INT_TOL = 1e-6
 
-#: Map from ``scipy.optimize.milp`` status codes to ours.
+#: Map from SciPy's status codes (:attr:`repro.ilp.highs.HighsResult.status`)
+#: to ours.
 _STATUS_MAP = {
     0: SolveStatus.OPTIMAL,
     1: SolveStatus.FEASIBLE,   # iteration/time limit with incumbent
@@ -44,8 +46,13 @@ class HighsOptions:
     node_limit: int | None = None
 
 
-def _build_matrices(model: Model):
-    """Convert the model into (c, integrality, bounds, constraints)."""
+def _milp_arrays(model: Model):
+    """The model as the leading arguments of :func:`repro.ilp.highs.run`.
+
+    Dtypes and matrix layout are those ``scipy.optimize.milp`` passes on:
+    ``float64`` costs and bounds, ``uint8`` integrality, a column-wise
+    matrix.
+    """
     n = len(model.variables)
     c = np.zeros(n)
     for var, coef in model.objective.terms.items():
@@ -54,13 +61,28 @@ def _build_matrices(model: Model):
         c = -c
 
     integrality = np.array(
-        [1 if v.is_integral else 0 for v in model.variables], dtype=np.int8
+        [1 if v.is_integral else 0 for v in model.variables], dtype=np.uint8
     )
-    lower = np.array([v.lb for v in model.variables])
-    upper = np.array([v.ub for v in model.variables])
+    lower = np.array([v.lb for v in model.variables], dtype=np.float64)
+    upper = np.array([v.ub for v in model.variables], dtype=np.float64)
 
     rows = model.row_matrix()
-    return c, integrality, Bounds(lower, upper), LinearConstraint(rows.a, rows.lo, rows.hi)
+    a = column_wise(rows.row_ids, rows.indices, rows.data, len(rows.rhs), n)
+    return c, a, rows.lo, rows.hi, lower, upper, integrality
+
+
+def _highs_options(opts: HighsOptions) -> dict:
+    """The HiGHS option map ``milp`` built from the same settings."""
+    out: dict = {"log_to_console": False}
+    if opts.node_limit is not None:
+        out["mip_max_nodes"] = int(opts.node_limit)
+    if opts.time_limit_s is not None:
+        out["time_limit"] = float(opts.time_limit_s)
+    if opts.mip_gap is not None:
+        out["mip_rel_gap"] = float(opts.mip_gap)
+    if not opts.presolve:
+        out["presolve"] = "off"
+    return out
 
 
 def solve(
@@ -92,27 +114,13 @@ def solve(
         obj = model.objective.constant
         return Solution(SolveStatus.OPTIMAL, objective=obj, values={}, message="empty model")
 
-    c, integrality, bounds, constraints = _build_matrices(model)
-
-    milp_options: dict = {"disp": False}
-    if opts.time_limit_s is not None:
-        milp_options["time_limit"] = float(opts.time_limit_s)
-    if opts.mip_gap is not None:
-        milp_options["mip_rel_gap"] = float(opts.mip_gap)
-    if opts.node_limit is not None:
-        milp_options["node_limit"] = int(opts.node_limit)
-    if not opts.presolve:
-        milp_options["presolve"] = False
+    arrays = _milp_arrays(model)
+    if not np.all(np.isfinite(arrays[0])):
+        raise SolverError("HiGHS backend failed: objective coefficients must be finite")
 
     started = time.perf_counter()
     try:
-        result = milp(
-            c=c,
-            integrality=integrality,
-            bounds=bounds,
-            constraints=() if constraints.A.shape[0] == 0 else constraints,
-            options=milp_options,
-        )
+        result = run_highs(*arrays, _highs_options(opts))
     except Exception as exc:  # pragma: no cover - backend failure
         raise SolverError(f"HiGHS backend failed: {exc}") from exc
     elapsed = time.perf_counter() - started
@@ -124,7 +132,7 @@ def solve(
 
     values = {}
     objective = None
-    gap = getattr(result, "mip_gap", None)
+    gap = result.mip_gap
     if status.has_solution:
         x = np.asarray(result.x)
         for var in model.variables:
@@ -156,5 +164,5 @@ def solve(
         values=values,
         solve_time_s=elapsed,
         mip_gap=float(gap) if gap is not None else None,
-        message=str(getattr(result, "message", "")),
+        message=result.message,
     )

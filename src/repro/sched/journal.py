@@ -41,11 +41,23 @@ def append_record(path: Path, record: dict) -> None:
             fh.write(line)
 
 
-def read_records(path: Path) -> List[dict]:
-    """Parsed journal records, skipping malformed (truncated) lines."""
+def journal_size(path: Path) -> int:
+    """The journal's length in bytes now (0 when it does not exist yet): an
+    offset :func:`read_records` can later start from."""
+    try:
+        return Path(path).stat().st_size
+    except OSError:
+        return 0
+
+
+def read_records(path: Path, offset: int = 0) -> List[dict]:
+    """Parsed journal records from byte ``offset`` on, skipping malformed
+    (truncated) lines."""
     records: List[dict] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with Path(path).open("rb") as fh:
+            fh.seek(offset)
+            text = fh.read().decode("utf-8", errors="replace")
     except OSError:
         return records
     for line in text.splitlines():

@@ -65,6 +65,9 @@ class Job:
     run_digest: Optional[str] = None
     #: In-memory canonical plan dict (fallback when the disk cache is off).
     plan: Optional[Dict[str, Any]] = None
+    #: Journal length when the job started, before its child was forked:
+    #: progress polls read only the records appended after it.
+    journal_offset: int = 0
 
     def status_dict(self, progress: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         """The ``GET /v1/jobs/<id>`` response body."""

@@ -254,6 +254,8 @@ class JobServer:
                     self._count_job("cancelled")
                     self._journal_serve("cancel", job)
                 continue
+            # Set before the job reads as running, so no poll sees offset 0.
+            job.journal_offset = sched_journal.journal_size(self.journal_path)
             self.store.mark_running(job)
             self._journal_serve("start", job)
             self._set_queue_gauge()
@@ -352,7 +354,7 @@ class JobServer:
         progress = None
         if job.state == "running":
             progress = job_progress(
-                job, sched_journal.read_records(self.journal_path)
+                job, sched_journal.read_records(self.journal_path, job.journal_offset)
             )
         return job.status_dict(progress)
 

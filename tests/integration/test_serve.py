@@ -419,6 +419,64 @@ class TestJobProcesses:
         assert prom_series(raw, "pdw_run_cache_hits_total") == {'{benchmark="PCR"}': 1.0}
 
 
+class TestProgress:
+    def test_polls_read_only_the_journal_tail_after_the_fork(
+        self, make_server, monkeypatch, tmp_path
+    ):
+        # A long journal of earlier PCR records, stamped late enough that
+        # the timestamp filter alone would count them all.
+        srv, cli = make_server()
+        prefix = 5000
+        late = time.time() + 3600.0
+        srv.journal_path.parent.mkdir(parents=True, exist_ok=True)
+        with srv.journal_path.open("w", encoding="utf-8") as fh:
+            for i in range(prefix):
+                record = {"event": "node_success", "benchmark": "PCR",
+                          "method": "pdw", "stage": f"old-{i}", "ts": late}
+                fh.write(json.dumps(record) + "\n")
+        prefix_bytes = srv.journal_path.stat().st_size
+        gate = tmp_path / "go"
+
+        def fake_plan_job(spec, cache, use_cache, journal_path):
+            for stage in ("synth", "clusters", "pathgen"):
+                sched_journal.append_record(journal_path, {
+                    "event": "node_success", "benchmark": "PCR",
+                    "method": "pdw", "stage": stage,
+                })
+            deadline = time.monotonic() + 60.0
+            while not gate.exists() and time.monotonic() < deadline:
+                time.sleep(0.05)
+            raise server_module.JobFailure("error", "released")
+
+        reads = []
+        read_records = sched_journal.read_records
+
+        def spy(path, offset=0):
+            records = read_records(path, offset)
+            reads.append((offset, len(records)))
+            return records
+
+        monkeypatch.setattr(server_module, "_plan_job", fake_plan_job)
+        monkeypatch.setattr(server_module.sched_journal, "read_records", spy)
+        try:
+            _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+            deadline = time.monotonic() + 30.0
+            progress = None
+            while time.monotonic() < deadline:
+                status = cli.json("GET", f"/v1/jobs/{body['id']}")[1]
+                progress = status.get("progress")
+                if progress and progress["nodes_done"] == 3:
+                    break
+                time.sleep(0.05)
+            assert progress == {"nodes_done": 3, "nodes_total": 11}
+        finally:
+            gate.touch()
+        assert cli.wait_done(body["id"])["state"] == "failed"
+        assert reads
+        assert all(offset >= prefix_bytes for offset, _ in reads)
+        assert all(count < 10 for _, count in reads)
+
+
 class TestShutdown:
     def test_sigterm_subprocess_exits_cleanly(self, tmp_path):
         env = dict(os.environ)

@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.ilp import Model, write_lp
+from tests.ilpmodels import scheduling_model
 
 
 @pytest.fixture
@@ -81,27 +82,6 @@ class TestLpWriter:
         assert "0 <= x <= 10.000001" in text
 
 
-def _scheduling_model(name):
-    """The PDW scheduling ILP of a Table II benchmark, built, not solved."""
-    from repro.bench import benchmark, load_benchmark
-    from repro.core import PDWConfig
-    from repro.core.schedule_ilp import WashScheduleIlp
-    from repro.core.stages import PDW_PIPELINE, PDWContext
-    from repro.synth import synthesize
-
-    synthesis = synthesize(load_benchmark(name), inventory=benchmark(name).inventory)
-    ctx = PDWContext(synthesis=synthesis, config=PDWConfig())
-    for stage in PDW_PIPELINE:
-        if stage.provides == "outcome":
-            break
-        stage.apply(ctx, stage.compute(ctx))
-    ilp = WashScheduleIlp(
-        synthesis.chip, synthesis.schedule, ctx.clusters, ctx.candidates, ctx.config
-    )
-    ilp.ensure_built()
-    return ilp.model
-
-
 def _parse_terms(body):
     """``[(name, coefficient)]`` of an LP-format sum."""
     if body == "0":
@@ -125,7 +105,7 @@ def _parse_terms(body):
 
 @pytest.mark.parametrize("benchmark_name", ["PCR", "IVD"])
 def test_lp_text_round_trips_the_scheduling_model(benchmark_name):
-    model = _scheduling_model(benchmark_name)
+    model = scheduling_model(benchmark_name)
     lines = write_lp(model).splitlines()
     start, end = lines.index("Subject To"), lines.index("Bounds")
 
@@ -149,8 +129,8 @@ def test_lp_text_round_trips_the_scheduling_model(benchmark_name):
     assert len(constraint_lines) == model.num_rows
     for i, line in enumerate(constraint_lines):
         body, sense, rhs = line.split(": ", 1)[1].rsplit(" ", 2)
-        span = slice(rows.a.indptr[i], rows.a.indptr[i + 1])
-        want = list(zip(rows.a.indices[span].tolist(), rows.a.data[span].tolist()))
+        span = slice(rows.indptr[i], rows.indptr[i + 1])
+        want = list(zip(rows.indices[span].tolist(), rows.data[span].tolist()))
         assert [(index[n], c) for n, c in _parse_terms(body)] == want, line
         assert sense == sense_tokens[int(rows.sense[i])], line
         assert float(rhs) == rows.rhs[i], line

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import ModelError
 from repro.ilp import LinExpr, Model, SolveStatus
-from repro.ilp.solver import _build_matrices
 
 
 class TestModelConstruction:
@@ -48,11 +47,28 @@ class TestModelConstruction:
         assert m.num_rows == 2
 
 
+def dense_rows(model):
+    """The constraint matrix of ``model`` as a dense array."""
+    rows = model.row_matrix()
+    a = np.zeros((model.num_rows, len(model.variables)))
+    a[rows.row_ids, rows.indices] = rows.data
+    return a
+
+
 def _matrices(model):
     """Dense (c, integrality, lb, ub, A, lo, hi) of a model."""
-    c, integrality, bounds, lin = _build_matrices(model)
+    c = np.zeros(len(model.variables))
+    for var, coef in model.objective.terms.items():
+        c[var.index] += coef
+    rows = model.row_matrix()
     return (
-        c, integrality, bounds.lb, bounds.ub, lin.A.toarray(), lin.lb, lin.ub
+        c,
+        np.array([v.is_integral for v in model.variables]),
+        np.array([v.lb for v in model.variables]),
+        np.array([v.ub for v in model.variables]),
+        dense_rows(model),
+        rows.lo,
+        rows.hi,
     )
 
 
@@ -63,7 +79,7 @@ def assert_same_matrices(m1, m2):
 
 def row_terms(model, row):
     """``{variable name: coefficient}`` of one CSR row."""
-    a = model.row_matrix().a
+    a = model.row_matrix()
     span = slice(a.indptr[row], a.indptr[row + 1])
     return {
         model.variables[col].name: coef
@@ -95,8 +111,8 @@ class TestAddLinearConstraint:
         op, batch = m_op.row_matrix(), m_b.row_matrix()
         np.testing.assert_array_equal(op.sense, batch.sense)
         np.testing.assert_array_equal(op.rhs, batch.rhs)
-        np.testing.assert_array_equal(op.a.indptr, batch.a.indptr)
-        np.testing.assert_array_equal(op.a.indices, batch.a.indices)
+        np.testing.assert_array_equal(op.indptr, batch.indptr)
+        np.testing.assert_array_equal(op.indices, batch.indices)
         assert m_op.row_names == m_b.row_names == ["c0", "c1", "c2"]
 
     def test_duplicate_coefficients_merge(self):
@@ -111,7 +127,7 @@ class TestAddLinearConstraint:
         y = m.add_continuous_var("y")
         row = m.add_linear_constraint([(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 6)
         assert row_terms(m, row) == {"y": 2.0}
-        assert m.row_matrix().a.nnz == 1
+        assert m.row_matrix().data.size == 1
 
     def test_operator_path_drops_cancelled_coefficients(self):
         m = Model()
@@ -119,7 +135,7 @@ class TestAddLinearConstraint:
         y = m.add_continuous_var("y")
         row = m.add_constr(x + 2 * y - x <= 6)
         assert row_terms(m, row) == {"y": 2.0}
-        assert m.row_matrix().a.nnz == 1
+        assert m.row_matrix().data.size == 1
 
     def test_unknown_sense_rejected(self):
         m = Model()
@@ -142,7 +158,7 @@ class TestAddLinearConstraint:
         with pytest.raises(ModelError):
             m2.add_constr(y + x <= 1)
         assert m2.num_rows == 0
-        assert m2.row_matrix().a.nnz == 0
+        assert m2.row_matrix().data.size == 0
 
     def test_mapping_accepted(self):
         m = Model()
@@ -161,12 +177,12 @@ class TestAddLinearConstraint:
         assert m.add_linear_constraint([(x, 1.0)], ">=", 2) == 1
         assert m.add_constr(LinExpr.from_any(x) == 4) == 2
         rows = m.row_matrix()
-        assert rows.a.shape == (3, 1)
+        assert dense_rows(m).shape == (3, 1)
         assert rows.sense.tolist() == [0, 1, 2]
         assert rows.rhs.tolist() == [7.0, 2.0, 4.0]
         assert rows.lo.tolist() == [-np.inf, 2.0, 4.0]
         assert rows.hi.tolist() == [7.0, np.inf, 4.0]
-        assert rows.a.toarray().tolist() == [[1.0], [1.0], [1.0]]
+        assert dense_rows(m).tolist() == [[1.0], [1.0], [1.0]]
         assert m.row_names == ["cap", "", ""]
         assert m.num_rows == 3
 

@@ -72,12 +72,11 @@ class TestStatuses:
         assert not SolveStatus.ERROR.has_solution
 
 
-class _FakeMilpResult:
-    def __init__(self, status, x, mip_gap=None, message="fake"):
-        self.status = status
-        self.x = x
-        self.mip_gap = mip_gap
-        self.message = message
+def _fake_highs_result(status, x, mip_gap=None, message="fake"):
+    """A :class:`~repro.ilp.highs.HighsResult` as the binding might return it."""
+    from repro.ilp.highs import HighsResult
+
+    return HighsResult(status, message, x=x, mip_gap=mip_gap)
 
 
 class TestBrokenBackendResults:
@@ -86,7 +85,7 @@ class TestBrokenBackendResults:
     def _solve_with_fake(self, monkeypatch, result):
         import repro.ilp.solver as solver_mod
 
-        monkeypatch.setattr(solver_mod, "milp", lambda **kwargs: result)
+        monkeypatch.setattr(solver_mod, "run_highs", lambda *args: result)
         m = Model()
         m.add_integer_var("x", 0, 10)
         m.set_objective(LinExpr({}, 0.0))
@@ -94,7 +93,7 @@ class TestBrokenBackendResults:
 
     def test_fractional_integral_value_downgraded_to_error(self, monkeypatch):
         sol = self._solve_with_fake(
-            monkeypatch, _FakeMilpResult(status=0, x=np.array([0.49]))
+            monkeypatch, _fake_highs_result(status=0, x=np.array([0.49]))
         )
         assert sol.status is SolveStatus.ERROR
         assert "integrality violated" in sol.message
@@ -102,14 +101,14 @@ class TestBrokenBackendResults:
 
     def test_rounding_noise_within_tolerance_accepted(self, monkeypatch):
         sol = self._solve_with_fake(
-            monkeypatch, _FakeMilpResult(status=0, x=np.array([2.9999999995]))
+            monkeypatch, _fake_highs_result(status=0, x=np.array([2.9999999995]))
         )
         assert sol.status is SolveStatus.OPTIMAL
         assert list(sol.values.values()) == [3.0]
 
     def test_limit_without_incumbent_is_error(self, monkeypatch):
         # HiGHS reports status 1 (limit) but delivers no point at all.
-        sol = self._solve_with_fake(monkeypatch, _FakeMilpResult(status=1, x=None))
+        sol = self._solve_with_fake(monkeypatch, _fake_highs_result(status=1, x=None))
         assert sol.status is SolveStatus.ERROR
         assert not sol.status.has_solution
 
@@ -158,11 +157,11 @@ class TestOptionOverrideMerge:
 
         captured = {}
 
-        def fake_milp(**kwargs):
-            captured.update(kwargs["options"])
-            return _FakeMilpResult(status=0, x=np.array([0.0]))
+        def fake_run_highs(*args):
+            captured.update(args[-1])  # the HiGHS option map
+            return _fake_highs_result(status=0, x=np.array([0.0]))
 
-        monkeypatch.setattr(solver_mod, "milp", fake_milp)
+        monkeypatch.setattr(solver_mod, "run_highs", fake_run_highs)
         m = Model()
         m.add_integer_var("x", 0, 10)
         m.set_objective(LinExpr({}, 0.0))
@@ -199,4 +198,4 @@ class TestOptionOverrideMerge:
         )
         assert opts["time_limit"] == pytest.approx(3.0)
         assert opts["mip_rel_gap"] == pytest.approx(0.05)
-        assert opts["presolve"] is False
+        assert opts["presolve"] == "off"

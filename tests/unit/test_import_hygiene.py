@@ -8,7 +8,9 @@ since imported the whole stack.
   numpy, scipy or networkx.
 * The modules that fork suite workers or announce ``pdw serve`` readiness
   must load the solve stack at import, so forked workers inherit it and the
-  first served job does not pay for it.
+  first served job does not pay for it.  That stack is numpy plus SciPy's
+  HiGHS binding (:mod:`repro.ilp.highs`): ``scipy.optimize`` and
+  ``scipy.sparse`` stay unloaded.
 * networkx is a test-only dependency: no runtime module loads it, the
   solving ones included.
 """
@@ -30,10 +32,13 @@ SRC = str(Path(repro.__file__).resolve().parents[1])
 
 HEAVY = ("numpy", "scipy", "networkx")
 
+#: SciPy's HiGHS binding, loaded without ``scipy.optimize``.
+BINDING = "scipy.optimize._highspy._core"
 
-def _loaded_after(code: str, tmp_path: Path) -> set:
-    """Run ``code`` in a fresh interpreter; the top-level modules it left
-    loaded."""
+
+def _loaded_after(code: str, tmp_path: Path, **environ: str) -> set:
+    """Run ``code`` in a fresh interpreter, with ``environ`` added to the
+    environment; the names of the modules it left loaded."""
     script = textwrap.dedent(code) + textwrap.dedent(
         """
         import json as _json, sys as _sys
@@ -43,6 +48,7 @@ def _loaded_after(code: str, tmp_path: Path) -> set:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["REPRO_CACHE_DIR"] = str(tmp_path / "cache")
+    env.update(environ)
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True,
         env=env, timeout=120,
@@ -84,21 +90,31 @@ def test_non_solving_entry_points_skip_the_solver_stack(code, tmp_path):
 )
 def test_forking_and_serving_modules_load_the_solver_eagerly(module, tmp_path):
     loaded = _loaded_after(f"import {module}", tmp_path)
-    assert "scipy.optimize" in loaded
-    assert "networkx" not in loaded
+    assert "numpy" in loaded
+    assert BINDING in loaded
+    assert not [m for m in ("scipy.optimize", "scipy.sparse", "networkx") if m in loaded]
 
 
-def test_a_solve_runs_with_networkx_unimportable(tmp_path):
-    loaded = _loaded_after(
+def _solve_without_networkx_or_scipy_optimize(tmp_path, force: str) -> set:
+    return _loaded_after(
         """
         import sys
-        sys.modules["networkx"] = None  # any import of it now raises
+        for name in ("networkx", "scipy.optimize", "scipy.sparse"):
+            sys.modules[name] = None  # any import of it now raises
         from repro.cli import main
         assert main(["run", "PCR", "--no-cache"]) == 0
         """,
         tmp_path,
+        REPRO_FORCE_SOLVER=force,
     )
-    assert "scipy.optimize" in loaded
+
+
+def test_a_solve_runs_with_networkx_unimportable(tmp_path):
+    assert BINDING in _solve_without_networkx_or_scipy_optimize(tmp_path, "")
+
+
+def test_a_branch_and_bound_solve_runs_with_networkx_unimportable(tmp_path):
+    assert BINDING in _solve_without_networkx_or_scipy_optimize(tmp_path, "branch_bound")
 
 
 def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
