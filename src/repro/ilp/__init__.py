@@ -8,14 +8,16 @@ equivalent substrate without proprietary dependencies:
 * :class:`~repro.ilp.model.Model` — constraint container with big-M /
   indicator helpers used by the scheduling formulation (Eqs. 1-26); its
   rows live once, as triplet arrays that
-  :meth:`~repro.ilp.model.Model.row_matrix` turns into numpy CSR arrays,
+  :meth:`~repro.ilp.model.Model.row_matrix` turns into ``array.array``
+  CSR buffers,
 * :func:`~repro.ilp.solver.solve` — exact solve by the HiGHS MILP solver,
   with time limits and best-effort status reporting,
 * :class:`~repro.ilp.branch_bound.BranchAndBoundSolver` — a pure-Python
   branch-and-bound fallback whose LP relaxations HiGHS's dual simplex
   solves, useful for testing and as the ladder's last solving rung,
 * :mod:`~repro.ilp.highs` — the one HiGHS entry point for both: SciPy's
-  bundled binding, loaded without importing ``scipy.optimize``,
+  bundled binding, loaded without importing ``scipy.optimize`` and handed
+  each problem as an EMS file, so no module here imports numpy,
 * :class:`~repro.ilp.portfolio.SolverPortfolio` — the budgeted degradation
   ladder (HiGHS → relaxed retry → branch-and-bound) with per-rung
   :class:`~repro.ilp.portfolio.RungAttempt` instrumentation and

@@ -1,12 +1,13 @@
 """A pure-Python branch-and-bound MILP solver.
 
 This is the fallback/teaching backend: LP relaxations are solved by HiGHS's
-dual simplex through :func:`repro.ilp.highs.run`, called as
-``scipy.optimize.linprog(method="highs")`` called it, and integrality is
-enforced by branching on the most fractional variable.  It is exact but much
-slower than :func:`repro.ilp.solver.solve`; the test suite uses it to
-cross-check the primary backend on small models, and the degradation ladder
-falls back to it when the MILP rungs fail.
+dual simplex through :func:`repro.ilp.highs.run`, handed the problem
+``scipy.optimize.linprog(method="highs")`` handed it, and integrality is
+enforced by branching on the most fractional variable.  The problem's EMS
+text is rendered once per solve; each node writes only its column bounds.
+It is exact but much slower than :func:`repro.ilp.solver.solve`; the test
+suite uses it to cross-check the primary backend on small models, and the
+degradation ladder falls back to it when the MILP rungs fail.
 """
 
 from __future__ import annotations
@@ -15,12 +16,11 @@ import heapq
 import itertools
 import math
 import time
+from array import array
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.ilp.highs import LP_OPTIONS, column_wise, run as run_highs
+from repro.ilp.highs import LP_OPTIONS, Problem, RenderedProblem, column_wise, run as run_highs
 from repro.ilp.model import SENSE_CODES, Model
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -31,9 +31,6 @@ _INT_TOL = 1e-6
 #: is rejected: ``linprog``'s ``_check_result`` at its default ``tol=1e-9``.
 _LP_CHECK_TOL = math.sqrt(1e-9) * 10
 
-#: No integrality: every relaxation is solved as a pure LP.
-_NO_INTEGRALITY = np.empty(0, dtype=np.uint8)
-
 
 @dataclass(order=True)
 class _Node:
@@ -41,8 +38,8 @@ class _Node:
 
     bound: float
     counter: int
-    lower: np.ndarray = None  # type: ignore[assignment]
-    upper: np.ndarray = None  # type: ignore[assignment]
+    lower: List[float] = None  # type: ignore[assignment]
+    upper: List[float] = None  # type: ignore[assignment]
 
 
 class BranchAndBoundSolver:
@@ -83,26 +80,25 @@ class BranchAndBoundSolver:
         if n == 0:
             return Solution(SolveStatus.OPTIMAL, model.objective.constant, {})
 
-        c, a, lhs, rhs, n_ub = self._standard_form(model)
         sign = -1.0 if model.objective_sense == "max" else 1.0
-        c = sign * c
+        lp, c, rhs, n_ub = self._standard_form(model, sign)
 
-        integral = np.array([v.is_integral for v in model.variables])
-        root_lower = np.array([v.lb for v in model.variables])
-        root_upper = np.array([v.ub for v in model.variables])
+        integral = [v.index for v in model.variables if v.is_integral]
+        root_lower = [float(v.lb) for v in model.variables]
+        root_upper = [float(v.ub) for v in model.variables]
 
         counter = itertools.count()
         heap: List[_Node] = []
         root_bound = -math.inf
         heapq.heappush(_heap := heap, _Node(root_bound, next(counter), root_lower, root_upper))
 
-        best_x: Optional[np.ndarray] = None
+        best_x: Optional[List[float]] = None
         best_obj = math.inf
         if incumbent is not None and incumbent.status.has_solution:
             warm = self._warm_point(model, incumbent)
             if warm is not None:
                 best_x = warm
-                best_obj = float(c @ warm)
+                best_obj = math.fsum(coef * value for coef, value in zip(c, warm))
         explored = 0
         proven_infeasible_root = False
 
@@ -114,7 +110,7 @@ class BranchAndBoundSolver:
                 continue
             explored += 1
 
-            res = self._solve_lp(c, a, lhs, rhs, n_ub, node.lower, node.upper)
+            res = self._solve_lp(lp, rhs, n_ub, node.lower, node.upper)
             if res is None:
                 if explored == 1:
                     proven_infeasible_root = True
@@ -130,13 +126,13 @@ class BranchAndBoundSolver:
 
             value = x[frac_idx]
             down_upper = node.upper.copy()
-            down_upper[frac_idx] = math.floor(value)
+            down_upper[frac_idx] = float(math.floor(value))
             up_lower = node.lower.copy()
-            up_lower[frac_idx] = math.ceil(value)
+            up_lower[frac_idx] = float(math.ceil(value))
             if node.lower[frac_idx] <= down_upper[frac_idx]:
-                heapq.heappush(heap, _Node(obj, next(counter), node.lower.copy(), down_upper))
+                heapq.heappush(heap, _Node(obj, next(counter), node.lower, down_upper))
             if up_lower[frac_idx] <= node.upper[frac_idx]:
-                heapq.heappush(heap, _Node(obj, next(counter), up_lower, node.upper.copy()))
+                heapq.heappush(heap, _Node(obj, next(counter), up_lower, node.upper))
 
         elapsed = time.perf_counter() - started
         if best_x is None:
@@ -169,9 +165,9 @@ class BranchAndBoundSolver:
     # -- internals ----------------------------------------------------------
 
     @staticmethod
-    def _warm_point(model: Model, incumbent: Solution) -> Optional[np.ndarray]:
+    def _warm_point(model: Model, incumbent: Solution) -> Optional[List[float]]:
         """The incumbent as a dense point in this model's variable order."""
-        x = np.zeros(len(model.variables))
+        x = [0.0] * len(model.variables)
         for var in model.variables:
             value = incumbent.values.get(var)
             if value is None:
@@ -180,60 +176,67 @@ class BranchAndBoundSolver:
         return x
 
     @staticmethod
-    def _standard_form(model: Model):
+    def _standard_form(model: Model, sign: float):
         """The rows as ``lhs <= A @ x <= rhs`` with ``A = [A_ub; A_eq]``.
 
         ``>=`` rows are negated into ``<=`` rows; both kinds keep their
         model order in the ``n_ub`` leading rows (``lhs = -inf``),
-        equalities follow (``lhs = rhs = b_eq``).  ``A`` is column-wise,
-        as ``linprog`` stacks and converts it.  Returns
-        ``(c, A, lhs, rhs, n_ub)``.
+        equalities follow (``lhs = rhs = b_eq``), as ``linprog`` stacks
+        them.  The objective is ``sign * c``.  Returns the rendered
+        :class:`~repro.ilp.highs.Problem`, the objective, ``rhs`` and
+        ``n_ub``.
         """
-        c = np.zeros(len(model.variables))
+        c = array("d", [0.0]) * len(model.variables)
         for var, coef in model.objective.terms.items():
             c[var.index] += coef
+        c = array("d", [sign * coef for coef in c])
 
         rows = model.row_matrix()
-        is_eq = rows.sense == SENSE_CODES["=="]
-        ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-        position = np.empty(len(is_eq), dtype=np.int64)  # model row -> stacked row
-        position[np.concatenate((ub, eq))] = np.arange(len(is_eq))
-        sign = np.where(rows.sense == SENSE_CODES[">="], -1.0, 1.0)
-        row_ids = rows.row_ids
-        a = column_wise(
-            position[row_ids], rows.indices, rows.data * sign[row_ids],
-            len(is_eq), len(model.variables),
-        )
-
-        b_ub = sign[ub] * rows.rhs[ub]
-        b_eq = rows.rhs[eq]
-        lhs = np.concatenate((np.full(len(ub), -np.inf), b_eq))
-        rhs = np.concatenate((b_ub, b_eq))
-        return c, a, lhs, rhs, len(ub)
+        eq_code, ge_code = SENSE_CODES["=="], SENSE_CODES[">="]
+        ub = [i for i, code in enumerate(rows.sense) if code != eq_code]
+        eq = [i for i, code in enumerate(rows.sense) if code == eq_code]
+        indptr, indices, data = array("q", [0]), array("q"), array("d")
+        lhs, rhs = array("d"), array("d")
+        for i in ub + eq:
+            begin, end = rows.indptr[i], rows.indptr[i + 1]
+            indices.extend(rows.indices[begin:end])
+            if rows.sense[i] == ge_code:
+                data.extend([-value for value in rows.data[begin:end]])
+                rhs.append(-rows.rhs[i])
+            else:
+                data.extend(rows.data[begin:end])
+                rhs.append(rows.rhs[i])
+            lhs.append(rows.rhs[i] if rows.sense[i] == eq_code else -math.inf)
+            indptr.append(len(indices))
+        a = column_wise(indptr, indices, data, len(model.variables))
+        return Problem(c, a, lhs, rhs).rendered(), c, rhs, len(ub)
 
     @staticmethod
-    def _solve_lp(c, a, lhs, rhs, n_ub, lower, upper) -> Optional[Tuple[float, np.ndarray]]:
+    def _solve_lp(
+        lp: RenderedProblem, rhs: Sequence[float], n_ub: int,
+        lower: List[float], upper: List[float],
+    ) -> Optional[Tuple[float, List[float]]]:
         """Solve one LP relaxation; ``None`` unless HiGHS proves it optimal
         and the point passes ``linprog``'s bound and residual check."""
-        res = run_highs(c, a, lhs, rhs, lower, upper, _NO_INTEGRALITY, LP_OPTIONS)
+        res = run_highs(lp, lower, upper, LP_OPTIONS)
         if res.status != 0 or res.x is None:
             return None
         x, tol = res.x, _LP_CHECK_TOL
-        slack = rhs - res.row_value
-        if np.isnan(x).any() or np.isnan(res.fun) or np.isnan(slack).any():
+        slack = [b - value for b, value in zip(rhs, res.row_value)]
+        if any(map(math.isnan, x)) or math.isnan(res.fun) or any(map(math.isnan, slack)):
             return None
-        if not np.all((x >= lower - tol) & (x <= upper + tol)):
+        if not all(lo - tol <= v <= hi + tol for v, lo, hi in zip(x, lower, upper)):
             return None
-        if (slack[:n_ub] < -tol).any() or (np.abs(slack[n_ub:]) > tol).any():
+        if any(s < -tol for s in slack[:n_ub]) or any(abs(s) > tol for s in slack[n_ub:]):
             return None
         return float(res.fun), x
 
     @staticmethod
-    def _most_fractional(x: np.ndarray, integral: np.ndarray) -> Optional[int]:
+    def _most_fractional(x: List[float], integral: List[int]) -> Optional[int]:
         """Index of the integral variable farthest from an integer value."""
         best_idx, best_dist = None, _INT_TOL
-        for i in np.nonzero(integral)[0]:
+        for i in integral:
             dist = abs(x[i] - round(x[i]))
             if dist > best_dist:
-                best_idx, best_dist = int(i), dist
+                best_idx, best_dist = i, dist
         return best_idx

@@ -1,31 +1,39 @@
-"""The one HiGHS entry point: SciPy's bundled binding, without ``scipy.optimize``.
+"""The one HiGHS entry point: SciPy's bundled binding, fed an EMS file.
 
 SciPy ships HiGHS as the extension module ``scipy/optimize/_highspy/_core``
-(the ``Highs``/``HighsLp``/``HighsOptions`` classes).  Importing it the
-usual way runs ``scipy/optimize/__init__.py``, which loads ``scipy.sparse``
-and the rest of ``scipy.optimize`` — about 49 MB and 0.7 s of import CPU
-spent to reach one 6.7 MB binding (docs/PERFORMANCE.md "Where peak memory
-goes").  :func:`_load_binding` loads the file directly under its canonical
-module name instead, so a later ``import scipy.optimize`` reuses it.
+(the ``Highs``/``HighsOptions`` classes).  Importing it the usual way runs
+``scipy/optimize/__init__.py``, which loads ``scipy.sparse`` and the rest
+of ``scipy.optimize`` — about 49 MB and 0.7 s of import CPU spent to reach
+one 6.7 MB binding (docs/PERFORMANCE.md "Where peak memory goes").
+:func:`_load_binding` loads the file directly under its canonical module
+name instead, so a later ``import scipy.optimize`` reuses it.
 
 :func:`run` hands HiGHS one problem ``min c @ x  s.t.  row_lower <= A @ x
-<= row_upper,  col_lower <= x <= col_upper`` exactly as SciPy's
-``_highs_wrapper`` does, and maps the outcome the way
-``_highs_to_scipy_status_message`` does.  Both solver rungs go through it:
-:mod:`repro.ilp.solver` (the MILP, as ``scipy.optimize.milp`` called it) and
-:mod:`repro.ilp.branch_bound` (its LP relaxations, as
-``scipy.optimize.linprog(method="highs")`` called it).
+<= row_upper,  col_lower <= x <= col_upper`` as a private temporary file
+in HiGHS's own array format, EMS, and maps the outcome the way SciPy's
+``_highs_to_scipy_status_message`` does.  The binding's ``HighsLp``
+setters take numpy arrays, and touching any of them imports numpy;
+``readModel`` and ``getSolution`` do not, so no planning process loads
+numpy (docs/PERFORMANCE.md "HiGHS through an EMS file").  ``readModel``
+hands the parsed model to the same ``passModel`` a ``HighsLp`` went
+through, so HiGHS solves the very problem ``scipy.optimize.milp`` and
+``linprog(method="highs")`` gave it.  Both solver rungs go through
+:func:`run`: :mod:`repro.ilp.solver` (the MILP) and
+:mod:`repro.ilp.branch_bound` (its LP relaxations).
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import io
+import math
 import os
 import sys
-from typing import Any, Mapping, NamedTuple, Optional
-
-import numpy as np
+import tempfile
+from array import array
+from itertools import accumulate
+from typing import Any, List, Mapping, NamedTuple, Optional, Sequence, TextIO
 
 from repro.errors import SolverError
 
@@ -122,19 +130,126 @@ class ColumnMatrix(NamedTuple):
     gives for a CSR matrix without duplicate entries.
     """
 
-    start: np.ndarray
-    index: np.ndarray
-    value: np.ndarray
+    start: array
+    index: array
+    value: array
     num_row: int
 
 
-def column_wise(rows, cols, values, num_row: int, num_col: int) -> ColumnMatrix:
-    """The entries ``(rows[k], cols[k], values[k])`` — at most one per
-    position — as a :class:`ColumnMatrix`, explicit zeros kept."""
-    order = np.lexsort((rows, cols))
-    start = np.zeros(num_col + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cols, minlength=num_col), out=start[1:])
-    return ColumnMatrix(start, rows[order], values[order], num_row)
+def column_wise(indptr, indices, data, num_col: int) -> ColumnMatrix:
+    """The CSR matrix ``(indptr, indices, data)`` as a :class:`ColumnMatrix`.
+
+    A counting sort by column: visiting the rows in order keeps each
+    column's rows ascending.  Explicit zeros are kept.
+    """
+    counts = array("q", [0]) * (num_col + 1)
+    for j in indices:
+        counts[j + 1] += 1
+    start = array("q", accumulate(counts))
+    fill = start[:-1]
+    index = array("q", [0]) * len(indices)
+    value = array("d", [0.0]) * len(indices)
+    for row in range(len(indptr) - 1):
+        for k in range(indptr[row], indptr[row + 1]):
+            j = indices[k]
+            slot = fill[j]
+            fill[j] = slot + 1
+            index[slot] = row
+            value[slot] = data[k]
+    return ColumnMatrix(start, index, value, len(indptr) - 1)
+
+
+#: Numbers per write while streaming one EMS line.
+_CHUNK = 4096
+
+
+def _bound(value: float) -> str:
+    """A bound as EMS text.  The reader cannot parse ``inf``; HiGHS treats
+    any bound at or past ``infinite_bound`` (1e20) as infinite."""
+    if value == math.inf:
+        return "1e300"
+    if value == -math.inf:
+        return "-1e300"
+    return repr(value)
+
+
+def _write_line(out: TextIO, values: Sequence, text=repr) -> None:
+    """``values`` as one space-separated EMS line, streamed in chunks."""
+    for i in range(0, len(values), _CHUNK):
+        out.write(" ".join(map(text, values[i:i + _CHUNK])))
+        out.write(" ")
+    out.write("\n")
+
+
+class Problem(NamedTuple):
+    """``min c @ x  s.t.  row_lower <= A @ x <= row_upper`` in EMS terms.
+
+    The column bounds are left open: :func:`run` takes them per solve.
+    ``integer_columns`` lists the columns HiGHS must keep integral; a
+    problem without any is a pure LP.  Numbers are written with ``repr``,
+    so HiGHS parses back the very doubles held here.
+    """
+
+    c: Sequence[float]
+    a: ColumnMatrix
+    row_lower: Sequence[float]
+    row_upper: Sequence[float]
+    integer_columns: Sequence[int] = ()
+
+    @property
+    def is_mip(self) -> bool:
+        return len(self.integer_columns) > 0
+
+    def write_head(self, out: TextIO) -> None:
+        """The sections before the column bounds: sizes and matrix."""
+        a = self.a
+        out.write(
+            f"n_rows\n{a.num_row}\nn_columns\n{len(self.c)}\n"
+            f"n_matrix_elements\n{len(a.index)}\nmatrix\n"
+        )
+        _write_line(out, a.start)
+        _write_line(out, a.index)
+        _write_line(out, a.value)
+
+    def write_tail(self, out: TextIO) -> None:
+        """The sections after the column bounds.  The reader rejects a
+        file without ``names``, so columns and rows get positional ones."""
+        out.write("row_bounds\n")
+        _write_line(out, self.row_lower, _bound)
+        _write_line(out, self.row_upper, _bound)
+        out.write("column_costs\n")
+        _write_line(out, self.c)
+        if self.is_mip:
+            out.write(f"integer_columns\n{len(self.integer_columns)}\n")
+            _write_line(out, self.integer_columns)
+        out.write("names\ncolumns\n")
+        for j in range(len(self.c)):
+            out.write(f"c{j}\n")
+        out.write("rows\n")
+        for i in range(self.a.num_row):
+            out.write(f"r{i}\n")
+
+    def rendered(self) -> "RenderedProblem":
+        """This problem with its static sections rendered once, for a
+        caller that solves it under many column bounds."""
+        head, tail = io.StringIO(), io.StringIO()
+        self.write_head(head)
+        self.write_tail(tail)
+        return RenderedProblem(head.getvalue(), tail.getvalue(), self.is_mip)
+
+
+class RenderedProblem(NamedTuple):
+    """A :class:`Problem`'s EMS text around the column bounds."""
+
+    head: str
+    tail: str
+    is_mip: bool
+
+    def write_head(self, out: TextIO) -> None:
+        out.write(self.head)
+
+    def write_tail(self, out: TextIO) -> None:
+        out.write(self.tail)
 
 
 class HighsResult(NamedTuple):
@@ -149,9 +264,9 @@ class HighsResult(NamedTuple):
 
     status: int
     message: str
-    x: Optional[np.ndarray] = None
+    x: Optional[List[float]] = None
     fun: Optional[float] = None
-    row_value: Optional[np.ndarray] = None
+    row_value: Optional[List[float]] = None
     mip_gap: Optional[float] = None
 
 
@@ -162,58 +277,58 @@ def _result(model_status, highs_message: str, **found) -> HighsResult:
     return HighsResult(status, message, **found)
 
 
+def _read(highs, problem, col_lower: Sequence[float], col_upper: Sequence[float]):
+    """Stream ``problem`` under the given column bounds through a private
+    ``.ems`` file in the temporary directory into ``highs``; the file is
+    gone when this returns.  A file that cannot be written is a
+    :class:`SolverError`, which the ladder answers with its next rung."""
+    try:
+        fd, path = tempfile.mkstemp(suffix=".ems", prefix="repro-highs-")
+    except OSError as exc:
+        raise SolverError(f"cannot write the HiGHS model file: {exc}") from exc
+    try:
+        with open(fd, "w", encoding="utf-8") as out:
+            problem.write_head(out)
+            out.write("column_bounds\n")
+            _write_line(out, col_lower, _bound)
+            _write_line(out, col_upper, _bound)
+            problem.write_tail(out)
+        return highs.readModel(path)
+    except OSError as exc:
+        raise SolverError(f"cannot write the HiGHS model file: {exc}") from exc
+    finally:
+        os.unlink(path)
+
+
 def run(
-    c: np.ndarray,
-    a: ColumnMatrix,
-    row_lower: np.ndarray,
-    row_upper: np.ndarray,
-    col_lower: np.ndarray,
-    col_upper: np.ndarray,
-    integrality: np.ndarray,
+    problem: Problem | RenderedProblem,
+    col_lower: Sequence[float],
+    col_upper: Sequence[float],
     options: Mapping[str, Any],
 ) -> HighsResult:
-    """Solve one problem with HiGHS, as SciPy's ``_highs_wrapper`` does.
+    """Solve ``problem`` within the column bounds, as SciPy's
+    ``_highs_wrapper`` does.
 
-    ``integrality`` holds one ``HighsVarType`` code per column, or is
-    empty for a pure LP.  ``options`` maps HiGHS option names to values
-    and is applied in order to a fresh ``HighsOptions``.  A problem with
+    ``options`` maps HiGHS option names to values and is applied in order
+    to a fresh ``HighsOptions`` before the model is read.  A problem with
     any integer column is judged as a MIP: a limit status still carries
     its incumbent when the objective is finite.  Otherwise only
     ``kOptimal`` carries a point.
     """
-    num_col = c.size
-    lp = _h.HighsLp()
-    lp.num_col_ = num_col
-    lp.num_row_ = a.num_row
-    lp.a_matrix_.num_col_ = num_col
-    lp.a_matrix_.num_row_ = a.num_row
-    lp.a_matrix_.format_ = _h.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = col_lower
-    lp.col_upper_ = col_upper
-    lp.row_lower_ = row_lower
-    lp.row_upper_ = row_upper
-    lp.a_matrix_.start_ = a.start
-    lp.a_matrix_.index_ = a.index
-    lp.a_matrix_.value_ = a.value
-    if integrality.size > 0:
-        lp.integrality_ = [_h.HighsVarType(i) for i in integrality]
-    is_mip = bool(np.any(integrality))
-
     highs = _h._Highs()
     highs_options = _h.HighsOptions()
     for key, value in options.items():
         setattr(highs_options, key, value)
     if highs.passOptions(highs_options) == _h.HighsStatus.kError:
         return _result(highs.getModelStatus(), highs.modelStatusToString(highs.getModelStatus()))
-    if highs.passModel(lp) == _h.HighsStatus.kError:
+    if _read(highs, problem, col_lower, col_upper) == _h.HighsStatus.kError:
         return _result(_STATUS.kModelError, highs.modelStatusToString(_STATUS.kModelError))
     if highs.run() == _h.HighsStatus.kError:
         return _result(highs.getModelStatus(), highs.modelStatusToString(highs.getModelStatus()))
 
     model_status = highs.getModelStatus()
     info = highs.getInfo()
-    if is_mip:
+    if problem.is_mip:
         failed = model_status not in (_STATUS.kOptimal,) + _LIMITS or (
             model_status in _LIMITS and info.objective_function_value == _h.kHighsInf
         )
@@ -229,8 +344,8 @@ def run(
     return _result(
         model_status,
         highs.modelStatusToString(model_status),
-        x=np.array(solution.col_value),
+        x=solution.col_value,
         fun=info.objective_function_value,
-        row_value=np.array(solution.row_value),
-        mip_gap=info.mip_gap if is_mip else None,
+        row_value=solution.row_value,
+        mip_gap=info.mip_gap if problem.is_mip else None,
     )

@@ -15,8 +15,9 @@ captures exactly that pattern.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import (
-    Any, Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
 
 from repro.errors import ModelError
@@ -38,34 +39,33 @@ class RowMatrix(NamedTuple):
 
     Row ``i`` of ``A`` holds the coefficients ``data[indptr[i]:indptr[i+1]]``
     on the columns ``indices[indptr[i]:indptr[i+1]]``, ascending — SciPy's
-    canonical CSR order.  ``sense`` keeps each row's :data:`SENSE_CODES`
-    entry and ``rhs`` its right-hand side, so readers that need the
-    original orientation (branch-and-bound's ``A_ub``/``A_eq`` split, the
-    LP writer) recover it without guessing from infinite bounds.
+    canonical CSR order.  All seven fields are compact ``array.array``
+    buffers (``'q'`` indices, ``'d'`` values, ``'b'`` senses).  ``sense``
+    keeps each row's :data:`SENSE_CODES` entry and ``rhs`` its right-hand
+    side, so readers that need the original orientation
+    (branch-and-bound's ``A_ub``/``A_eq`` split, the LP writer) recover it
+    without guessing from infinite bounds.
     """
 
-    indptr: Any
-    indices: Any
-    data: Any
-    lo: Any
-    hi: Any
-    sense: Any
-    rhs: Any
+    indptr: array
+    indices: array
+    data: array
+    lo: array
+    hi: array
+    sense: array
+    rhs: array
 
-    @property
-    def row_ids(self) -> Any:
-        """The row of every stored coefficient, in storage order."""
-        import numpy as np
-
-        return np.repeat(np.arange(len(self.rhs)), np.diff(self.indptr))
-
-    def activities(self, x) -> Any:
-        """``A @ x``, each row summed in storage order as SciPy's CSR
-        product sums it."""
-        import numpy as np
-
-        products = self.data * x[self.indices]
-        return np.bincount(self.row_ids, weights=products, minlength=len(self.rhs))
+    def activities(self, x: Sequence[float]) -> List[float]:
+        """``A @ x``, each row summed in storage order from ``0.0`` — the
+        order ``np.bincount`` and SciPy's CSR product sum in."""
+        indptr, indices, data = self.indptr, self.indices, self.data
+        out = []
+        for i in range(len(self.rhs)):
+            total = 0.0
+            for k in range(indptr[i], indptr[i + 1]):
+                total += data[k] * x[indices[k]]
+            out.append(total)
+        return out
 
 
 class Model:
@@ -90,8 +90,8 @@ class Model:
         # The constraint rows, stored once: COO triplets plus one sense
         # code, right-hand side and name per row.  `row_matrix` turns them
         # into the CSR matrix every reader uses.
-        self._rows = array("l")
-        self._cols = array("l")
+        self._rows = array("q")
+        self._cols = array("q")
         self._vals = array("d")
         self._sense_codes = array("b")
         self._rhs = array("d")
@@ -225,22 +225,27 @@ class Model:
 
         The one conversion from the triplet arrays: the HiGHS backend,
         branch-and-bound, :meth:`check_solution` and the LP writer all
-        read rows through it.  A row never holds a variable twice, so
-        lexsorting the triplets by (row, column) gives exactly the CSR
-        arrays ``scipy.sparse.csr_matrix`` would build from them.
+        read rows through it.  Rows are appended in order and never hold
+        a variable twice, so sorting each row's entries by column gives
+        exactly the CSR arrays ``scipy.sparse.csr_matrix`` would build
+        from the triplets.
         """
-        import numpy as np
-
-        sense = np.asarray(self._sense_codes)
-        rhs = np.asarray(self._rhs)
-        rows = np.asarray(self._rows)
-        cols = np.asarray(self._cols)
-        order = np.lexsort((cols, rows))
-        indptr = np.zeros(len(rhs) + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=len(rhs)), out=indptr[1:])
-        lo = np.where(sense == SENSE_CODES["<="], -np.inf, rhs)
-        hi = np.where(sense == SENSE_CODES[">="], np.inf, rhs)
-        return RowMatrix(indptr, cols[order], np.asarray(self._vals)[order], lo, hi, sense, rhs)
+        rows, cols, vals = self._rows, self._cols, self._vals
+        num_rows = len(self._rhs)
+        indptr = array("q", [bisect_left(rows, i) for i in range(num_rows + 1)])
+        indices, data = array("q"), array("d")
+        for begin, end in zip(indptr, indptr[1:]):
+            for col, value in sorted(zip(cols[begin:end], vals[begin:end])):
+                indices.append(col)
+                data.append(value)
+        inf = float("inf")
+        lo, hi = array("d"), array("d")
+        for code, rhs in zip(self._sense_codes, self._rhs):
+            lo.append(-inf if code == SENSE_CODES["<="] else rhs)
+            hi.append(inf if code == SENSE_CODES[">="] else rhs)
+        return RowMatrix(
+            indptr, indices, data, lo, hi, array("b", self._sense_codes), array("d", self._rhs)
+        )
 
     # ------------------------------------------------------------------
     # big-M / indicator patterns (Eqs. 2, 3, 8, 19, 20)
@@ -380,15 +385,13 @@ class Model:
         (:meth:`RowMatrix.activities`); a row is violated when ``A @ x``
         leaves ``[lo, hi]`` by more than ``tol``.
         """
-        import numpy as np
-
         rows = self.row_matrix()
-        x = np.array([solution.values[var] for var in self.variables], dtype=float)
+        x = [float(solution.values[var]) for var in self.variables]
         lhs = rows.activities(x)
-        excess = np.maximum(lhs - rows.hi, rows.lo - lhs)
         return [
             self.row_names[i] or f"constraint_{i}"
-            for i in np.flatnonzero(excess - tol > 0).tolist()
+            for i, (value, lo, hi) in enumerate(zip(lhs, rows.lo, rows.hi))
+            if max(value - hi, lo - value) - tol > 0
         ]
 
     @property

@@ -2,21 +2,21 @@
 
 The HiGHS mixed-integer solver plays the role Gurobi plays in the paper.
 The adapter below hands it our model through :func:`repro.ilp.highs.run`
-exactly as ``scipy.optimize.milp`` did (column-wise matrix, ``float64``
-bounds, ``uint8`` integrality, the same options), maps statuses back, and
-honours a wall-clock time limit so runs stay within the paper's 15-minute
+as the problem ``scipy.optimize.milp`` gave it (column-wise matrix, the
+same bounds, integer columns and options), maps statuses back, and honours
+a wall-clock time limit so runs stay within the paper's 15-minute
 best-effort budget.
 """
 
 from __future__ import annotations
 
+import math
 import time
+from array import array
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from repro.errors import SolverError
-from repro.ilp.highs import column_wise, run as run_highs
+from repro.ilp.highs import Problem, column_wise, run as run_highs
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -47,28 +47,23 @@ class HighsOptions:
 
 
 def _milp_arrays(model: Model):
-    """The model as the leading arguments of :func:`repro.ilp.highs.run`.
-
-    Dtypes and matrix layout are those ``scipy.optimize.milp`` passes on:
-    ``float64`` costs and bounds, ``uint8`` integrality, a column-wise
-    matrix.
-    """
+    """The model as the leading arguments of :func:`repro.ilp.highs.run`:
+    the :class:`~repro.ilp.highs.Problem` and the column bounds
+    ``scipy.optimize.milp`` passed on."""
     n = len(model.variables)
-    c = np.zeros(n)
+    c = array("d", [0.0]) * n
     for var, coef in model.objective.terms.items():
         c[var.index] += coef
     if model.objective_sense == "max":
-        c = -c
+        c = array("d", [-coef for coef in c])
 
-    integrality = np.array(
-        [1 if v.is_integral else 0 for v in model.variables], dtype=np.uint8
-    )
-    lower = np.array([v.lb for v in model.variables], dtype=np.float64)
-    upper = np.array([v.ub for v in model.variables], dtype=np.float64)
+    integer_columns = array("q", [v.index for v in model.variables if v.is_integral])
+    lower = array("d", [v.lb for v in model.variables])
+    upper = array("d", [v.ub for v in model.variables])
 
     rows = model.row_matrix()
-    a = column_wise(rows.row_ids, rows.indices, rows.data, len(rows.rhs), n)
-    return c, a, rows.lo, rows.hi, lower, upper, integrality
+    a = column_wise(rows.indptr, rows.indices, rows.data, n)
+    return Problem(c, a, rows.lo, rows.hi, integer_columns), lower, upper
 
 
 def _highs_options(opts: HighsOptions) -> dict:
@@ -114,13 +109,13 @@ def solve(
         obj = model.objective.constant
         return Solution(SolveStatus.OPTIMAL, objective=obj, values={}, message="empty model")
 
-    arrays = _milp_arrays(model)
-    if not np.all(np.isfinite(arrays[0])):
+    problem, lower, upper = _milp_arrays(model)
+    if not all(map(math.isfinite, problem.c)):
         raise SolverError("HiGHS backend failed: objective coefficients must be finite")
 
     started = time.perf_counter()
     try:
-        result = run_highs(*arrays, _highs_options(opts))
+        result = run_highs(problem, lower, upper, _highs_options(opts))
     except Exception as exc:  # pragma: no cover - backend failure
         raise SolverError(f"HiGHS backend failed: {exc}") from exc
     elapsed = time.perf_counter() - started
@@ -134,9 +129,8 @@ def solve(
     objective = None
     gap = result.mip_gap
     if status.has_solution:
-        x = np.asarray(result.x)
         for var in model.variables:
-            raw = float(x[var.index])
+            raw = float(result.x[var.index])
             if var.is_integral:
                 if abs(raw - round(raw)) > _INT_TOL:
                     # A fractional "integral" incumbent must not be silently

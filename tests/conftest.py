@@ -59,8 +59,12 @@ def solver_fault(monkeypatch):
 
     Usage: ``solver_fault("crash")`` — sets ``REPRO_INJECT_SOLVER_FAULT``
     and rewinds the deterministic flaky stream so tests are reproducible.
+    ``REPRO_FORCE_SOLVER`` is cleared for the test: a fault is injected
+    into the full ladder, which a forced rung would replace.
     """
     from repro.ilp import faults
+
+    monkeypatch.delenv(faults.ENV_FORCE, raising=False)
 
     def arm(kind: str, seed: str | None = None):
         monkeypatch.setenv(faults.ENV_FAULT, kind)

@@ -3,9 +3,9 @@
 :func:`scheduling_model` builds a Table II benchmark's PDW scheduling ILP as
 the ILP stage builds it.  :func:`milp_reference` and
 :func:`linprog_reference` solve a model the way the HiGHS rungs called
-``scipy.optimize`` before they called SciPy's bundled binding directly
-(:mod:`repro.ilp.highs`); they are the oracle that binding is held to.
-``scipy.optimize`` and ``scipy.sparse`` are test-only imports.
+``scipy.optimize`` before they handed SciPy's bundled binding an EMS file
+(:mod:`repro.ilp.highs`); they are the oracle that hand-off is held to.
+numpy, ``scipy.optimize`` and ``scipy.sparse`` are test-only imports.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def milp_reference(model, options):
         np.array([v.lb for v in model.variables]), np.array([v.ub for v in model.variables])
     )
     rows = model.row_matrix()
-    constraints = LinearConstraint(scipy_rows(model), rows.lo, rows.hi)
+    constraints = LinearConstraint(scipy_rows(model), np.asarray(rows.lo), np.asarray(rows.hi))
 
     milp_options = {"disp": False}
     if options.time_limit_s is not None:
@@ -91,19 +91,20 @@ def linprog_reference(model, c, lower, upper):
     from repro.ilp.model import SENSE_CODES
 
     rows = model.row_matrix()
+    sense, rhs = np.asarray(rows.sense), np.asarray(rows.rhs)
     a = scipy_rows(model)
-    is_eq = rows.sense == SENSE_CODES["=="]
+    is_eq = sense == SENSE_CODES["=="]
     ub, eq = np.flatnonzero(~is_eq), np.flatnonzero(is_eq)
-    sign = np.where(rows.sense[ub] == SENSE_CODES[">="], -1.0, 1.0)
+    sign = np.where(sense[ub] == SENSE_CODES[">="], -1.0, 1.0)
     a_ub = b_ub = a_eq = b_eq = None
     if len(ub):
         a_ub = a[ub]
         a_ub.data *= np.repeat(sign, np.diff(a_ub.indptr))
-        b_ub = sign * rows.rhs[ub]
+        b_ub = sign * rhs[ub]
     if len(eq):
         a_eq = a[eq]
-        b_eq = rows.rhs[eq]
+        b_eq = rhs[eq]
     return linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+        np.asarray(c), A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
         bounds=list(zip(lower, upper)), method="highs",
     )

@@ -1,5 +1,8 @@
 """Integration tests for the experiment harness (Table II, Fig. 4, Fig. 5)."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.core import PDWConfig
@@ -45,6 +48,15 @@ class TestTable2:
                 "n_wash", "l_wash_mm", "t_delay_s", "t_assay_s",
             }
             assert set(row.paper_improvements) == set(row.improvements)
+
+    def test_rows_match_the_pinned_metrics(self, runs):
+        # The pins tests/unit/test_docs.py holds EXPERIMENTS.md to.
+        path = Path(__file__).resolve().parents[1] / "data" / "table2_metrics.json"
+        pins = json.loads(path.read_text(encoding="utf-8"))["metrics"]
+        for row in table2_rows(runs):
+            for method in ("dawo", "pdw"):
+                want = pins[f"table2/{row.name}"][method]
+                assert {k: getattr(row, method)[k] for k in want} == want
 
     def test_report_renders(self, runs):
         text = table2_report(SUBSET, CFG)

@@ -1,5 +1,6 @@
 """Documentation integrity: the docs reference real files and symbols."""
 
+import json
 import re
 from pathlib import Path
 
@@ -77,3 +78,56 @@ class TestReadmeAndDesign:
 
     def test_license_exists(self):
         assert (REPO / "LICENSE").read_text().startswith("MIT License")
+
+
+class TestExperimentsTable2:
+    """EXPERIMENTS.md's Table II against the metrics a fresh run gives.
+
+    ``tests/data/table2_metrics.json`` pins each benchmark's four DAWO and
+    PDW metrics at the config of the pinned Table II digests; a plan
+    change must update the pins and, through this test, the doc.
+    """
+
+    DOC = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    PINS = json.loads(
+        (REPO / "tests" / "data" / "table2_metrics.json").read_text(encoding="utf-8")
+    )["metrics"]
+    KEYS = ("n_wash", "l_wash_mm", "t_delay_s", "t_assay_s")
+
+    def rows(self):
+        """``{benchmark: cells}`` of the Table II rows, Average included."""
+        section = self.DOC.split("## Table II", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if len(cells) == 10 and cells[0] not in ("Benchmark", "---"):
+                rows[cells[0].strip("*")] = cells
+        return rows
+
+    @staticmethod
+    def improvement(dawo, pdw):
+        return 100.0 * (dawo - pdw) / dawo if dawo else 0.0
+
+    def test_every_pinned_benchmark_has_a_row(self):
+        assert {f"table2/{name}" for name in self.rows() if name != "Average"} == set(self.PINS)
+
+    def test_cells_match_the_pins(self):
+        for name, cells in self.rows().items():
+            if name == "Average":
+                continue
+            pins = self.PINS[f"table2/{name}"]
+            for i, key in enumerate(self.KEYS):
+                dawo, pdw = (float(v) for v in cells[2 + 2 * i].split("→"))
+                assert (dawo, pdw) == (pins["dawo"][key], pins["pdw"][key]), (name, key)
+                measured = float(cells[3 + 2 * i].split()[0])
+                want = self.improvement(dawo, pdw)
+                assert abs(measured - want) <= 0.05 + 1e-9, (name, key, measured, want)
+
+    def test_average_row_matches_the_pins(self):
+        cells = self.rows()["Average"]
+        for i, key in enumerate(self.KEYS):
+            measured = float(cells[3 + 2 * i].strip("*").split()[0])
+            want = sum(
+                self.improvement(pin["dawo"][key], pin["pdw"][key]) for pin in self.PINS.values()
+            ) / len(self.PINS)
+            assert abs(measured - want) <= 0.05 + 1e-9, (key, measured, want)

@@ -1,10 +1,10 @@
 """The HiGHS binding against ``scipy.optimize`` as the oracle.
 
-Both solver rungs call SciPy's bundled HiGHS binding directly
-(:mod:`repro.ilp.highs`).  Each must get exactly what ``milp`` and
-``linprog(method="highs")`` got from the same model, and so return exactly
-what they returned: the same status and message, a bit-identical ``x``,
-the same objective and MIP gap.
+Both solver rungs hand SciPy's bundled HiGHS binding an EMS file
+(:mod:`repro.ilp.highs`).  HiGHS must read back exactly what ``milp`` and
+``linprog(method="highs")`` gave it for the same model, and so return
+exactly what they returned: the same status and message, a bit-identical
+``x``, the same objective and MIP gap.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def test_rows_reach_highs_in_scipys_layout(models, name):
     from scipy.sparse import csc_array
 
     csc = csc_array(csr)
-    a = solver._milp_arrays(model)[1]
+    a = solver._milp_arrays(model)[0].a
     np.testing.assert_array_equal(a.start, csc.indptr)
     np.testing.assert_array_equal(a.index, csc.indices)
     np.testing.assert_array_equal(a.value, csc.data)
@@ -83,12 +83,70 @@ def test_row_activities_sum_as_the_sparse_product_does(models):
 def test_column_wise_keeps_explicit_zeros():
     from scipy.sparse import csc_array, csr_matrix
 
-    rows, cols, data = np.array([0, 0, 1]), np.array([0, 2, 1]), np.array([0.0, 2.0, 3.0])
-    a = highs.column_wise(rows, cols, data, 2, 3)
-    csc = csc_array(csr_matrix((data, (rows, cols)), shape=(2, 3)))
+    indptr, cols, data = [0, 2, 3], [0, 2, 1], [0.0, 2.0, 3.0]
+    a = highs.column_wise(indptr, cols, data, 3)
+    csc = csc_array(csr_matrix((data, cols, indptr), shape=(2, 3)))
     np.testing.assert_array_equal(a.start, csc.indptr)
     np.testing.assert_array_equal(a.index, csc.indices)
     np.testing.assert_array_equal(a.value, csc.data)
+
+
+def test_ems_file_reads_back_as_the_problem(models, tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    problem, lower, upper = solver._milp_arrays(_model(models, "IVD"))
+    upper[0] = float("inf")  # written as 1e300, read back as infinite
+    h = highs._h._Highs()
+    h.setOptionValue("output_flag", False)
+    assert highs._read(h, problem, lower, upper) == highs._h.HighsStatus.kOk
+    assert list(tmp_path.iterdir()) == []  # the file is gone once read
+    lp = h.getLp()
+    for got, want in [
+        (lp.col_cost_, problem.c),
+        (lp.col_lower_, lower),
+        (lp.col_upper_, upper),
+        (lp.row_lower_, problem.row_lower),
+        (lp.row_upper_, problem.row_upper),
+        (lp.a_matrix_.start_, problem.a.start),
+        (lp.a_matrix_.index_, problem.a.index),
+        (lp.a_matrix_.value_, problem.a.value),
+    ]:
+        assert np.array_equal(np.asarray(got), np.asarray(want))
+    integral = [int(t) for t in lp.integrality_]
+    assert [j for j, t in enumerate(integral) if t] == list(problem.integer_columns)
+    assert np.isinf(lp.col_upper_[0]) and np.isinf(lp.row_lower_).any()
+
+
+def test_unwritable_model_file_is_a_solver_error(models, tmp_path, monkeypatch):
+    import tempfile
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    model = _model(models, "PCR")
+    with pytest.raises(SolverError, match="cannot write the HiGHS model file"):
+        highs.run(*solver._milp_arrays(model), solver._highs_options(HighsOptions()))
+    with pytest.raises(SolverError, match="cannot write the HiGHS model file"):
+        BranchAndBoundSolver(time_limit_s=60).solve(model)
+
+
+def test_branch_and_bound_renders_the_problem_once(models, monkeypatch):
+    heads, runs = [], []
+    write_head, run = highs.Problem.write_head, highs.run
+
+    def counting_head(problem, out):
+        heads.append(problem)
+        write_head(problem, out)
+
+    def counting_run(problem, *args):
+        runs.append(problem)
+        return run(problem, *args)
+
+    monkeypatch.setattr(highs.Problem, "write_head", counting_head)
+    monkeypatch.setattr("repro.ilp.branch_bound.run_highs", counting_run)
+    sol = BranchAndBoundSolver(time_limit_s=600).solve(_model(models, "PCR"))
+    assert sol.status.value == "optimal"
+    assert len(heads) == 1 and len(runs) > 10
+    assert all(problem is runs[0] for problem in runs)
 
 
 def _infeasible():
@@ -164,20 +222,28 @@ def test_time_limit_without_incumbent_is_an_error_solution(models):
 
 def test_branch_and_bound_relaxations_match_linprog(models, monkeypatch):
     model = _model(models, "PCR")
-    calls = []
+    objectives, calls = [], []
+    standard_form = BranchAndBoundSolver._standard_form
     solve_lp = BranchAndBoundSolver._solve_lp
 
-    def recording(c, a, lhs, rhs, n_ub, lower, upper):
-        out = solve_lp(c, a, lhs, rhs, n_ub, lower, upper)
-        calls.append((c, lower.copy(), upper.copy(), out))
+    def recording_form(model, sign):
+        out = standard_form(model, sign)
+        objectives.append(out[1])
         return out
 
+    def recording(lp, rhs, n_ub, lower, upper):
+        out = solve_lp(lp, rhs, n_ub, lower, upper)
+        calls.append((list(lower), list(upper), out))
+        return out
+
+    monkeypatch.setattr(BranchAndBoundSolver, "_standard_form", staticmethod(recording_form))
     monkeypatch.setattr(BranchAndBoundSolver, "_solve_lp", staticmethod(recording))
     sol = BranchAndBoundSolver(time_limit_s=600).solve(model)
     assert sol.status.value == "optimal"
     assert len(calls) > 10
     assert any(out is None for *_, out in calls)  # an infeasible node, too
-    for c, lower, upper, out in calls:
+    (c,) = objectives
+    for lower, upper, out in calls:
         want = linprog_reference(model, c, lower, upper)
         assert want.success == (out is not None)
         if out is not None:

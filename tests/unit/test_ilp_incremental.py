@@ -45,6 +45,7 @@ class TestStructureDigest:
     def test_solver_environment_changes_the_digest(self, monkeypatch):
         from repro.ilp import faults
 
+        monkeypatch.delenv(faults.ENV_FORCE, raising=False)
         cfg = PDWConfig()
         clean = incremental.structure_digest("syn", cfg)
         monkeypatch.setenv(faults.ENV_FORCE, "branch_bound")

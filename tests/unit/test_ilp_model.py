@@ -51,7 +51,8 @@ def dense_rows(model):
     """The constraint matrix of ``model`` as a dense array."""
     rows = model.row_matrix()
     a = np.zeros((model.num_rows, len(model.variables)))
-    a[rows.row_ids, rows.indices] = rows.data
+    row_ids = np.repeat(np.arange(model.num_rows), np.diff(rows.indptr))
+    a[row_ids, rows.indices] = rows.data
     return a
 
 
@@ -127,7 +128,7 @@ class TestAddLinearConstraint:
         y = m.add_continuous_var("y")
         row = m.add_linear_constraint([(x, 1.0), (x, -1.0), (y, 2.0)], "<=", 6)
         assert row_terms(m, row) == {"y": 2.0}
-        assert m.row_matrix().data.size == 1
+        assert len(m.row_matrix().data) == 1
 
     def test_operator_path_drops_cancelled_coefficients(self):
         m = Model()
@@ -135,7 +136,7 @@ class TestAddLinearConstraint:
         y = m.add_continuous_var("y")
         row = m.add_constr(x + 2 * y - x <= 6)
         assert row_terms(m, row) == {"y": 2.0}
-        assert m.row_matrix().data.size == 1
+        assert len(m.row_matrix().data) == 1
 
     def test_unknown_sense_rejected(self):
         m = Model()
@@ -158,7 +159,7 @@ class TestAddLinearConstraint:
         with pytest.raises(ModelError):
             m2.add_constr(y + x <= 1)
         assert m2.num_rows == 0
-        assert m2.row_matrix().data.size == 0
+        assert len(m2.row_matrix().data) == 0
 
     def test_mapping_accepted(self):
         m = Model()

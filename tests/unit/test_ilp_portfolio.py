@@ -27,7 +27,8 @@ def infeasible_model() -> Model:
 
 
 class TestCleanLadder:
-    def test_primary_rung_wins(self):
+    def test_primary_rung_wins(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_FORCE, raising=False)
         result = SolverPortfolio(time_limit_s=30.0).solve(knapsack_model())
         assert result.rung == "highs"
         assert result.solution.status is SolveStatus.OPTIMAL
@@ -183,9 +184,10 @@ class TestForcedRungs:
         result = SolverPortfolio(time_limit_s=30.0).solve(knapsack_model())
         assert result.rung == "branch_bound"
 
-    def test_from_config_respects_solver_field(self):
+    def test_from_config_respects_solver_field(self, monkeypatch):
         from repro.core import PDWConfig
 
+        monkeypatch.delenv(faults.ENV_FORCE, raising=False)
         pf = SolverPortfolio.from_config(
             PDWConfig(time_limit_s=30.0, solver="branch_bound")
         )
@@ -226,6 +228,7 @@ class TestEnvironmentToken:
         assert faults.environment_token() == ""
 
     def test_token_covers_both_variables(self, monkeypatch):
+        monkeypatch.delenv(faults.ENV_FORCE, raising=False)
         monkeypatch.setenv(faults.ENV_FAULT, "crash")
         tok_fault = faults.environment_token()
         monkeypatch.setenv(faults.ENV_FORCE, "branch_bound")

@@ -8,11 +8,12 @@ since imported the whole stack.
   numpy, scipy or networkx.
 * The modules that fork suite workers or announce ``pdw serve`` readiness
   must load the solve stack at import, so forked workers inherit it and the
-  first served job does not pay for it.  That stack is numpy plus SciPy's
-  HiGHS binding (:mod:`repro.ilp.highs`): ``scipy.optimize`` and
+  first served job does not pay for it.  That stack is SciPy's HiGHS
+  binding alone (:mod:`repro.ilp.highs`): numpy, ``scipy.optimize`` and
   ``scipy.sparse`` stay unloaded.
-* networkx is a test-only dependency: no runtime module loads it, the
-  solving ones included.
+* networkx and numpy are test-only dependencies: no runtime module loads
+  them, the solving ones included, and a cold plan made with both
+  unimportable equals its pinned digest on either solving rung.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import pytest
 import repro
 
 SRC = str(Path(repro.__file__).resolve().parents[1])
+ROOT = Path(SRC).parent
 
 HEAVY = ("numpy", "scipy", "networkx")
 
@@ -36,9 +38,10 @@ HEAVY = ("numpy", "scipy", "networkx")
 BINDING = "scipy.optimize._highspy._core"
 
 
-def _loaded_after(code: str, tmp_path: Path, **environ: str) -> set:
+def _run_fresh(code: str, tmp_path: Path, **environ: str) -> list:
     """Run ``code`` in a fresh interpreter, with ``environ`` added to the
-    environment; the names of the modules it left loaded."""
+    environment; its stdout lines, the last one the names of the modules
+    it left loaded as JSON."""
     script = textwrap.dedent(code) + textwrap.dedent(
         """
         import json as _json, sys as _sys
@@ -54,7 +57,13 @@ def _loaded_after(code: str, tmp_path: Path, **environ: str) -> set:
         env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    return set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    return proc.stdout.strip().splitlines()
+
+
+def _loaded_after(code: str, tmp_path: Path, **environ: str) -> set:
+    """The names of the modules ``code`` left loaded in a fresh
+    interpreter (see :func:`_run_fresh`)."""
+    return set(json.loads(_run_fresh(code, tmp_path, **environ)[-1]))
 
 
 @pytest.mark.parametrize(
@@ -90,17 +99,21 @@ def test_non_solving_entry_points_skip_the_solver_stack(code, tmp_path):
 )
 def test_forking_and_serving_modules_load_the_solver_eagerly(module, tmp_path):
     loaded = _loaded_after(f"import {module}", tmp_path)
-    assert "numpy" in loaded
     assert BINDING in loaded
-    assert not [m for m in ("scipy.optimize", "scipy.sparse", "networkx") if m in loaded]
+    assert not [m for m in ("numpy", "scipy.optimize", "scipy.sparse", "networkx") if m in loaded]
+
+
+#: Imports every planning process must do without; the binding needs none.
+UNIMPORTABLE = """
+        import sys
+        for name in ("networkx", "numpy", "scipy.optimize", "scipy.sparse"):
+            sys.modules[name] = None  # any import of it now raises
+        """
 
 
 def _solve_without_networkx_or_scipy_optimize(tmp_path, force: str) -> set:
     return _loaded_after(
-        """
-        import sys
-        for name in ("networkx", "scipy.optimize", "scipy.sparse"):
-            sys.modules[name] = None  # any import of it now raises
+        UNIMPORTABLE + """
         from repro.cli import main
         assert main(["run", "PCR", "--no-cache"]) == 0
         """,
@@ -115,6 +128,35 @@ def test_a_solve_runs_with_networkx_unimportable(tmp_path):
 
 def test_a_branch_and_bound_solve_runs_with_networkx_unimportable(tmp_path):
     assert BINDING in _solve_without_networkx_or_scipy_optimize(tmp_path, "branch_bound")
+
+
+#: Where each solving rung's cold PCR plan is pinned.
+PINS = {
+    "": ("perf/reference.json", "table2/PCR"),
+    "branch_bound": ("tests/data/branch_bound_digests.json", "branch_bound/PCR"),
+}
+
+
+@pytest.mark.parametrize("force", sorted(PINS), ids=["highs", "branch_bound"])
+def test_a_cold_plan_without_numpy_matches_its_pin(force, tmp_path):
+    *_, rung, digest, _ = _run_fresh(
+        UNIMPORTABLE + """
+        import hashlib
+        from repro.core import PDWConfig
+        from repro.experiments.runner import run_benchmark
+        from repro.export import canonical_plan_json
+
+        run = run_benchmark("PCR", PDWConfig(time_limit_s=120), use_cache=False)
+        print(run.pdw.solver_rung)
+        print(hashlib.sha256(canonical_plan_json(run.pdw).encode("utf-8")).hexdigest())
+        """,
+        tmp_path,
+        REPRO_FORCE_SOLVER=force,
+    )
+    path, key = PINS[force]
+    with open(ROOT / path, encoding="utf-8") as fh:
+        assert digest == json.load(fh)["digests"][key]
+    assert rung == (force or "highs")
 
 
 def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
