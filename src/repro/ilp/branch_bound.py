@@ -1,10 +1,11 @@
 """A pure-Python branch-and-bound MILP solver.
 
 This is the fallback/teaching backend: LP relaxations are solved by HiGHS's
-dual simplex through :func:`repro.ilp.highs.run`, handed the problem
+dual simplex through :class:`repro.ilp.highs.LoadedProblem`, handed the problem
 ``scipy.optimize.linprog(method="highs")`` handed it, and integrality is
-enforced by branching on the most fractional variable.  The problem's EMS
-text is rendered once per solve; each node writes only its column bounds.
+enforced by branching on the most fractional variable.  The relaxation
+is read into HiGHS once per solve; each node moves only the column bounds
+that differ and re-solves it cold.
 It is exact but much slower than :func:`repro.ilp.solver.solve`; the test
 suite uses it to cross-check the primary backend on small models, and the
 degradation ladder falls back to it when the MILP rungs fail.
@@ -20,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.ilp.highs import LP_OPTIONS, Problem, RenderedProblem, column_wise, run as run_highs
+from repro.ilp.highs import LP_OPTIONS, LoadedProblem, Problem, column_wise
 from repro.ilp.model import SENSE_CODES, Model
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -81,11 +82,12 @@ class BranchAndBoundSolver:
             return Solution(SolveStatus.OPTIMAL, model.objective.constant, {})
 
         sign = -1.0 if model.objective_sense == "max" else 1.0
-        lp, c, rhs, n_ub = self._standard_form(model, sign)
+        problem, c, rhs, n_ub = self._standard_form(model, sign)
 
         integral = [v.index for v in model.variables if v.is_integral]
         root_lower = [float(v.lb) for v in model.variables]
         root_upper = [float(v.ub) for v in model.variables]
+        lp = LoadedProblem(problem, root_lower, root_upper, LP_OPTIONS)
 
         counter = itertools.count()
         heap: List[_Node] = []
@@ -182,7 +184,7 @@ class BranchAndBoundSolver:
         ``>=`` rows are negated into ``<=`` rows; both kinds keep their
         model order in the ``n_ub`` leading rows (``lhs = -inf``),
         equalities follow (``lhs = rhs = b_eq``), as ``linprog`` stacks
-        them.  The objective is ``sign * c``.  Returns the rendered
+        them.  The objective is ``sign * c``.  Returns the
         :class:`~repro.ilp.highs.Problem`, the objective, ``rhs`` and
         ``n_ub``.
         """
@@ -209,16 +211,16 @@ class BranchAndBoundSolver:
             lhs.append(rows.rhs[i] if rows.sense[i] == eq_code else -math.inf)
             indptr.append(len(indices))
         a = column_wise(indptr, indices, data, len(model.variables))
-        return Problem(c, a, lhs, rhs).rendered(), c, rhs, len(ub)
+        return Problem(c, a, lhs, rhs), c, rhs, len(ub)
 
     @staticmethod
     def _solve_lp(
-        lp: RenderedProblem, rhs: Sequence[float], n_ub: int,
+        lp: LoadedProblem, rhs: Sequence[float], n_ub: int,
         lower: List[float], upper: List[float],
     ) -> Optional[Tuple[float, List[float]]]:
         """Solve one LP relaxation; ``None`` unless HiGHS proves it optimal
         and the point passes ``linprog``'s bound and residual check."""
-        res = run_highs(lp, lower, upper, LP_OPTIONS)
+        res = lp.solve(lower, upper)
         if res.status != 0 or res.x is None:
             return None
         x, tol = res.x, _LP_CHECK_TOL

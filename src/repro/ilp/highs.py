@@ -17,16 +17,19 @@ setters take numpy arrays, and touching any of them imports numpy;
 numpy (docs/PERFORMANCE.md "HiGHS through an EMS file").  ``readModel``
 hands the parsed model to the same ``passModel`` a ``HighsLp`` went
 through, so HiGHS solves the very problem ``scipy.optimize.milp`` and
-``linprog(method="highs")`` gave it.  Both solver rungs go through
-:func:`run`: :mod:`repro.ilp.solver` (the MILP) and
-:mod:`repro.ilp.branch_bound` (its LP relaxations).
+``linprog(method="highs")`` gave it.  :mod:`repro.ilp.solver` solves the
+MILP through :func:`run`; :mod:`repro.ilp.branch_bound` reads its LP
+relaxation once into a :class:`LoadedProblem` and re-solves it per node.
+
+Before a process's first HiGHS instance, :func:`pin_mmap_threshold`
+holds glibc's mmap threshold at its default, so the buffers HiGHS frees
+go back to the OS instead of fragmenting the heap.
 """
 
 from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
-import io
 import math
 import os
 import sys
@@ -122,6 +125,52 @@ LP_OPTIONS = {
 }
 
 
+#: ``mallopt``'s parameter number for the mmap threshold (glibc's ``malloc.h``).
+_M_MMAP_THRESHOLD = -3
+
+#: glibc's own default mmap threshold, which :func:`pin_mmap_threshold`
+#: holds in place.
+MMAP_THRESHOLD = 128 * 1024
+
+#: Whether :class:`LoadedProblem` still pins the threshold before it
+#: creates this process's first HiGHS instance.
+_pin_pending = True
+
+
+def pin_mmap_threshold() -> None:
+    """Hold glibc's mmap threshold at its 128 KiB default.
+
+    glibc raises the threshold, up to 32 MB, each time a mmapped block is
+    freed, so after HiGHS frees its first large vectors the next ones are
+    carved from the brk heap, which fragments and is never given back.
+    Setting the threshold once fixes it (and the trim threshold) in
+    place: HiGHS's large vectors stay mmapped and go back to the OS when
+    freed (docs/PERFORMANCE.md "HiGHS's freed buffers go back to the
+    OS").  A no-op where the C library has no ``mallopt``.
+    """
+    global _pin_pending
+    _pin_pending = False
+    try:
+        import ctypes
+
+        ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    except (AttributeError, OSError, TypeError):
+        pass
+
+
+def leave_pin_to_caller() -> None:
+    """Keep :class:`LoadedProblem` from pinning the threshold itself.
+
+    For a process that forks solving children from threads (``pdw
+    serve``): an import in such a child may wait forever on a lock
+    another thread held at fork time, and the pin imports ``ctypes``.
+    The caller pins with :func:`pin_mmap_threshold` before its first
+    fork instead, and the children inherit the setting.
+    """
+    global _pin_pending
+    _pin_pending = False
+
+
 class ColumnMatrix(NamedTuple):
     """A constraint matrix in HiGHS's column-wise form.
 
@@ -200,8 +249,10 @@ class Problem(NamedTuple):
     def is_mip(self) -> bool:
         return len(self.integer_columns) > 0
 
-    def write_head(self, out: TextIO) -> None:
-        """The sections before the column bounds: sizes and matrix."""
+    def write(self, out: TextIO, col_lower: Sequence[float], col_upper: Sequence[float]) -> None:
+        """This problem within the column bounds as one EMS file.  The
+        reader rejects a file without ``names``, so columns and rows get
+        positional ones."""
         a = self.a
         out.write(
             f"n_rows\n{a.num_row}\nn_columns\n{len(self.c)}\n"
@@ -210,10 +261,9 @@ class Problem(NamedTuple):
         _write_line(out, a.start)
         _write_line(out, a.index)
         _write_line(out, a.value)
-
-    def write_tail(self, out: TextIO) -> None:
-        """The sections after the column bounds.  The reader rejects a
-        file without ``names``, so columns and rows get positional ones."""
+        out.write("column_bounds\n")
+        _write_line(out, col_lower, _bound)
+        _write_line(out, col_upper, _bound)
         out.write("row_bounds\n")
         _write_line(out, self.row_lower, _bound)
         _write_line(out, self.row_upper, _bound)
@@ -226,30 +276,8 @@ class Problem(NamedTuple):
         for j in range(len(self.c)):
             out.write(f"c{j}\n")
         out.write("rows\n")
-        for i in range(self.a.num_row):
+        for i in range(a.num_row):
             out.write(f"r{i}\n")
-
-    def rendered(self) -> "RenderedProblem":
-        """This problem with its static sections rendered once, for a
-        caller that solves it under many column bounds."""
-        head, tail = io.StringIO(), io.StringIO()
-        self.write_head(head)
-        self.write_tail(tail)
-        return RenderedProblem(head.getvalue(), tail.getvalue(), self.is_mip)
-
-
-class RenderedProblem(NamedTuple):
-    """A :class:`Problem`'s EMS text around the column bounds."""
-
-    head: str
-    tail: str
-    is_mip: bool
-
-    def write_head(self, out: TextIO) -> None:
-        out.write(self.head)
-
-    def write_tail(self, out: TextIO) -> None:
-        out.write(self.tail)
 
 
 class HighsResult(NamedTuple):
@@ -288,11 +316,7 @@ def _read(highs, problem, col_lower: Sequence[float], col_upper: Sequence[float]
         raise SolverError(f"cannot write the HiGHS model file: {exc}") from exc
     try:
         with open(fd, "w", encoding="utf-8") as out:
-            problem.write_head(out)
-            out.write("column_bounds\n")
-            _write_line(out, col_lower, _bound)
-            _write_line(out, col_upper, _bound)
-            problem.write_tail(out)
+            problem.write(out, col_lower, col_upper)
         return highs.readModel(path)
     except OSError as exc:
         raise SolverError(f"cannot write the HiGHS model file: {exc}") from exc
@@ -300,52 +324,99 @@ def _read(highs, problem, col_lower: Sequence[float], col_upper: Sequence[float]
         os.unlink(path)
 
 
+class LoadedProblem:
+    """One :class:`Problem` read into one HiGHS instance, solved cold
+    under changing column bounds.
+
+    The file is written and read once.  Each later :meth:`solve` drops the
+    previous solve's basis with ``clearSolver`` and moves only the column
+    bounds that differ from the loaded ones, through the binding's scalar
+    ``changeColBounds``; so every solve is the cold solve of a freshly
+    read model, without the parse.  ``options`` maps HiGHS option names
+    to values and is applied in order to a fresh ``HighsOptions`` before
+    the model is read.
+    """
+
+    def __init__(
+        self,
+        problem: Problem,
+        col_lower: Sequence[float],
+        col_upper: Sequence[float],
+        options: Mapping[str, Any],
+    ):
+        if _pin_pending:
+            pin_mmap_threshold()
+        self.is_mip = problem.is_mip
+        self._highs = highs = _h._Highs()
+        self._lower, self._upper = list(col_lower), list(col_upper)
+        self._ran = False
+        #: The outcome every solve returns when HiGHS rejected the options
+        #: or the file.
+        self._failed: Optional[HighsResult] = None
+        highs_options = _h.HighsOptions()
+        for key, value in options.items():
+            setattr(highs_options, key, value)
+        if highs.passOptions(highs_options) == _h.HighsStatus.kError:
+            status = highs.getModelStatus()
+            self._failed = _result(status, highs.modelStatusToString(status))
+        elif _read(highs, problem, col_lower, col_upper) == _h.HighsStatus.kError:
+            self._failed = _result(
+                _STATUS.kModelError, highs.modelStatusToString(_STATUS.kModelError)
+            )
+
+    def solve(self, col_lower: Sequence[float], col_upper: Sequence[float]) -> HighsResult:
+        """Solve within the column bounds, as SciPy's ``_highs_wrapper``
+        does.
+
+        A problem with any integer column is judged as a MIP: a limit
+        status still carries its incumbent when the objective is finite.
+        Otherwise only ``kOptimal`` carries a point.
+        """
+        if self._failed is not None:
+            return self._failed
+        highs = self._highs
+        if self._ran:
+            highs.clearSolver()
+        self._ran = True
+        lower, upper = self._lower, self._upper
+        for j, (lo, hi) in enumerate(zip(col_lower, col_upper)):
+            if lo != lower[j] or hi != upper[j]:
+                highs.changeColBounds(j, lo, hi)
+                lower[j], upper[j] = lo, hi
+        if highs.run() == _h.HighsStatus.kError:
+            return _result(highs.getModelStatus(), highs.modelStatusToString(highs.getModelStatus()))
+
+        model_status = highs.getModelStatus()
+        info = highs.getInfo()
+        if self.is_mip:
+            failed = model_status not in (_STATUS.kOptimal,) + _LIMITS or (
+                model_status in _LIMITS and info.objective_function_value == _h.kHighsInf
+            )
+        else:
+            failed = model_status != _STATUS.kOptimal
+        if failed:
+            return _result(
+                model_status,
+                f"model_status is {highs.modelStatusToString(model_status)}; "
+                f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}",
+            )
+        solution = highs.getSolution()
+        return _result(
+            model_status,
+            highs.modelStatusToString(model_status),
+            x=solution.col_value,
+            fun=info.objective_function_value,
+            row_value=solution.row_value,
+            mip_gap=info.mip_gap if self.is_mip else None,
+        )
+
+
 def run(
-    problem: Problem | RenderedProblem,
+    problem: Problem,
     col_lower: Sequence[float],
     col_upper: Sequence[float],
     options: Mapping[str, Any],
 ) -> HighsResult:
-    """Solve ``problem`` within the column bounds, as SciPy's
-    ``_highs_wrapper`` does.
-
-    ``options`` maps HiGHS option names to values and is applied in order
-    to a fresh ``HighsOptions`` before the model is read.  A problem with
-    any integer column is judged as a MIP: a limit status still carries
-    its incumbent when the objective is finite.  Otherwise only
-    ``kOptimal`` carries a point.
-    """
-    highs = _h._Highs()
-    highs_options = _h.HighsOptions()
-    for key, value in options.items():
-        setattr(highs_options, key, value)
-    if highs.passOptions(highs_options) == _h.HighsStatus.kError:
-        return _result(highs.getModelStatus(), highs.modelStatusToString(highs.getModelStatus()))
-    if _read(highs, problem, col_lower, col_upper) == _h.HighsStatus.kError:
-        return _result(_STATUS.kModelError, highs.modelStatusToString(_STATUS.kModelError))
-    if highs.run() == _h.HighsStatus.kError:
-        return _result(highs.getModelStatus(), highs.modelStatusToString(highs.getModelStatus()))
-
-    model_status = highs.getModelStatus()
-    info = highs.getInfo()
-    if problem.is_mip:
-        failed = model_status not in (_STATUS.kOptimal,) + _LIMITS or (
-            model_status in _LIMITS and info.objective_function_value == _h.kHighsInf
-        )
-    else:
-        failed = model_status != _STATUS.kOptimal
-    if failed:
-        return _result(
-            model_status,
-            f"model_status is {highs.modelStatusToString(model_status)}; "
-            f"primal_status is {highs.solutionStatusToString(info.primal_solution_status)}",
-        )
-    solution = highs.getSolution()
-    return _result(
-        model_status,
-        highs.modelStatusToString(model_status),
-        x=solution.col_value,
-        fun=info.objective_function_value,
-        row_value=solution.row_value,
-        mip_gap=info.mip_gap if problem.is_mip else None,
-    )
+    """Solve ``problem`` once within the column bounds: a
+    :class:`LoadedProblem` used for one solve."""
+    return LoadedProblem(problem, col_lower, col_upper, options).solve(col_lower, col_upper)

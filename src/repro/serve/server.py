@@ -67,6 +67,7 @@ from repro.errors import ReproError
 from repro.experiments.runner import FailureRecord, run_digest
 from repro.experiments.supervisor import default_journal_path
 from repro.export.plan_json import canonical_plan_dict
+from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import ArtifactCache, default_cache
 from repro.procutil import MP, reap, safe_send, terminate
@@ -80,6 +81,10 @@ from repro.synth import synthesize
 
 #: Seconds clients are told to back off when admission rejects with 429.
 RETRY_AFTER_S = 5
+
+# Pinning glibc's mmap threshold imports ctypes, which a job child must
+# not do; the server pins before its first fork instead (JobServer._fork).
+highs.leave_pin_to_caller()
 
 
 def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) -> None:
@@ -191,6 +196,7 @@ class JobServer:
         self.job_metrics = obs_metrics.registry()
         self._fork_lock = threading.Lock()
         self._children: Set[Any] = set()
+        self._pinned = False
 
         self._http = _HttpServer((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
@@ -319,11 +325,17 @@ class JobServer:
 
         Forks are serialized so that no child inherits another job's
         pipe write end: the parent closes its copy before the next fork,
-        so each pipe reads EOF exactly when its own child is gone.
+        so each pipe reads EOF exactly when its own child is gone.  The
+        first fork pins glibc's mmap threshold for every child
+        (:func:`repro.ilp.highs.pin_mmap_threshold`), after the readiness
+        line, so server start-up does not pay for it.
         """
         with self._fork_lock:
             if self._stop.is_set():
                 raise JobFailure("crash", "server shut down before the job started")
+            if not self._pinned:
+                highs.pin_mmap_threshold()
+                self._pinned = True
             conn, child_conn = MP.Pipe(duplex=False)
             proc = MP.Process(
                 target=_job_entry,

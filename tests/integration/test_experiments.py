@@ -79,6 +79,16 @@ class TestFigures:
         for d, p in zip(series["DAWO"], series["PDW"]):
             assert p <= d
 
+    def test_series_match_the_pinned_metrics(self, runs):
+        # The pins tests/unit/test_docs.py holds EXPERIMENTS.md's figures to.
+        path = Path(__file__).resolve().parents[1] / "data" / "figure_metrics.json"
+        pins = json.loads(path.read_text(encoding="utf-8"))["metrics"]
+        for run in runs:
+            for method in ("dawo", "pdw"):
+                want = pins[f"fig/{run.name}"][method]
+                metrics = getattr(run, method).metrics()
+                assert {k: metrics[k] for k in want} == want
+
     def test_fig_reports_render(self, runs):
         assert "Fig. 4" in fig4_report(SUBSET, CFG)
         assert "Fig. 5" in fig5_report(SUBSET, CFG)

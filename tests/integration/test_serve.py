@@ -377,6 +377,22 @@ class TestJobProcesses:
         status = cli.wait_done(body["id"], timeout_s=90.0)
         assert status["state"] == "done", status.get("error")
 
+    def test_the_server_pins_malloc_once_before_its_first_fork(
+        self, make_server, monkeypatch
+    ):
+        pins = []
+        monkeypatch.setattr(
+            server_module.highs, "pin_mmap_threshold",
+            lambda: pins.append(children_of(os.getpid())),
+        )
+        srv, cli = make_server()
+        kids = children_of(os.getpid())
+        assert pins == []  # start-up does not pay for it
+        for method in ("pdw", "dawo"):
+            _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": method})
+            assert cli.wait_done(body["id"])["state"] == "done"
+        assert pins == [kids]
+
     def test_the_server_itself_never_routes_or_solves(self, make_server):
         srv, cli = make_server()
         srv.job_metrics = obs_metrics.MetricsRegistry()

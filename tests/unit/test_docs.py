@@ -131,3 +131,41 @@ class TestExperimentsTable2:
                 self.improvement(pin["dawo"][key], pin["pdw"][key]) for pin in self.PINS.values()
             ) / len(self.PINS)
             assert abs(measured - want) <= 0.05 + 1e-9, (key, measured, want)
+
+
+class TestExperimentsFigures:
+    """EXPERIMENTS.md's Fig. 4 and Fig. 5 tables against a fresh run.
+
+    ``tests/data/figure_metrics.json`` pins each benchmark's DAWO and PDW
+    ``avg_wait_s`` (Fig. 4, two decimals in the doc) and
+    ``total_wash_time_s`` (Fig. 5, whole seconds) at the config of the
+    pinned Table II digests.
+    """
+
+    DOC = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    PINS = json.loads(
+        (REPO / "tests" / "data" / "figure_metrics.json").read_text(encoding="utf-8")
+    )["metrics"]
+    FIGURES = {"## Fig. 4": ("avg_wait_s", "{:.2f}"), "## Fig. 5": ("total_wash_time_s", "{:.0f}")}
+
+    def rows(self, heading):
+        """``{benchmark: (dawo, pdw)}`` cells of one figure's table."""
+        section = self.DOC.split(heading, 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and len(cells) == 3 and cells[0] not in ("Benchmark", "---"):
+                rows[cells[0]] = (cells[1], cells[2])
+        return rows
+
+    @pytest.mark.parametrize("heading", sorted(FIGURES))
+    def test_every_pinned_benchmark_has_a_row(self, heading):
+        assert {f"fig/{name}" for name in self.rows(heading)} == set(self.PINS)
+
+    @pytest.mark.parametrize("heading", sorted(FIGURES))
+    def test_cells_match_the_pins(self, heading):
+        key, fmt = self.FIGURES[heading]
+        for name, cells in self.rows(heading).items():
+            pins = self.PINS[f"fig/{name}"]
+            want = tuple(fmt.format(pins[method][key]) for method in ("dawo", "pdw"))
+            assert cells == want, (heading, name)

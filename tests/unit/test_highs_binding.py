@@ -130,23 +130,23 @@ def test_unwritable_model_file_is_a_solver_error(models, tmp_path, monkeypatch):
 
 
 def test_branch_and_bound_renders_the_problem_once(models, monkeypatch):
-    heads, runs = [], []
-    write_head, run = highs.Problem.write_head, highs.run
+    writes, solves = [], []
+    write, solve = highs.Problem.write, highs.LoadedProblem.solve
 
-    def counting_head(problem, out):
-        heads.append(problem)
-        write_head(problem, out)
+    def counting_write(problem, *args):
+        writes.append(problem)
+        write(problem, *args)
 
-    def counting_run(problem, *args):
-        runs.append(problem)
-        return run(problem, *args)
+    def counting_solve(lp, *args):
+        solves.append(lp)
+        return solve(lp, *args)
 
-    monkeypatch.setattr(highs.Problem, "write_head", counting_head)
-    monkeypatch.setattr("repro.ilp.branch_bound.run_highs", counting_run)
+    monkeypatch.setattr(highs.Problem, "write", counting_write)
+    monkeypatch.setattr(highs.LoadedProblem, "solve", counting_solve)
     sol = BranchAndBoundSolver(time_limit_s=600).solve(_model(models, "PCR"))
     assert sol.status.value == "optimal"
-    assert len(heads) == 1 and len(runs) > 10
-    assert all(problem is runs[0] for problem in runs)
+    assert len(writes) == 1 and len(solves) > 10
+    assert all(lp is solves[0] for lp in solves)
 
 
 def _infeasible():
@@ -268,3 +268,76 @@ def test_missing_binding_names_file_and_floor(monkeypatch):
     message = str(info.value)
     assert "scipy/optimize/_highspy/_core" in message.replace("\\", "/")
     assert f"SciPy >= {highs.SCIPY_FLOOR}" in message
+
+
+class _Libc:
+    """A stand-in for ``ctypes.CDLL(None)`` that records ``mallopt``."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def mallopt(self, param, value):
+        self.calls.append(("mallopt", param, value))
+        return 1
+
+
+class _NoMallopt:
+    """A C library without ``mallopt``."""
+
+
+def _failing_mallopt(calls):
+    def mallopt(param, value):
+        raise TypeError("mallopt() takes exactly 2 arguments")
+
+    lib = _Libc(calls)
+    lib.mallopt = mallopt
+    return lib
+
+
+def _cdll(make):
+    calls = []
+
+    def cdll(name):
+        calls.append(("CDLL", name))
+        return make(calls)
+
+    return cdll, calls
+
+
+def _raise_oserror(calls):
+    raise OSError("dlopen failed")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_Libc, lambda calls: _NoMallopt(), _failing_mallopt, _raise_oserror],
+    ids=["mallopt", "no-mallopt", "mallopt-raises", "cdll-raises"],
+)
+def test_the_first_solve_of_a_process_pins_the_mmap_threshold_once(models, monkeypatch, make):
+    import ctypes
+
+    cdll, calls = _cdll(make)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(highs, "_pin_pending", True)
+    model = _model(models, "PCR")
+    for _ in range(2):
+        assert solver.solve(model, time_limit_s=120).status.value == "optimal"
+    assert BranchAndBoundSolver(time_limit_s=120).solve(model).status.value == "optimal"
+    assert calls[0] == ("CDLL", None)
+    assert [call for call in calls if call[0] == "CDLL"] == [("CDLL", None)]
+    if make is _Libc:
+        assert calls[1:] == [("mallopt", -3, 128 * 1024)]
+    assert not highs._pin_pending
+
+
+def test_a_process_that_takes_the_pin_over_never_pins_in_a_solve(models, monkeypatch):
+    import ctypes
+
+    cdll, calls = _cdll(_Libc)
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(highs, "_pin_pending", True)
+    highs.leave_pin_to_caller()
+    assert solver.solve(_model(models, "PCR"), time_limit_s=120).status.value == "optimal"
+    assert calls == []
+    highs.pin_mmap_threshold()
+    assert calls == [("CDLL", None), ("mallopt", -3, 128 * 1024)]

@@ -11,6 +11,8 @@ since imported the whole stack.
   first served job does not pay for it.  That stack is SciPy's HiGHS
   binding alone (:mod:`repro.ilp.highs`): numpy, ``scipy.optimize`` and
   ``scipy.sparse`` stay unloaded.
+* ``ctypes``, which pins glibc's mmap threshold, loads at a process's
+  first solve, not at start-up.
 * networkx and numpy are test-only dependencies: no runtime module loads
   them, the solving ones included, and a cold plan made with both
   unimportable equals its pinned digest on either solving rung.
@@ -101,6 +103,27 @@ def test_forking_and_serving_modules_load_the_solver_eagerly(module, tmp_path):
     loaded = _loaded_after(f"import {module}", tmp_path)
     assert BINDING in loaded
     assert not [m for m in ("numpy", "scipy.optimize", "scipy.sparse", "networkx") if m in loaded]
+
+
+@pytest.mark.parametrize("module", ["repro.experiments.runner", "repro.cli", "repro.serve"])
+def test_entry_points_leave_ctypes_to_the_first_solve(module, tmp_path):
+    # The malloc pin (repro.ilp.highs.pin_mmap_threshold) imports ctypes
+    # when a process first solves, never while it starts up.
+    assert "ctypes" not in _loaded_after(f"import {module}", tmp_path)
+
+
+def test_a_solve_pins_the_mmap_threshold(tmp_path):
+    loaded = _loaded_after(
+        """
+        from repro.cli import main
+        from repro.ilp import highs
+        assert highs._pin_pending
+        assert main(["run", "PCR", "--no-cache"]) == 0
+        assert not highs._pin_pending
+        """,
+        tmp_path,
+    )
+    assert "ctypes" in loaded
 
 
 #: Imports every planning process must do without; the binding needs none.
