@@ -3,8 +3,11 @@
 DESIGN.md fixes the relative order of node-sharing baseline tasks inside
 the scheduling MILP.  This bench solves the free-ordering relaxation
 (:mod:`repro.core.monolithic`) next to the decomposed model and reports the
-objective gap the decomposition concedes — the empirical justification for
-the design choice.
+gap between the decomposed objective and the relaxation's proven dual
+bound, with the relaxed solve's status — the empirical justification for
+the design choice.  A ``feasible`` status means the relaxed solve hit its
+time limit, so the gap is an upper bound on what the decomposition
+concedes, not a measurement of it.
 
 Run with::
 
@@ -27,7 +30,7 @@ from repro.synth import synthesize
 _CFG = PDWConfig(time_limit_s=60.0)
 
 
-@pytest.mark.parametrize("name", ["PCR", "Kinase-act-1"])
+@pytest.mark.parametrize("name", ["PCR", "IVD", "Kinase-act-1"])
 def test_decomposition_gap(benchmark, name, capsys):
     spec = bench_spec(name)
     synthesis = synthesize(load_benchmark(name), inventory=spec.inventory)
@@ -53,5 +56,5 @@ def test_decomposition_gap(benchmark, name, capsys):
         print(
             f"\n{name}: decomposed={cmp.decomposed_objective:.2f} "
             f"relaxed-bound={cmp.relaxed_bound:.2f} "
-            f"gap={cmp.gap_percent:.2f}%"
+            f"({cmp.relaxed_status.value}) gap={cmp.gap_percent:.2f}%"
         )

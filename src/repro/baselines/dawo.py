@@ -211,7 +211,6 @@ class DawoClusterStage(StageBase):
     """DAWO's demand-driven grouping: one cluster per first blocking task."""
 
     name = "clusters"
-    version = "1"
     requires = ("necessity",)
     provides = "clusters"
 
@@ -240,7 +239,6 @@ class SweepLineStage(StageBase):
     """BFS wash paths + sweep-line placement, assembling the DAWO plan."""
 
     name = "sweepline"
-    version = "1"
     requires = ("clusters",)
     provides = "plan"
 

@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_run.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
-        help="ILP model-reduction layer (default on; plans are byte-identical either way)",
+        help="ILP model-reduction layer (default on; plans byte-identical only at a proving gap)",
     )
     p_run.add_argument("--gantt", action="store_true", help="print the schedule chart")
     p_run.add_argument("--chip", action="store_true", help="print the chip layout")
@@ -199,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument("--time-limit", type=float, default=120.0)
     p_suite.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
-        help="ILP model-reduction layer (default on; plans are byte-identical either way)",
+        help="ILP model-reduction layer (default on; plans byte-identical only at a proving gap)",
     )
     p_suite.add_argument(
         "--timeout", type=float, default=600.0,
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-limit", type=float, default=120.0)
     p_bench.add_argument(
         "--presolve", choices=_PRESOLVE, default="on",
-        help="ILP model-reduction layer (default on; plans are byte-identical either way)",
+        help="ILP model-reduction layer (default on; plans byte-identical only at a proving gap)",
     )
     p_bench.add_argument(
         "--iterations", type=int, default=perf.DEFAULT_ITERATIONS,

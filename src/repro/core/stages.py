@@ -3,7 +3,8 @@
 Each stage consumes the :class:`PDWContext`, produces one immutable,
 picklable artifact, and declares a cache key covering exactly the inputs
 the artifact depends on (synthesis digest + the relevant
-:class:`PDWConfig` fields + the stage's code version).  The stages, in
+:class:`PDWConfig` fields; the cache salts every key with the package
+source, see :func:`repro.pipeline.cache.code_salt`).  The stages, in
 order:
 
 ========== ============================================= =================
@@ -103,7 +104,6 @@ class ReplayStage(StageBase):
     """Replay the wash-free baseline and index contamination events."""
 
     name = "replay"
-    version = "1"
     requires = ("synthesis",)
     provides = "tracker"
     shared = True
@@ -126,7 +126,6 @@ class NecessityStage(StageBase):
     """Type 1/2/3 wash-necessity analysis (Eqs. 9-11)."""
 
     name = "necessity"
-    version = "1"
     requires = ("tracker",)
     provides = "necessity"
 
@@ -160,7 +159,6 @@ class ClusterStage(StageBase):
     """
 
     name = "clusters"
-    version = "2"
     requires = ("necessity",)
     provides = "clusters"
 
@@ -218,7 +216,6 @@ class PathGenStage(StageBase):
     """
 
     name = "pathgen"
-    version = "5"
     requires = ("clusters",)
     provides = "candidates"
 
@@ -360,8 +357,10 @@ class ScheduleIlpStage(StageBase):
     When ``config.presolve == "on"`` (the default) the model is built
     through the reduction layer of :mod:`repro.ilp.presolve` — tightened
     bounds, fixed ordering binaries, per-row big-M values.  The reduction
-    provably preserves the optimal objective, so canonical plans are
-    byte-identical either way.
+    provably preserves the optimal objective, so at a proving gap
+    (``mip_gap=1e-9``) canonical plans are byte-identical either way; at
+    the default 1% gap the two formulations may stop at different
+    incumbents within that gap.
 
     Solving goes through the serial :class:`~repro.ilp.SolverPortfolio`
     degradation ladder; when every backend rung fails
@@ -378,7 +377,6 @@ class ScheduleIlpStage(StageBase):
     """
 
     name = "ilp"
-    version = "8"
     requires = ("clusters", "candidates")
     provides = "outcome"
 
@@ -497,7 +495,6 @@ class AssembleStage(StageBase):
     """
 
     name = "assemble"
-    version = "2"
     requires = ("outcome", "clusters", "necessity")
     provides = "plan"
 

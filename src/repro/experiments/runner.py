@@ -61,11 +61,6 @@ from repro.pipeline import (
 from repro.synth import synthesize
 from repro.synth.synthesis import SynthesisResult
 
-#: Code version of the whole-run artifact; bump when run_benchmark's
-#: composition (not just one stage) changes.
-RUNNER_VERSION = "2"
-
-
 def default_config() -> PDWConfig:
     """The config used when callers pass ``config=None``.
 
@@ -210,13 +205,14 @@ def adopt_run(run: BenchmarkRun, config: Optional[PDWConfig] = None) -> Benchmar
         return _CACHE.setdefault(_memo_key(run.name, cfg), run)
 
 
-def _run_digest(name: str, config: PDWConfig) -> str:
-    """Content digest of a whole benchmark run.
+def run_digest(name: str, config: Optional[PDWConfig] = None) -> str:
+    """Content digest of a whole benchmark run (``config=None``: the default).
 
     Includes the assay graph and device inventory (so editing a benchmark
     definition invalidates its cached runs), the full config, the
     solver-altering environment (fault injection / forced rung — degraded
-    runs must never poison the clean cache), and the runner code version.
+    runs must never poison the clean cache).  The code that computes the
+    run is covered by the cache's code salt, not by this digest.
     Stage faults (:mod:`repro.pipeline.chaos`) are deliberately *not*
     included: they prevent artifact production instead of altering it, so
     a journaled success stays resumable after the fault is disarmed.
@@ -225,14 +221,9 @@ def _run_digest(name: str, config: PDWConfig) -> str:
     assay = spec.build()
     inventory = {kind.value: count for kind, count in spec.inventory.items()}
     return stable_digest(
-        "benchmark-run", RUNNER_VERSION, name, graph_to_dict(assay), inventory,
-        config, faults.environment_token(),
+        "benchmark-run", name, graph_to_dict(assay), inventory,
+        config or default_config(), faults.environment_token(),
     )
-
-
-def run_digest(name: str, config: Optional[PDWConfig] = None) -> str:
-    """Public alias of the whole-run digest (used by the supervisor)."""
-    return _run_digest(name, config or default_config())
 
 
 def run_benchmark(
@@ -269,7 +260,7 @@ def _run_benchmark_scoped(
 
     disk = (cache if cache is not None else default_cache()) if use_cache else None
     started = time.perf_counter()
-    digest = _run_digest(name, cfg) if disk is not None else None
+    digest = run_digest(name, cfg) if disk is not None else None
 
     if disk is not None:
         stored = disk.get(digest)

@@ -287,7 +287,8 @@ class HighsResult(NamedTuple):
     3 unbounded, 4 other) and ``message`` SciPy's message for it, which
     quotes the raw ``HighsModelStatus``.  ``x``, ``fun`` and
     ``row_value`` are ``None`` when HiGHS offers no usable point;
-    ``mip_gap`` is ``None`` for a model without integer columns.
+    ``mip_gap`` and ``mip_dual_bound`` (the proven bound on ``fun``) are
+    ``None`` for a model without integer columns.
     """
 
     status: int
@@ -296,6 +297,7 @@ class HighsResult(NamedTuple):
     fun: Optional[float] = None
     row_value: Optional[List[float]] = None
     mip_gap: Optional[float] = None
+    mip_dual_bound: Optional[float] = None
 
 
 def _result(model_status, highs_message: str, **found) -> HighsResult:
@@ -408,6 +410,7 @@ class LoadedProblem:
             fun=info.objective_function_value,
             row_value=solution.row_value,
             mip_gap=info.mip_gap if self.is_mip else None,
+            mip_dual_bound=info.mip_dual_bound if self.is_mip else None,
         )
 
 

@@ -36,9 +36,6 @@ from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 from repro.obs import metrics as obs_metrics
 
-#: Bump to invalidate every stored incumbent (payload format changes).
-INCUMBENT_VERSION = "1"
-
 #: Constraint-violation tolerance when vetting a stored incumbent.
 ADOPT_TOL = 1e-5
 
@@ -88,11 +85,7 @@ def structure_digest(synthesis_digest: str, config: Any) -> str:
     """Stable digest of :func:`structure_key` (artifact-cache addressable)."""
     from repro.pipeline.cache import stable_digest
 
-    return stable_digest(
-        "ilp-incumbent",
-        INCUMBENT_VERSION,
-        structure_key(synthesis_digest, config),
-    )
+    return stable_digest("ilp-incumbent", structure_key(synthesis_digest, config))
 
 
 def store_incumbent(cache, digest: str, solution: Solution, config: Any) -> bool:
@@ -105,7 +98,6 @@ def store_incumbent(cache, digest: str, solution: Solution, config: Any) -> bool
     if cache is None or not solution.status.has_solution:
         return False
     payload = {
-        "version": INCUMBENT_VERSION,
         "values": {name: float(v) for name, v in solution.as_name_map().items()},
         "objective": solution.objective,
         "weights": (
@@ -124,10 +116,7 @@ def load_incumbent(cache, digest: str) -> Optional[Dict[str, Any]]:
     if cache is None:
         return None
     payload = cache.get(digest)
-    if not isinstance(payload, dict) or payload.get("version") != INCUMBENT_VERSION:
-        return None
-    values = payload.get("values")
-    if not isinstance(values, dict):
+    if not isinstance(payload, dict) or not isinstance(payload.get("values"), dict):
         return None
     return payload
 

@@ -45,6 +45,9 @@ class Solution:
     values: Dict[Variable, float] = field(default_factory=dict)
     solve_time_s: float = 0.0
     mip_gap: float | None = None
+    #: The solver's proven bound on ``objective`` (below it when
+    #: minimizing), or ``None`` when the backend proves none.
+    mip_dual_bound: float | None = None
     message: str = ""
 
     def __getitem__(self, var: Variable) -> float:

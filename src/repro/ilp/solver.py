@@ -128,6 +128,9 @@ def solve(
     values = {}
     objective = None
     gap = result.mip_gap
+    bound = result.mip_dual_bound  # on the constant-free objective, negated when maximizing
+    if bound is not None:
+        bound = model.objective.constant + (-bound if model.objective_sense == "max" else bound)
     if status.has_solution:
         for var in model.variables:
             raw = float(result.x[var.index])
@@ -158,5 +161,6 @@ def solve(
         values=values,
         solve_time_s=elapsed,
         mip_gap=float(gap) if gap is not None else None,
+        mip_dual_bound=bound,
         message=result.message,
     )

@@ -6,11 +6,10 @@ ILP → plan assembly — and the DAWO baseline shares its upstream stages.
 This package makes those boundaries explicit:
 
 * :class:`Stage` / :class:`StageBase` — one pipeline step producing an
-  immutable, picklable artifact, with a declared cache key and code
-  version,
+  immutable, picklable artifact, with a declared cache key,
 * :class:`ArtifactCache` — a content-addressed on-disk store keyed by a
-  stable SHA-256 digest of (assay, chip, config, stage code version) that
-  survives across processes,
+  stable SHA-256 digest of (assay, chip, config) and salted with a hash
+  of the package source, that survives across processes,
 * :class:`PipelineRun` — executes stages cache-first and records a
   :class:`RunReport` of per-stage wall times, counters and solver
   statistics.

@@ -1,14 +1,15 @@
 """Content-addressed, self-verifying on-disk artifact cache.
 
 Every pipeline stage artifact (contamination replay, necessity report, wash
-clusters, candidate path pools, ILP outcomes, whole benchmark runs) is
-stored under a key that is a SHA-256 digest of canonical JSON describing
-*everything the artifact depends on*: the assay graph, the chip, the
-binding and baseline schedule, the relevant :class:`PDWConfig` fields, and
-a per-stage code-version string that is bumped whenever the stage's
-implementation changes.  Identical inputs therefore hit the same cache
-entry across processes and sessions, and any input or code change misses
-cleanly instead of serving a stale artifact.
+clusters, candidate path pools, ILP outcomes and incumbents, whole
+benchmark runs) is stored under a key that is a SHA-256 digest of
+canonical JSON describing *everything the artifact depends on*: the assay
+graph, the chip, the binding and baseline schedule, the relevant
+:class:`PDWConfig` fields.  Entry files are named by the key and the
+:func:`code_salt`, a hash of ``repro``'s own source (not SciPy/HiGHS or
+the Python version) taken at a process's first cache access.  Identical
+inputs therefore hit across processes and sessions, and any input or
+code change misses cleanly; ``pdw cache gc`` evicts the stale entries.
 
 Entries are self-verifying: each file carries a small header (magic bytes,
 an entry-format version, and the SHA-256 of the pickled payload) written
@@ -44,14 +45,10 @@ from typing import Any, Iterator, List, Optional, Tuple
 from repro.envutil import env_int, pick
 from repro.pipeline import chaos
 
-#: Global salt for every digest; bump to invalidate all cached artifacts
-#: (e.g. after a serialization-format change).
-CACHE_FORMAT_VERSION = "3"
-
 #: Leading magic bytes of every entry file.
 ENTRY_MAGIC = b"RPDW"
-#: On-disk entry format version (one byte after the magic); bumped together
-#: with :data:`CACHE_FORMAT_VERSION` when the framing changes.
+#: On-disk entry format version (one byte after the magic); bump it when
+#: the framing changes.
 ENTRY_FORMAT = 2
 #: magic + format byte + SHA-256 of the payload.
 _HEADER_LEN = len(ENTRY_MAGIC) + 1 + 32
@@ -68,6 +65,23 @@ ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 _GC_PUT_INTERVAL = 64
 
 _logger = logging.getLogger(__name__)
+
+_PACKAGE_DIR = Path(__file__).resolve().parent.parent
+_code_salt: Optional[str] = None  # memoized: an edit after first use is not seen
+
+
+def code_salt() -> str:
+    """SHA-256 over every ``repro/**/*.py`` file's relative path and bytes,
+    in sorted path order; hashed on first use, then memoized per process."""
+    global _code_salt
+    if _code_salt is None:
+        paths = {p.relative_to(_PACKAGE_DIR).as_posix(): p for p in _PACKAGE_DIR.rglob("*.py")}
+        sha = hashlib.sha256()
+        for rel in sorted(paths):
+            data = paths[rel].read_bytes()
+            sha.update(f"{rel}\0{len(data)}\0".encode("utf-8") + data)
+        _code_salt = sha.hexdigest()
+    return _code_salt
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +115,7 @@ def stable_digest(*parts: Any) -> str:
     ``hash()`` randomization, no ``repr`` reliance).
     """
     payload = json.dumps(
-        _canonical([CACHE_FORMAT_VERSION, *parts]),
+        _canonical(list(parts)),
         sort_keys=True,
         separators=(",", ":"),
     )
@@ -162,6 +176,26 @@ def max_cache_bytes() -> Optional[int]:
 # the store
 # ---------------------------------------------------------------------------
 
+def _decode(data: bytes, corrupt: bool = False) -> Tuple[Optional[str], Any]:
+    """``(quarantine reason or None, artifact)`` for one entry file's bytes.
+
+    ``corrupt`` flips payload bits first (the ``cache:corrupt`` chaos fault).
+    """
+    if len(data) < _HEADER_LEN or data[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
+        return "bad-header", None
+    if data[len(ENTRY_MAGIC)] != ENTRY_FORMAT:
+        return f"entry-format-{data[len(ENTRY_MAGIC)]}", None
+    payload = data[_HEADER_LEN:]
+    if corrupt:
+        payload = chaos.corrupt_payload(payload)
+    if hashlib.sha256(payload).digest() != data[len(ENTRY_MAGIC) + 1 : _HEADER_LEN]:
+        return "checksum-mismatch", None
+    try:
+        return None, pickle.loads(payload)
+    except Exception as exc:
+        return f"unpicklable-{type(exc).__name__}", None
+
+
 @dataclass
 class VerifyReport:
     """Outcome of :meth:`ArtifactCache.verify`."""
@@ -183,8 +217,9 @@ class VerifyReport:
 class ArtifactCache:
     """A content-addressed, self-verifying pickle store under one directory.
 
-    Entries are sharded two levels deep (``ab/cdef...pkl``) to keep
-    directory listings small under heavy use.
+    An entry's file name hashes its digest with the :func:`code_salt`, so
+    entries written by other code are plain misses.  Entries are sharded
+    two levels deep (``ab/cdef...pkl``) to keep directory listings small.
     """
 
     def __init__(self, root: Path | str):
@@ -194,7 +229,8 @@ class ArtifactCache:
     # -- core API -----------------------------------------------------------------
 
     def _path(self, digest: str) -> Path:
-        return self.root / digest[:2] / f"{digest[2:]}.pkl"
+        name = hashlib.sha256(f"{code_salt()}:{digest}".encode("utf-8")).hexdigest()
+        return self.root / name[:2] / f"{name[2:]}.pkl"
 
     def get(self, digest: str) -> Optional[Any]:
         """The artifact stored under ``digest``, or ``None`` on a miss.
@@ -209,29 +245,12 @@ class ArtifactCache:
         path = self._path(digest)
         try:
             data = path.read_bytes()
-        except FileNotFoundError:
-            return None
         except OSError:
             return None
-
-        if len(data) < _HEADER_LEN or data[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
-            self._quarantine(path, "bad-header")
-            return None
-        if data[len(ENTRY_MAGIC)] != ENTRY_FORMAT:
-            self._quarantine(path, f"entry-format-{data[len(ENTRY_MAGIC)]}")
-            return None
-        stored_sum = data[len(ENTRY_MAGIC) + 1 : _HEADER_LEN]
-        payload = data[_HEADER_LEN:]
         fault = chaos.fault_for(chaos.CACHE_TARGET)
-        if fault is not None and fault.mode == "corrupt":
-            payload = chaos.corrupt_payload(payload)
-        if hashlib.sha256(payload).digest() != stored_sum:
-            self._quarantine(path, "checksum-mismatch")
-            return None
-        try:
-            artifact = pickle.loads(payload)
-        except Exception as exc:
-            self._quarantine(path, f"unpicklable-{type(exc).__name__}")
+        reason, artifact = _decode(data, corrupt=fault is not None and fault.mode == "corrupt")
+        if reason is not None:
+            self._quarantine(path, reason)
             return None
         # LRU-ish: a hit refreshes the mtime so gc evicts cold entries first.
         with contextlib.suppress(OSError):
@@ -315,19 +334,7 @@ class ArtifactCache:
             data = path.read_bytes()
         except OSError:
             return None  # vanished concurrently; nothing to quarantine
-        if len(data) < _HEADER_LEN or data[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
-            return "bad-header"
-        if data[len(ENTRY_MAGIC)] != ENTRY_FORMAT:
-            return f"entry-format-{data[len(ENTRY_MAGIC)]}"
-        stored_sum = data[len(ENTRY_MAGIC) + 1 : _HEADER_LEN]
-        payload = data[_HEADER_LEN:]
-        if hashlib.sha256(payload).digest() != stored_sum:
-            return "checksum-mismatch"
-        try:
-            pickle.loads(payload)
-        except Exception as exc:
-            return f"unpicklable-{type(exc).__name__}"
-        return None
+        return _decode(data)[0]
 
     def quarantined(self) -> Iterator[Path]:
         """All quarantined entry files."""

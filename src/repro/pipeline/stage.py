@@ -3,9 +3,10 @@
 A *stage* is one step of a staged pipeline: it computes an immutable,
 picklable artifact from a context object, declares a cache key describing
 every input the artifact depends on (or ``None`` to opt out of caching),
-and reports numeric counters about what it produced.  ``version`` is the
-stage's *code version*: bump it whenever the stage's implementation changes
-so previously cached artifacts are invalidated.
+and reports numeric counters about what it produced.  A stage carries no
+code version: the cache salts every key with the package source
+(:func:`repro.pipeline.cache.code_salt`), so any edit to ``repro``
+invalidates the artifacts the previous code computed.
 
 A :class:`PipelineRun` executes stages in order, consults the
 content-addressed :class:`~repro.pipeline.cache.ArtifactCache` before
@@ -39,8 +40,6 @@ class Stage(Protocol):
 
     #: Stage name; also the instrumentation label.
     name: str
-    #: Code version of the implementation; part of every cache key.
-    version: str
 
     def key(self, ctx: Any) -> Optional[Any]:
         """Cache-key material covering every input, or ``None`` (no cache)."""
@@ -65,7 +64,6 @@ class StageBase:
     """
 
     name = "stage"
-    version = "1"
     #: Context attribute names this stage reads (its dataflow inputs).
     requires: tuple = ()
     #: Context attribute its artifact fills (its dataflow output), or "".
@@ -124,7 +122,7 @@ class PipelineRun:
             digest: Optional[str] = None
             key = stage.key(ctx)
             if self.cache is not None and key is not None:
-                digest = stable_digest("stage", stage.name, stage.version, key)
+                digest = stable_digest("stage", stage.name, key)
                 artifact = self.cache.get(digest)
                 if artifact is not None:
                     lookup_s = time.perf_counter() - started

@@ -70,6 +70,7 @@ from repro.export.plan_json import canonical_plan_dict
 from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import ArtifactCache, default_cache
+from repro.pipeline import cache as artifact_cache
 from repro.procutil import MP, reap, safe_send, terminate
 from repro.sched import journal as sched_journal
 from repro.sched.executor import DagExecutor
@@ -196,7 +197,7 @@ class JobServer:
         self.job_metrics = obs_metrics.registry()
         self._fork_lock = threading.Lock()
         self._children: Set[Any] = set()
-        self._pinned = False
+        self._forked = False
 
         self._http = _HttpServer((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
@@ -327,15 +328,18 @@ class JobServer:
         pipe write end: the parent closes its copy before the next fork,
         so each pipe reads EOF exactly when its own child is gone.  The
         first fork pins glibc's mmap threshold for every child
-        (:func:`repro.ilp.highs.pin_mmap_threshold`), after the readiness
-        line, so server start-up does not pay for it.
+        (:func:`repro.ilp.highs.pin_mmap_threshold`) and hashes the cache's
+        code salt for every child to inherit, after the readiness line,
+        so server start-up pays for neither.
         """
         with self._fork_lock:
             if self._stop.is_set():
                 raise JobFailure("crash", "server shut down before the job started")
-            if not self._pinned:
+            if not self._forked:
                 highs.pin_mmap_threshold()
-                self._pinned = True
+                if self.use_cache:
+                    artifact_cache.code_salt()
+                self._forked = True
             conn, child_conn = MP.Pipe(duplex=False)
             proc = MP.Process(
                 target=_job_entry,

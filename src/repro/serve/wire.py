@@ -203,7 +203,7 @@ def job_digest(spec: JobSpec) -> str:
     """Content digest of a job — the dedup key.
 
     Benchmark jobs reuse the whole-run digest (assay graph, inventory,
-    config, environment token, runner version), so a serve job and a CLI
+    config, environment token), so a serve job and a CLI
     ``pdw run`` of the same benchmark+config share one cache entry.
     """
     if spec.kind == "benchmark":

@@ -111,6 +111,18 @@ class TestAblation:
         assert full.integrated_removals >= plans["no-integration"].integrated_removals
         assert plans["no-integration"].integrated_removals == 0
 
+    def test_pcr_matches_the_pinned_metrics(self):
+        # The pins tests/unit/test_docs.py holds EXPERIMENTS.md's ablation
+        # table to, at the config `python -m repro.experiments ablation` runs.
+        from repro.experiments.ablation import run_ablation
+
+        path = Path(__file__).resolve().parents[1] / "data" / "ablation_metrics.json"
+        pins = json.loads(path.read_text(encoding="utf-8"))["metrics"]
+        for variant, plan in run_ablation("PCR").items():
+            want = pins[f"ablation/PCR/{variant}"]
+            metrics = {**plan.metrics(), "psi": plan.integrated_removals}
+            assert {k: metrics[k] for k in want} == want
+
 
 class TestCliModule:
     def test_experiments_main(self, capsys):

@@ -35,6 +35,7 @@ from repro.experiments import runner
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracer
 from repro.pipeline import ArtifactCache
+from repro.pipeline import cache as artifact_cache
 from repro.procutil import MP
 from repro.sched import journal as sched_journal
 from repro.sched.executor import DagExecutor
@@ -392,6 +393,30 @@ class TestJobProcesses:
             _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": method})
             assert cli.wait_done(body["id"])["state"] == "done"
         assert pins == [kids]
+
+    def test_the_server_computes_the_code_salt_once_before_its_first_fork(
+        self, make_server, monkeypatch, tmp_path
+    ):
+        # Job children inherit the salt; only the server hashes the source.
+        computed = tmp_path / "salts"
+        hash_source = artifact_cache.code_salt
+
+        def code_salt():
+            if artifact_cache._code_salt is None:
+                with computed.open("a") as fh:
+                    fh.write(f"{os.getpid()} {sorted(children_of(os.getpid()))}\n")
+            return hash_source()
+
+        monkeypatch.setattr(artifact_cache, "code_salt", code_salt)
+        monkeypatch.setattr(artifact_cache, "_code_salt", None)
+        srv, cli = make_server()
+        kids = children_of(os.getpid())
+        assert not computed.exists()  # start-up does not pay for it
+        for method in ("pdw", "dawo"):
+            _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": method})
+            assert cli.wait_done(body["id"])["state"] == "done"
+            assert cli.request("GET", f"/v1/jobs/{body['id']}/plan")[0] == 200
+        assert computed.read_text().splitlines() == [f"{os.getpid()} {sorted(kids)}"]
 
     def test_the_server_itself_never_routes_or_solves(self, make_server):
         srv, cli = make_server()

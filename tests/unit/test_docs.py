@@ -169,3 +169,89 @@ class TestExperimentsFigures:
             pins = self.PINS[f"fig/{name}"]
             want = tuple(fmt.format(pins[method][key]) for method in ("dawo", "pdw"))
             assert cells == want, (heading, name)
+
+
+class TestExperimentsAblation:
+    """EXPERIMENTS.md's ablation table against the metrics a fresh run gives.
+
+    ``tests/data/ablation_metrics.json`` pins each (benchmark, variant)
+    row's four metrics and ψ at the config ``python -m repro.experiments
+    ablation`` runs.
+    """
+
+    DOC = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    PINS = json.loads(
+        (REPO / "tests" / "data" / "ablation_metrics.json").read_text(encoding="utf-8")
+    )["metrics"]
+    FORMATS = (
+        ("n_wash", "{:.0f}"), ("l_wash_mm", "{:.1f}"), ("t_delay_s", "{:.0f}"),
+        ("t_assay_s", "{:.0f}"), ("psi", "{}"),
+    )
+
+    def rows(self):
+        """``{ablation/<benchmark>/<variant>: metric cells}`` of the table."""
+        section = self.DOC.split("## Ablations", 1)[1].split("\n## ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and len(cells) == 7 and cells[0] not in ("Benchmark", "---"):
+                rows[f"ablation/{cells[0]}/{cells[1]}"] = tuple(cells[2:])
+        return rows
+
+    def test_every_pinned_row_is_in_the_doc(self):
+        assert set(self.rows()) == set(self.PINS)
+
+    def test_cells_match_the_pins(self):
+        for key, cells in self.rows().items():
+            want = tuple(fmt.format(self.PINS[key][name]) for name, fmt in self.FORMATS)
+            assert cells == want, key
+
+
+class TestExperimentsRuntime:
+    """EXPERIMENTS.md's runtime table is read off a committed ``pdw bench``
+    artifact: each cell is a per-benchmark median (or a sum of stage
+    medians) in seconds, to three decimals."""
+
+    DOC = (REPO / "EXPERIMENTS.md").read_text(encoding="utf-8")
+    SECTION = DOC.split("## Runtime", 1)[1].split("\n## ", 1)[0]
+    COLUMNS = (
+        ("wall_s",), ("synthesis",), ("replay",),
+        ("pdw.necessity", "pdw.clusters", "pdw.pathgen"), ("pdw.ilp",), ("highs",),
+        ("dawo.necessity", "dawo.clusters", "dawo.sweepline"),
+    )
+
+    def artifact(self):
+        path = re.search(r"`(docs/bench/[\w.-]+\.json)`", self.SECTION).group(1)
+        return json.loads((REPO / path).read_text(encoding="utf-8"))
+
+    @staticmethod
+    def median(series, name):
+        if name == "wall_s":
+            return series["wall_s"]["median"]
+        if name == "highs":
+            return series["rungs"]["highs"]["median"]
+        return series["stages"][name]["median"]
+
+    def rows(self):
+        rows = {}
+        for line in self.SECTION.splitlines():
+            cells = [c.strip() for c in line.strip().strip("|").split("|")]
+            if line.startswith("|") and len(cells) == 8 and cells[0] not in ("Benchmark", "---"):
+                rows[cells[0]] = tuple(cells[1:])
+        return rows
+
+    def test_the_artifact_is_a_full_cold_matrix(self):
+        from repro.bench import BENCHMARKS
+
+        payload = self.artifact()
+        assert not payload["quick"]
+        assert set(payload["benchmarks"]) == set(BENCHMARKS) == set(self.rows())
+
+    def test_cells_match_the_artifact(self):
+        benchmarks = self.artifact()["benchmarks"]
+        for name, cells in self.rows().items():
+            want = tuple(
+                f"{sum(self.median(benchmarks[name], s) for s in column):.3f}"
+                for column in self.COLUMNS
+            )
+            assert cells == want, name

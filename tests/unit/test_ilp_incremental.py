@@ -6,6 +6,7 @@ from repro.core import PDWConfig
 from repro.ilp import LinExpr, Model, SolveStatus
 from repro.ilp import incremental
 from repro.pipeline import ArtifactCache
+from repro.pipeline import cache as cache_module
 
 
 def knapsack_model() -> Model:
@@ -98,10 +99,19 @@ class TestIncumbentRoundtrip:
         assert not incremental.store_incumbent(cache, digest, failed, PDWConfig())
         assert incremental.load_incumbent(cache, digest) is None
 
+    def test_an_incumbent_misses_under_another_salt(self, tmp_path, monkeypatch):
+        cache = ArtifactCache(tmp_path / "store")
+        digest = incremental.structure_digest("syn", PDWConfig())
+        monkeypatch.setattr(cache_module, "_code_salt", "old-source")
+        assert incremental.store_incumbent(cache, digest, knapsack_model().solve(), PDWConfig())
+        assert incremental.load_incumbent(cache, digest) is not None
+        monkeypatch.setattr(cache_module, "_code_salt", "edited-source")
+        assert incremental.load_incumbent(cache, digest) is None
+
     def test_foreign_payload_rejected(self, tmp_path):
         cache = ArtifactCache(tmp_path / "store")
         digest = incremental.structure_digest("syn", PDWConfig())
-        cache.put(digest, {"version": "0", "values": {}})
+        cache.put(digest, {"values": ["not", "a", "mapping"]})
         assert incremental.load_incumbent(cache, digest) is None
         cache.put(digest, ["not", "a", "payload"])
         assert incremental.load_incumbent(cache, digest) is None

@@ -13,6 +13,8 @@ since imported the whole stack.
   ``scipy.sparse`` stay unloaded.
 * ``ctypes``, which pins glibc's mmap threshold, loads at a process's
   first solve, not at start-up.
+* The artifact cache's code salt is computed on the first cache access:
+  neither importing an entry point nor a cache-off run computes it.
 * networkx and numpy are test-only dependencies: no runtime module loads
   them, the solving ones included, and a cold plan made with both
   unimportable equals its pinned digest on either solving rung.
@@ -110,6 +112,28 @@ def test_entry_points_leave_ctypes_to_the_first_solve(module, tmp_path):
     # The malloc pin (repro.ilp.highs.pin_mmap_threshold) imports ctypes
     # when a process first solves, never while it starts up.
     assert "ctypes" not in _loaded_after(f"import {module}", tmp_path)
+
+
+def test_imports_and_uncached_runs_compute_no_code_salt(tmp_path):
+    # The cache's code salt hashes the package source on the first cache
+    # access; start-up and cache-off runs never pay for it.
+    lines = _run_fresh(
+        """
+        import repro.cli
+        import repro.experiments.runner
+        import repro.serve
+        from repro.core import PDWConfig
+        from repro.pipeline import cache
+
+        print(cache._code_salt)
+        repro.experiments.runner.run_benchmark(
+            "PCR", PDWConfig(time_limit_s=40), use_cache=False
+        )
+        print(cache._code_salt)
+        """,
+        tmp_path,
+    )
+    assert lines[:2] == ["None", "None"]
 
 
 def test_a_solve_pins_the_mmap_threshold(tmp_path):

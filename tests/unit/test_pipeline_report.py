@@ -1,13 +1,13 @@
 """Unit tests for per-stage instrumentation and the pipeline runner."""
 
 from repro.pipeline import ArtifactCache, PipelineRun, RunReport, Stage, StageBase
+from repro.pipeline import cache as cache_module
 
 
 class CountingStage(StageBase):
     """A toy stage that counts its own compute() invocations."""
 
     name = "toy"
-    version = "1"
 
     def __init__(self, cacheable: bool = True):
         self.cacheable = cacheable
@@ -105,13 +105,18 @@ class TestPipelineRun:
         run.run_stage(stage, {"seed": 2})
         assert stage.computed == 2
 
-    def test_version_bump_invalidates(self, tmp_path):
+    def test_salt_change_invalidates(self, tmp_path, monkeypatch):
         cache = ArtifactCache(tmp_path)
         stage = CountingStage()
+        monkeypatch.setattr(cache_module, "_code_salt", "old-source")
         PipelineRun(cache=cache).run_stage(stage, {"seed": 5})
-        stage.version = "2"
         PipelineRun(cache=cache).run_stage(stage, {"seed": 5})
+        assert stage.computed == 1
+        monkeypatch.setattr(cache_module, "_code_salt", "edited-source")
+        run = PipelineRun(cache=cache)
+        run.run_stage(stage, {"seed": 5})
         assert stage.computed == 2
+        assert run.report.get("toy").cached is False
 
     def test_uncacheable_stage_always_computes(self, tmp_path):
         cache = ArtifactCache(tmp_path)
