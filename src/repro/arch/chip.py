@@ -250,8 +250,3 @@ class Chip:
             f"Chip({self.name!r}, {s['devices']} devices, {s['nodes']} nodes, "
             f"{s['flow_ports']}+{s['waste_ports']} ports)"
         )
-
-
-def interior_nodes(path: Iterable[str], chip: Chip) -> List[str]:
-    """Non-port nodes of a flow path — the ones that can be contaminated."""
-    return [n for n in path if not chip.is_port(n)]

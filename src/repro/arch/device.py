@@ -23,11 +23,6 @@ class DeviceKind(enum.Enum):
     SEPARATOR = "separator"
     INCUBATOR = "incubator"
 
-    @property
-    def display_name(self) -> str:
-        """Human-readable name used by the ASCII renderer."""
-        return self.value
-
 
 #: Operation types each device kind can execute (operation type strings used
 #: by :mod:`repro.assay.operations`).

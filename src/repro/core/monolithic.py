@@ -12,7 +12,9 @@ only as a *bound*:
 :func:`objective_lower_bound` solves the free-ordering model and returns
 the solver's proven dual bound on its objective, which is <= the
 decomposed model's objective even where the relaxed incumbent is not
-(``benchmarks/bench_decomposition.py`` reports the gap).
+(``benchmarks/bench_decomposition.py`` reports the gap).  The decomposed
+plan seeds the relaxed solve's branch-and-bound rung, so that rung bounds
+from its root even where it finds no better plan.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from repro.arch.chip import Chip, FlowPath
 from repro.core.config import PDWConfig
 from repro.core.schedule_ilp import WashScheduleIlp
 from repro.core.targets import WashCluster
-from repro.ilp import LinExpr, SolveStatus
+from repro.ilp import LinExpr, Solution, SolveStatus, SolverPortfolio
+from repro.ilp.incremental import ADOPT_TOL, adopt_incumbent
 from repro.schedule.schedule import Schedule
 from repro.schedule.tasks import TaskKind
 
@@ -130,7 +133,30 @@ def objective_lower_bound(
     decomposed = WashScheduleIlp(chip, baseline, list(clusters), candidates, config)
     relaxed = MonolithicWashIlp(chip, baseline, list(clusters), candidates, config)
     decomposed_objective = decomposed.solve().objective
-    relaxed.solve()
+    relaxed.ensure_built()
+    incumbent = _seed_point(relaxed, decomposed.last_solution)
+    relaxed.solve(SolverPortfolio.from_config(config, incumbent=incumbent))
     solution = relaxed.last_solution
     bound = -math.inf if solution.mip_dual_bound is None else solution.mip_dual_bound
     return BoundComparison(decomposed_objective, bound, solution.status)
+
+
+def _seed_point(relaxed: MonolithicWashIlp, decomposed: Solution) -> Optional[Solution]:
+    """The decomposed plan as a point of the free-ordering model.
+
+    The relaxation only drops rows, so that plan is feasible here.  The
+    binaries the decomposed model never built (presolve-dropped candidates
+    and order binaries, the free-ordering binaries) start at 0 and flip to
+    1 where a row they enter is violated; :func:`adopt_incumbent` vets the
+    point, and a rejected one leaves the solve cold.
+    """
+    model = relaxed.model
+    known = decomposed.as_name_map()
+    x = [known.get(var.name, 0.0) for var in model.variables]
+    rows = model.row_matrix()
+    for i, (value, lo, hi) in enumerate(zip(rows.activities(x), rows.lo, rows.hi)):
+        if max(value - hi, lo - value) > ADOPT_TOL:
+            for col in rows.indices[rows.indptr[i]:rows.indptr[i + 1]]:
+                if model.variables[col].name not in known:
+                    x[col] = 1.0
+    return adopt_incumbent(model, {var.name: x[var.index] for var in model.variables})

@@ -144,15 +144,14 @@ class BranchAndBoundSolver:
             return Solution(status, solve_time_s=elapsed, message="no incumbent found")
 
         status = SolveStatus.OPTIMAL if not heap else SolveStatus.FEASIBLE
-        gap = None
-        if heap:
-            # Limit-hit: the smallest open relaxation bound is a valid
-            # lower bound (in the minimization space ``c`` lives in) on
-            # any solution still reachable, so the relative distance from
-            # the incumbent to it is an honest optimality gap.
-            remaining = min(node.bound for node in heap)
-            lower = min(remaining, best_obj)
-            if math.isfinite(lower):
+        # The smallest open relaxation bound is a valid lower bound (in
+        # the minimization space ``c`` lives in) on any solution still
+        # reachable; with the heap empty the incumbent is proven optimal.
+        lower = min([best_obj] + [node.bound for node in heap])
+        gap = bound = None
+        if math.isfinite(lower):
+            bound = model.objective.constant + sign * lower
+            if heap:  # limit-hit: the incumbent's distance to it is an honest gap
                 denom = max(abs(best_obj), 1e-9)
                 gap = max(0.0, (best_obj - lower) / denom)
         values: Dict = {}
@@ -162,7 +161,9 @@ class BranchAndBoundSolver:
         objective = model.objective.constant + sum(
             coef * values[var] for var, coef in model.objective.terms.items()
         )
-        return Solution(status, objective, values, solve_time_s=elapsed, mip_gap=gap)
+        return Solution(
+            status, objective, values, solve_time_s=elapsed, mip_gap=gap, mip_dual_bound=bound
+        )
 
     # -- internals ----------------------------------------------------------
 

@@ -33,7 +33,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, List, Optional, Union
 
 from repro.forksafe import renew_lock_in_child
 
@@ -352,10 +352,3 @@ def spans() -> List[SpanRecord]:
     """Snapshot of the globally recorded spans."""
     with _GLOBAL._lock:
         return list(_GLOBAL.spans)
-
-
-def iter_roots() -> Iterator[SpanRecord]:
-    """The recorded top-level spans (no parent)."""
-    for rec in spans():
-        if rec.parent is None:
-            yield rec

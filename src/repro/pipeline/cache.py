@@ -9,7 +9,10 @@ graph, the chip, the binding and baseline schedule, the relevant
 :func:`code_salt`, a hash of ``repro``'s own source (not SciPy/HiGHS or
 the Python version) taken at a process's first cache access.  Identical
 inputs therefore hit across processes and sessions, and any input or
-code change misses cleanly; ``pdw cache gc`` evicts the stale entries.
+code change misses cleanly.  Nothing removes the orphaned entries on its
+own: ``pdw cache gc`` evicts them under a size bound
+(``REPRO_CACHE_MAX_BYTES`` or ``--max-bytes``), ``pdw cache clear`` drops
+everything.
 
 Entries are self-verifying: each file carries a small header (magic bytes,
 an entry-format version, and the SHA-256 of the pickled payload) written

@@ -130,16 +130,6 @@ class RunReport:
         return sum(rec.wall_s for rec in self.stages)
 
     @property
-    def computed_wall_s(self) -> float:
-        """Summed wall time over *computed* stages only.
-
-        Cache-served and shared rows cost a lookup (or nothing), so
-        including them silently skews timing averages toward zero —
-        ``pdw report timings`` and ``pdw bench`` aggregate this view.
-        """
-        return sum(rec.wall_s for rec in self.stages if rec.origin == "computed")
-
-    @property
     def cache_hits(self) -> int:
         """Number of stages served from the artifact cache."""
         return sum(1 for rec in self.stages if rec.cached)

@@ -89,10 +89,6 @@ class Schedule:
         """Completion time of the whole schedule (:math:`T_{assay}`)."""
         return max((t.end for t in self._tasks.values()), default=0)
 
-    def operation_completion(self) -> int:
-        """Completion time of the last biochemical operation."""
-        return max((t.end for t in self.operations()), default=0)
-
     # -- validation ---------------------------------------------------------------
 
     def conflicts(self) -> List[Tuple[str, str]]:

@@ -197,7 +197,7 @@ class JobServer:
         self.job_metrics = obs_metrics.registry()
         self._fork_lock = threading.Lock()
         self._children: Set[Any] = set()
-        self._forked = False
+        self._pinned = False
 
         self._http = _HttpServer((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
@@ -328,18 +328,15 @@ class JobServer:
         pipe write end: the parent closes its copy before the next fork,
         so each pipe reads EOF exactly when its own child is gone.  The
         first fork pins glibc's mmap threshold for every child
-        (:func:`repro.ilp.highs.pin_mmap_threshold`) and hashes the cache's
-        code salt for every child to inherit, after the readiness line,
-        so server start-up pays for neither.
+        (:func:`repro.ilp.highs.pin_mmap_threshold`), after the readiness
+        line, so server start-up does not pay for it.
         """
         with self._fork_lock:
             if self._stop.is_set():
                 raise JobFailure("crash", "server shut down before the job started")
-            if not self._forked:
+            if not self._pinned:
                 highs.pin_mmap_threshold()
-                if self.use_cache:
-                    artifact_cache.code_salt()
-                self._forked = True
+                self._pinned = True
             conn, child_conn = MP.Pipe(duplex=False)
             proc = MP.Process(
                 target=_job_entry,
@@ -465,6 +462,11 @@ class JobServer:
 
             signal.signal(signal.SIGTERM, _on_signal)
             signal.signal(signal.SIGINT, _on_signal)
+        if self.use_cache:
+            # Hashed right after the readiness line, so from the source this
+            # server has just imported, and before a request can fork a
+            # job: every child inherits it.
+            artifact_cache.code_salt()
         try:
             self._http.serve_forever(poll_interval=0.1)
         finally:

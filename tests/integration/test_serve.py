@@ -397,7 +397,9 @@ class TestJobProcesses:
     def test_the_server_computes_the_code_salt_once_before_its_first_fork(
         self, make_server, monkeypatch, tmp_path
     ):
-        # Job children inherit the salt; only the server hashes the source.
+        # The server hashes the source as it starts serving, not at its
+        # first job, which may come long after its import; job children
+        # inherit the salt.
         computed = tmp_path / "salts"
         hash_source = artifact_cache.code_salt
 
@@ -411,7 +413,8 @@ class TestJobProcesses:
         monkeypatch.setattr(artifact_cache, "_code_salt", None)
         srv, cli = make_server()
         kids = children_of(os.getpid())
-        assert not computed.exists()  # start-up does not pay for it
+        assert cli.request("GET", "/healthz")[0] == 200  # the loop is serving
+        assert computed.read_text().splitlines() == [f"{os.getpid()} {sorted(kids)}"]
         for method in ("pdw", "dawo"):
             _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": method})
             assert cli.wait_done(body["id"])["state"] == "done"

@@ -112,12 +112,22 @@ class TestBestEffortStatuses:
         assert sol.status is SolveStatus.FEASIBLE
         assert sol.mip_gap == pytest.approx(0.5)
 
+    def test_node_limit_reports_the_heap_bound_as_dual_bound(self):
+        # The same open node, mapped back to the model's max sense: no
+        # solution can beat 1.5, although the incumbent is 1.0.
+        m = self._fractional_binary_model()
+        m.objective = m.objective + 2.0
+        sol = BranchAndBoundSolver(time_limit_s=20.0, max_nodes=2).solve(m)
+        assert sol.objective == pytest.approx(3.0)
+        assert sol.mip_dual_bound == pytest.approx(3.5)
+
     def test_optimal_solve_has_no_gap(self):
         sol = BranchAndBoundSolver(time_limit_s=20.0).solve(
             self._fractional_binary_model()
         )
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.mip_gap is None
+        assert sol.mip_dual_bound == pytest.approx(sol.objective)
 
     def test_timeout_without_incumbent_is_error(self):
         expired = BranchAndBoundSolver(time_limit_s=0.0)

@@ -1,13 +1,21 @@
 """Unit tests for the free-ordering relaxation and its bound."""
 
+import math
+
 import pytest
 
 from repro.bench import benchmark as bench_spec
 from repro.bench import load_benchmark
 from repro.contam import ContaminationTracker, NecessityPolicy, wash_requirements
 from repro.core import PDWConfig, optimize_washes
-from repro.core.monolithic import BoundComparison, objective_lower_bound
+from repro.core.monolithic import (
+    BoundComparison,
+    MonolithicWashIlp,
+    _seed_point,
+    objective_lower_bound,
+)
 from repro.core.pathgen import candidate_paths
+from repro.core.schedule_ilp import WashScheduleIlp
 from repro.core.targets import cluster_requirements
 from repro.ilp import SolveStatus
 from repro.synth import synthesize
@@ -32,9 +40,23 @@ class TestBound:
             chip, baseline, clusters, candidates, PDWConfig(time_limit_s=60)
         )
         assert isinstance(cmp, BoundComparison)
+        assert math.isfinite(cmp.relaxed_bound)
         assert cmp.relaxed_bound <= cmp.decomposed_objective + 1e-6
         assert cmp.gap >= -1e-6
         assert 0.0 <= cmp.gap_percent <= 100.0
+
+    def test_the_decomposed_plan_seeds_the_relaxed_model(self, problem):
+        # The seed lets the branch-and-bound rung bound the relaxed model
+        # from its root; a point the vetting rejects would leave it cold.
+        chip, baseline, clusters, candidates = problem
+        config = PDWConfig(time_limit_s=60)
+        decomposed = WashScheduleIlp(chip, baseline, list(clusters), candidates, config)
+        outcome = decomposed.solve()
+        relaxed = MonolithicWashIlp(chip, baseline, list(clusters), candidates, config)
+        relaxed.ensure_built()
+        seed = _seed_point(relaxed, decomposed.last_solution)
+        assert seed is not None
+        assert seed.objective == pytest.approx(outcome.objective)
 
     def test_decomposition_gap_is_small_here(self, problem):
         chip, baseline, clusters, candidates = problem
@@ -67,6 +89,7 @@ def test_the_bound_holds_where_the_relaxed_incumbent_does_not():
         synthesis.chip, synthesis.schedule, clusters, candidates, config
     )
     assert cmp.relaxed_status in (SolveStatus.OPTIMAL, SolveStatus.FEASIBLE)
+    assert math.isfinite(cmp.relaxed_bound)
     assert cmp.relaxed_bound <= cmp.decomposed_objective + 1e-6
 
 
