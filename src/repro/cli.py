@@ -8,7 +8,7 @@ Subcommands::
     pdw report {table2,fig4,fig5,ablation,necessity,pareto,timings,
                 failures,degrade,trace,all} [benchmark]
     pdw suite [benchmark ...] [--timeout S] [--retries N] [--resume]
-              [--max-rss MB] [--sched-workers N]  # supervised / DAG runs
+              [--max-rss MB] [--workers N]  # one forked child per benchmark
     pdw suite [benchmark ...] --degrade SPEC[,SPEC...]
               [--degrade-online [NODE@TICK]]      # degradation matrix
     pdw bench [benchmark ...] [--iterations N] [--quick] [--out FILE]
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_suite = sub.add_parser(
-        "suite", help="run benchmarks under the fault-tolerant supervisor"
+        "suite", help="run benchmarks, each in a forked child under a budget"
     )
     # nargs="*" + choices rejects the zero-arg case on Python < 3.12
     # (bpo-9625), so benchmark lists are validated by _check_benchmarks.
@@ -217,15 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-rss", type=float, default=None, metavar="MB",
         help="best-effort per-run address-space cap in MiB",
     )
-    p_suite.add_argument("--workers", type=int, default=None)
     p_suite.add_argument(
-        "--sched-workers", type=int, default=None, metavar="N",
-        help="run the suite as a stage DAG on N scheduler workers "
-        "(node-granular retries/resume; plans stay byte-identical to serial)",
+        "--workers", type=int, default=None, metavar="N",
+        help="benchmarks run at once (default: one per benchmark, at most "
+        "one per CPU; plans stay byte-identical to serial)",
     )
     p_suite.add_argument(
         "--degrade", default="", metavar="SPEC",
-        help="run the degradation matrix instead of the supervised suite: "
+        help="run the degradation matrix instead of the benchmark suite: "
         "comma-separated scenarios (light|moderate|heavy or key=value specs)",
     )
     p_suite.add_argument(
@@ -382,7 +381,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "report":
         if args.name == "failures":
-            from repro.experiments.supervisor import failures_report
+            from repro.sched.journal import failures_report
 
             print(failures_report())
             return 0
@@ -458,48 +457,33 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def _run_suite_cmd(args: argparse.Namespace) -> int:
-    # Loads the whole solve stack before any worker forks, so the workers
+    # Loads the whole solve stack before any child forks, so the children
     # inherit it instead of each importing it again.
     from repro.core import PDWConfig
-    from repro.experiments.runner import FailureRecord, run_suite
-    from repro.experiments.supervisor import RunBudget, SuiteSupervisor
+    from repro.experiments.runner import FailureRecord
     from repro.pipeline import default_cache
+    from repro.sched.executor import DagExecutor
+    from repro.sched.journal import RunBudget
 
     config = PDWConfig(
         time_limit_s=args.time_limit,
         presolve=getattr(args, "presolve", "on"),
     )
+    if args.degrade or args.degrade_online is not None:
+        return _run_degrade_matrix_cmd(args, config)
     budget = RunBudget(
         timeout_s=args.timeout,
         max_rss_bytes=int(args.max_rss * 2**20) if args.max_rss else None,
         retries=max(0, args.retries),
     )
-    if args.degrade or args.degrade_online is not None:
-        return _run_degrade_matrix_cmd(args, config)
-    cache = None if args.no_cache else default_cache()
-    if args.sched_workers is not None:
-        from repro.sched.executor import DagExecutor
-
-        # The DAG executor duck-types SuiteSupervisor.run, so the rest of
-        # this command (result rendering, exit codes) is shared verbatim.
-        supervisor = DagExecutor(
-            budget=budget,
-            cache=cache,
-            use_cache=not args.no_cache,
-            workers=args.sched_workers,
-            resume=args.resume,
-        )
-    else:
-        supervisor = SuiteSupervisor(
-            budget=budget,
-            cache=cache,
-            use_cache=not args.no_cache,
-            workers=args.workers,
-            resume=args.resume,
-        )
-    result = run_suite(
-        args.benchmarks or None, config, cache=cache, supervisor=supervisor
+    executor = DagExecutor(
+        budget=budget,
+        cache=None if args.no_cache else default_cache(),
+        use_cache=not args.no_cache,
+        workers=args.workers,
+        resume=args.resume,
     )
+    result = executor.run(args.benchmarks or None, config)
     for entry in result:
         if isinstance(entry, FailureRecord):
             print(

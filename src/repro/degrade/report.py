@@ -21,7 +21,7 @@ from repro.sched import journal as sched_journal
 def degrade_report(journal_path: Optional[Path] = None) -> str:
     """Render the journaled degradation-matrix history as text."""
     if journal_path is None:
-        from repro.experiments.supervisor import default_journal_path
+        from repro.sched.journal import default_journal_path
 
         journal_path = default_journal_path(default_cache())
     path = Path(journal_path)

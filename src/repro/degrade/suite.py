@@ -175,7 +175,7 @@ def run_degrade_matrix(
     benchmark (pure online repair).  Journal records land in the suite
     journal (or ``journal_path``) for ``pdw report degrade``.
     ``use_cache=False`` (``--no-cache``) writes no artifacts; as under
-    ``SuiteSupervisor``, the journal is written either way.
+    ``pdw suite``, the journal is written either way.
     """
     base_config = config if config is not None else PDWConfig()
     if base_config.degrade:
@@ -193,7 +193,7 @@ def run_degrade_matrix(
 
     cache = cache if cache is not None else (default_cache() if use_cache else None)
     if journal_path is None:
-        from repro.experiments.supervisor import default_journal_path
+        from repro.sched.journal import default_journal_path
 
         journal_path = default_journal_path(cache)
 

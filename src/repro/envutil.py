@@ -1,19 +1,15 @@
 """Warn-not-crash parsing and precedence of ``REPRO_*`` environment knobs.
 
-Several subsystems take integer tuning knobs from the environment —
-``REPRO_SUITE_WORKERS`` (suite fan-out), ``REPRO_SCHED_WORKERS`` (the
-stage-DAG scheduler) and ``REPRO_CACHE_MAX_BYTES`` (artifact-cache size
-bound).
-They share one failure policy: a malformed value must never crash whatever
-pipeline happened to read it first.  :func:`env_int` is the single
+Integer tuning knobs from the environment — ``REPRO_CACHE_MAX_BYTES``
+(the artifact-cache size bound) — follow one failure policy: a malformed
+value must never crash whatever pipeline happened to read it first.  :func:`env_int` is the single
 implementation of that policy; a bad value raises a :class:`RuntimeWarning`
 naming the variable and falls back to ``default``.
 
 Knobs that exist both as a CLI flag and as an environment variable
-(``--cache DIR`` vs ``$REPRO_CACHE_DIR``, ``--sched-workers`` vs
-``$REPRO_SCHED_WORKERS``) share one precedence rule, implemented once by
-:func:`pick`: an explicit flag beats the environment beats the built-in
-default.
+(``--cache DIR`` vs ``$REPRO_CACHE_DIR``) share one precedence rule,
+implemented once by :func:`pick`: an explicit flag beats the environment
+beats the built-in default.
 """
 
 from __future__ import annotations

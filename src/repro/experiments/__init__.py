@@ -26,7 +26,6 @@ from repro.experiments.runner import (
     run_benchmark,
     run_suite,
 )
-from repro.experiments.supervisor import RunBudget, SuiteSupervisor, failures_report
 from repro.experiments.table2 import table2_report
 from repro.experiments.fig4 import fig4_report
 from repro.experiments.fig5 import fig5_report
@@ -38,13 +37,10 @@ from repro.experiments.timings import timings_report
 __all__ = [
     "BenchmarkRun",
     "FailureRecord",
-    "RunBudget",
     "SuiteResult",
-    "SuiteSupervisor",
     "ablation_report",
     "adopt_run",
     "default_config",
-    "failures_report",
     "fig4_report",
     "fig5_report",
     "necessity_report",

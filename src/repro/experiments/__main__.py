@@ -43,7 +43,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.report in ("fig5", "all"):
         print(fig5_report(args.benchmarks, config))
     if args.report in ("ablation", "all"):
-        print(ablation_report(args.benchmarks))
+        print(ablation_report(args.benchmarks, config))
     if args.report in ("necessity", "all"):
         print(necessity_report(args.benchmarks))
     if args.report in ("timings", "all"):

@@ -16,25 +16,20 @@ Within one cold run the two methods share upstream work: the baseline is
 synthesized once and the contamination replay is computed once, then handed
 to both DAWO and PDW (their plans record the stage as ``shared``).
 
-:func:`run_suite` can fan benchmarks out across workers with
-:mod:`concurrent.futures` (``workers=`` / ``$REPRO_SUITE_WORKERS``;
-threads by default, ``executor="process"`` for CPU-bound parallelism on
-multi-core machines) and never aborts mid-suite: a benchmark that fails
-with a :class:`~repro.errors.ReproError` (including injected stage
-faults) becomes a :class:`FailureRecord` in the returned
-:class:`SuiteResult` and the remaining benchmarks still run.  For
-process isolation, per-run budgets, retries and resumable journals, pass
-a :class:`~repro.experiments.supervisor.SuiteSupervisor` as
-``supervisor=`` (what ``pdw suite`` does).
+:func:`run_suite` runs a list of benchmarks through the suite engine,
+:class:`~repro.sched.executor.DagExecutor`, in process on ``workers``
+threads, and never aborts mid-suite: a benchmark that fails with a
+:class:`~repro.errors.ReproError` (including injected stage faults)
+becomes a :class:`FailureRecord` in the returned :class:`SuiteResult`
+and the remaining benchmarks still run.  ``pdw suite`` drives the same
+engine with a budget, which forks one child per benchmark.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Union
 
@@ -44,8 +39,6 @@ from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig, optimize_washes
 from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
-from repro.envutil import env_int
-from repro.errors import DegradedInfeasibleError, ReproError
 from repro.forksafe import renew_lock_in_child
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
@@ -146,12 +139,12 @@ class SuiteResult(Sequence):
     """
 
     entries: List[SuiteEntry] = field(default_factory=list)
-    #: Journal file of the supervising run, when one was used.
+    #: The run journal the suite appended to.
     journal_path: Optional[object] = None
     #: Benchmarks served from the journal + cache without re-execution.
     resumed: tuple = ()
-    #: Merged metrics dump (parent + all worker subprocesses) of a
-    #: supervised run; ``None`` for in-process suites.
+    #: The metrics dump written next to the journal (with a budget, merged
+    #: over every benchmark's child).
     metrics_path: Optional[object] = None
 
     @property
@@ -310,103 +303,25 @@ def _run_benchmark_scoped(
 
 # -- suite execution ---------------------------------------------------------------
 
-def _worker_count(names: Sequence[str], workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = env_int("REPRO_SUITE_WORKERS", minimum=1)
-    if env is not None:
-        return env
-    return max(1, min(len(names), os.cpu_count() or 1))
-
-
-def _run_benchmark_task(args: tuple) -> SuiteEntry:
-    """Top-level worker (picklable for process pools).
-
-    Captures per-benchmark :class:`~repro.errors.ReproError` failures —
-    including injected stage faults — as :class:`FailureRecord` entries
-    so one broken benchmark never aborts the rest of the suite.
-    """
-    name, config, use_cache, cache = args
-    started = time.perf_counter()
-    try:
-        return run_benchmark(name, config, use_cache, cache)
-    except chaos.InjectedFault as exc:
-        return FailureRecord(
-            name, "crash", str(exc), wall_time_s=time.perf_counter() - started
-        )
-    except DegradedInfeasibleError as exc:
-        return FailureRecord(
-            name,
-            "infeasible_degraded",
-            str(exc),
-            wall_time_s=time.perf_counter() - started,
-        )
-    except ReproError as exc:
-        return FailureRecord(
-            name, "error", str(exc), wall_time_s=time.perf_counter() - started
-        )
-
-
 def run_suite(
     names: Optional[Sequence[str]] = None,
     config: Optional[PDWConfig] = None,
     use_cache: bool = True,
-    workers: Optional[int] = None,
-    executor: str = "thread",
     cache: Optional[ArtifactCache] = None,
-    supervisor: Optional["object"] = None,
-    sched_workers: Optional[int] = None,
+    workers: Optional[int] = None,
 ) -> SuiteResult:
     """Run a list of benchmarks (default: the full Table II suite).
 
-    ``workers`` (default: ``$REPRO_SUITE_WORKERS`` or one per CPU, capped
-    at the suite size) fans the benchmarks out with
-    :mod:`concurrent.futures`; results keep suite order.  ``executor`` is
-    ``"thread"`` (shares the in-process memo; best when the disk cache is
-    warm or the solver dominates) or ``"process"`` (true CPU parallelism;
-    each worker re-imports the library and shares work through the on-disk
-    artifact cache only).  ``cache`` overrides the default on-disk
-    artifact cache for every benchmark, under both executors.
-
-    ``supervisor`` (a
-    :class:`~repro.experiments.supervisor.SuiteSupervisor`) replaces the
-    executor fan-out entirely: each benchmark then runs in an isolated
-    subprocess under a wall-clock/memory budget with retries and a
-    resumable journal.
-
-    ``sched_workers`` instead hands the suite to the stage-DAG executor
-    (:class:`~repro.sched.executor.DagExecutor`): the benchmarks are
-    compiled to one DAG of stage nodes scheduled across that many worker
-    threads, overlapping independent stages of different benchmarks while
-    keeping every plan byte-identical to serial execution.
+    The suite runs in this process on ``workers`` threads (default: one
+    per benchmark, at most one per CPU) as one stage DAG
+    (:class:`~repro.sched.executor.DagExecutor`); results keep suite
+    order and every plan is byte-identical to :func:`run_benchmark`'s.
+    ``cache`` overrides the default on-disk artifact cache.
     """
-    suite = list(names or BENCHMARKS)
-    if supervisor is not None:
-        return supervisor.run(suite, config)
-    if sched_workers is not None:
-        from repro.sched.executor import DagExecutor
+    from repro.sched.executor import DagExecutor
 
-        dag = DagExecutor(workers=sched_workers, cache=cache, use_cache=use_cache)
-        return dag.run(suite, config)
-    if executor not in ("thread", "process"):
-        raise ValueError(f"unknown executor {executor!r}")
-    n_workers = _worker_count(suite, workers)
-    tasks = [(name, config, use_cache, cache) for name in suite]
-    if n_workers <= 1 or len(suite) <= 1:
-        return SuiteResult([_run_benchmark_task(task) for task in tasks])
-
-    if executor == "process":
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            entries = list(pool.map(_run_benchmark_task, tasks))
-        if use_cache:
-            # Adopt the workers' results into this process's memo so later
-            # same-process calls return identical objects.
-            for entry in entries:
-                if isinstance(entry, BenchmarkRun):
-                    adopt_run(entry, config)
-        return SuiteResult(entries)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return SuiteResult(list(pool.map(_run_benchmark_task, tasks)))
+    executor = DagExecutor(cache=cache, use_cache=use_cache, workers=workers)
+    return executor.run(list(names or BENCHMARKS), config)
 
 
 def clear_cache() -> None:

@@ -69,7 +69,7 @@ def queue_wait_rows(runs: Sequence[BenchmarkRun]) -> List[List[str]]:
     The DAG executor (:mod:`repro.sched`) stamps every stage record with
     ``queue_wait_s`` — the time between the node becoming ready (all
     dependencies done) and a worker starting it.  Cells show ``-`` for
-    stages without the counter (serial/supervised runs, skipped nodes);
+    stages without the counter (runs planned by ``run_benchmark``, skipped nodes);
     cache-served stages keep their usual origin semantics and simply show
     the wait their *lookup* node spent queued.
     """
@@ -149,17 +149,15 @@ def solver_rows(runs: Sequence[BenchmarkRun]) -> List[List[str]]:
 def timings_report(
     names: Optional[Sequence[str]] = None,
     config: Optional[PDWConfig] = None,
-    sched_workers: Optional[int] = None,
 ) -> str:
     """Render per-stage timings + solver statistics for the suite.
 
-    ``sched_workers`` runs the suite through the stage-DAG executor,
-    adding a per-stage queue-wait table (ready → start latency per node);
-    the table also appears when a previous DAG run's reports are served
-    from the cache.  Failed benchmarks are listed below the tables
-    instead of aborting the report.
+    The suite runs through the stage-DAG executor, so a per-stage
+    queue-wait table (ready → start latency per node) follows the stage
+    table whenever a run's stage records carry one.  Failed benchmarks
+    are listed below the tables instead of aborting the report.
     """
-    result = run_suite(names, config, sched_workers=sched_workers)
+    result = run_suite(names, config)
     runs = result.runs
 
     stage_headers = ["Benchmark", "wall(s)", "cached"]

@@ -31,7 +31,7 @@ outcomes never masquerade as healthy ones.
 
 This module injects faults *inside* the solver only.  The pipeline-wide
 harness — crashing, hanging or corrupting any stage or a cache read, to
-exercise the suite supervisor and the self-verifying cache — is
+exercise the suite engine and the self-verifying cache — is
 :mod:`repro.pipeline.chaos` (``REPRO_INJECT_STAGE_FAULT``).  The two are
 deliberately separate: solver faults alter the produced artifact (hence
 the digest folding above), stage faults only prevent production, so

@@ -9,8 +9,8 @@ Zero-dependency instrumentation substrate for the whole stack
   indented tree (``pdw report trace <benchmark>``),
 * :mod:`repro.obs.metrics` — a central registry of counters, gauges and
   fixed-bucket histograms, serializable to JSON and the Prometheus text
-  format, with exact cross-process snapshot merging (the suite
-  supervisor journals one snapshot per worker and dumps the merge),
+  format, with exact cross-process snapshot merging (the suite engine
+  journals one snapshot per benchmark process and dumps the merge),
 * :mod:`repro.obs.perf` — ``pdw bench``: cold-run medians/p95 per stage
   and per solver rung over the pinned matrix, written as
   ``BENCH_<git-sha>.json`` and gated by ``pdw bench --compare``.

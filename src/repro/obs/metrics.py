@@ -20,7 +20,7 @@ Serialization targets both machines and scrapers:
 * :meth:`MetricsRegistry.as_dict` / :meth:`MetricsRegistry.from_dict` —
   plain-JSON snapshots, mergeable via :meth:`MetricsRegistry.merge`
   (counters and histogram buckets add; gauges take the incoming value).
-  The suite supervisor journals one snapshot per worker subprocess and
+  The suite engine journals one snapshot per benchmark process and
   merges them into the run-wide dump,
 * :meth:`MetricsRegistry.render_prometheus` — the Prometheus text
   exposition format (``pdw export --what metrics --format prom``).
@@ -224,8 +224,8 @@ class MetricsRegistry:
         """Fold a JSON snapshot into this registry.
 
         Counters and histogram buckets add up; gauges take the incoming
-        value.  Used to combine supervisor-worker snapshots (journalled
-        per subprocess) into the run-wide dump.
+        value.  Used to combine benchmark-process snapshots (journalled
+        per child) into the run-wide dump.
         """
         for entry in snapshot.get("series", ()):
             name = str(entry["name"])

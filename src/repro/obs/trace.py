@@ -1,7 +1,7 @@
 """Hierarchical trace spans with an ambient (thread-local) context.
 
 A *span* covers one timed region of work — a pipeline stage, a solver
-ladder rung, a supervisor attempt — and nests under whatever span was
+ladder rung, a benchmark process's attempt — and nests under whatever span was
 open on the same thread when it started::
 
     with span("pdw.pathgen") as sp:
@@ -161,7 +161,7 @@ class Tracer:
         """Record an already-measured region (``perf_counter`` endpoints).
 
         Used where the region's lifetime does not match a ``with`` block —
-        e.g. the suite supervisor's asynchronous worker attempts.
+        e.g. a budgeted suite's forked benchmark attempts.
         """
         if not self._enabled:
             return SpanRecord(name, 0.0, 0.0, None, -1, 0, dict(attrs), status)

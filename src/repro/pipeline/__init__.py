@@ -18,7 +18,7 @@ Robustness layers (DESIGN.md §9):
 
 * :mod:`repro.pipeline.chaos` — pipeline-wide fault injection
   (``REPRO_INJECT_STAGE_FAULT``) that can crash/hang/kill any stage or
-  corrupt cache reads, driving the suite supervisor's failure handling,
+  corrupt cache reads, driving the suite engine's failure handling,
 * the cache is *self-verifying*: entries carry a checksummed header, bad
   entries are quarantined (never deleted) and re-computed, and the store
   is size-bounded through ``REPRO_CACHE_MAX_BYTES``.

@@ -1,8 +1,8 @@
 """Pipeline-wide fault injection (generalizes :mod:`repro.ilp.faults`).
 
 PR 2's harness could only break the solver ladder; this module can break
-*any* pipeline stage or cache read, which is what the suite supervisor
-(:mod:`repro.experiments.supervisor`) and the CI chaos job drive.  Faults
+*any* pipeline stage or cache read, which is what the suite engine
+(:mod:`repro.sched.executor`) and the CI chaos job drive.  Faults
 are armed through ``REPRO_INJECT_STAGE_FAULT``, a comma-separated list of
 clauses::
 
@@ -17,14 +17,14 @@ clauses::
         Raise :class:`InjectedFault` (a :class:`~repro.errors.ReproError`)
         when the target runs.  With ``:<n>`` only the first ``n`` trips
         fire — the counter lives in ``$REPRO_CHAOS_STATE`` (one file per
-        clause) so it survives the supervisor's worker subprocesses and
+        clause) so it survives the suite's benchmark processes and
         makes crash-then-recover retry tests deterministic.
     ``hang:<seconds>``
         Sleep before the target runs (default 3600 s), simulating a stall
-        the supervisor must kill on its wall-clock budget.
+        the suite must kill on its wall-clock budget.
     ``exit[:code]``
         ``os._exit`` immediately (default code 13), simulating a worker
-        killed without a goodbye — the supervisor sees only the exit code.
+        killed without a goodbye — the parent sees only the exit code.
     ``corrupt``
         Only meaningful for the ``cache`` target: payload bytes read from
         the artifact cache are flipped *in memory* before checksum
@@ -172,7 +172,7 @@ def _consume(fault: StageFault) -> bool:
 
     Returns whether the fault should still fire (trips so far < limit).
     The counter is a file whose size is the trip count — one appended byte
-    per firing works lock-free across the supervisor's worker processes.
+    per firing works lock-free across the suite's benchmark processes.
     """
     limit = int(fault.arg or 0)
     key = hashlib.sha256(repr(fault).encode("utf-8")).hexdigest()[:16]

@@ -3,16 +3,19 @@
 Turns a suite run into an explicit DAG of ``(benchmark, method, stage)``
 nodes — edges derived from the stages' declared ``requires``/``provides``
 dataflow, the PDW↔DAWO shared replay artifact a single node — and
-executes it with a priority-ordered ready-worklist scheduler over a
-worker pool (:class:`DagExecutor`).  Entry points:
+executes it with a priority-ordered ready-worklist scheduler
+(:class:`DagExecutor`), in process on a thread pool or, under a
+wall-clock / address-space budget, one forked child per benchmark.
+Entry points:
 
-* :func:`repro.experiments.runner.run_suite` with ``sched_workers=``,
-* ``pdw suite --sched-workers N`` / ``pdw bench --sched-workers N``,
+* :func:`repro.experiments.runner.run_suite` (in process),
+* ``pdw suite`` (budgeted: one child per benchmark),
+* ``pdw bench --sched-workers N`` and each ``pdw serve`` benchmark job,
 * :func:`build_graph` for the static DAG alone.
 
-The journal submodule (:mod:`repro.sched.journal`) carries the JSONL
-append/read/replay primitives shared with the subprocess-based
-:class:`~repro.experiments.supervisor.SuiteSupervisor`.
+The journal submodule (:mod:`repro.sched.journal`) holds the JSONL
+append/read/replay primitives, :class:`~repro.sched.journal.RunBudget`
+and the ``pdw report failures`` renderer.
 """
 
 from repro.sched.graph import StageNode, build_graph
@@ -21,8 +24,8 @@ __all__ = ["DagExecutor", "StageNode", "build_graph"]
 
 
 def __getattr__(name):
-    # DagExecutor imports the runner/supervisor layers; loading it lazily
-    # keeps `import repro.sched.journal` (used by the supervisor) cycle-free.
+    # DagExecutor imports the runner layers; loading it lazily keeps
+    # `import repro.sched.journal` light and cycle-free.
     if name == "DagExecutor":
         from repro.sched.executor import DagExecutor
 

@@ -1,20 +1,32 @@
-"""The priority-ordered ready-worklist scheduler over the suite stage DAG.
+"""The one suite engine: a priority-ordered worklist over the stage DAG.
 
-:class:`DagExecutor` duck-types :class:`~repro.experiments.supervisor.
-SuiteSupervisor` (``run(names, config) -> SuiteResult``) but schedules at
-*stage-node* granularity instead of benchmark granularity: the suite is
-compiled to the static DAG of :mod:`repro.sched.graph` and executed by a
-pool of worker threads pulling from a ready heap ordered by critical-path
-length (Polyphony-style list scheduling — the node with the longest
-downstream chain runs first, suite position and creation order breaking
-ties deterministically).
+:class:`DagExecutor` runs every suite — ``pdw suite``, ``run_suite``
+(Table II, Fig. 4/5, timings), ``pdw bench`` and each ``pdw serve``
+benchmark job.  The suite is compiled to the static DAG of
+:mod:`repro.sched.graph` and executed by worker threads pulling from a
+ready heap ordered by critical-path length (Polyphony-style list
+scheduling — the node with the longest downstream chain runs first,
+suite position and creation order breaking ties deterministically).
 
-The budget / retry / journal machinery of the supervisor applies **per
-node**:
+Two ways to run it, chosen by the :class:`~repro.sched.journal.RunBudget`:
 
-* a failed ILP solve retries only its own node (with the supervisor's
-  deterministic exponential backoff) — the benchmark's pathgen is *not*
-  re-run, which the journal's ``node_attempt`` events prove,
+* **without a budget** the whole DAG runs in this process on a thread
+  pool;
+* **with a wall-clock or address-space budget** (``pdw suite`` always
+  has one) each benchmark's subgraph runs in one forked child
+  (:class:`repro.procutil.Child`): the child runs the in-process
+  one-benchmark DAG and sends back its ``BenchmarkRun`` (or failure)
+  and metrics snapshot; the parent kills a child past ``timeout_s``,
+  caps its address space with ``setrlimit``, classifies a child that
+  dies as ``crash``/``oom``, retries dead or timed-out children with
+  backoff, and journals the benchmark-level events.  A timeout always
+  kills a process; no thread is ever abandoned.
+
+Within one process the retry / journal machinery applies **per node**:
+
+* a failed ILP solve retries only its own node (deterministic
+  exponential backoff) — the benchmark's pathgen is *not* re-run, which
+  the journal's ``node_attempt`` events prove,
 * a terminal node failure cancels exactly its transitive dependents;
   sibling chains (DAWO next to a crashed PDW ILP) and sibling benchmarks
   complete normally,
@@ -23,24 +35,18 @@ node**:
   the per-stage artifact cache gives node-granular resume for free: every
   stage that finished before the interruption comes back ``origin=cache``.
 
-Plan outputs are byte-identical to serial execution for any worker count:
-each method chain is sequential under its dependency edges, the shared
-replay is a single node, and every stage is itself deterministic — the
-workers only overlap *independent* work.
-
-Two caveats versus the subprocess supervisor: worker threads cannot be
-killed, so a node past its wall-clock budget is abandoned (its eventual
-completion is discarded via an attempt token and a replacement worker is
-spawned) rather than terminated; and an abandoned attempt that later
-limps home shares the process with its retry.  Chaos ``exit`` faults
-therefore take down the whole suite process — exactly the mid-suite kill
-the resume path exists to survive.
+Plan outputs are byte-identical to serial execution for any worker count
+and either way of running: each method chain is sequential under its
+dependency edges, the shared replay is a single node, and every stage is
+itself deterministic — the workers only overlap *independent* work.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import json
+import math
 import os
 import random
 import threading
@@ -55,8 +61,7 @@ from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig
 from repro.core.pdw import no_wash_plan, record_ilp_rows, verify_plan
 from repro.core.stages import REPLAY_STAGE, PDWContext
-from repro.envutil import env_int
-from repro.errors import ReproError
+from repro.errors import DegradedInfeasibleError, ReproError
 from repro.experiments.runner import (
     BenchmarkRun,
     FailureRecord,
@@ -66,22 +71,16 @@ from repro.experiments.runner import (
     memo_lookup,
     run_digest,
 )
-from repro.experiments.supervisor import (
-    RETRYABLE_KINDS,
-    RunBudget,
-    default_journal_path,
-)
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span, tracer
 from repro.pipeline import ArtifactCache, PipelineRun, chaos, default_cache, digest_config
+from repro.procutil import Child, safe_send, wait_any
 from repro.sched import journal as sched_journal
 from repro.sched.graph import RUN, SHARED, StageNode, build_graph
+from repro.sched.journal import RETRYABLE_KINDS, RunBudget, default_journal_path
 from repro.sim.validate import validate_plan
 from repro.synth import synthesize
-
-#: Worker-count environment knob of the DAG executor (``--sched-workers``).
-WORKERS_ENV = "REPRO_SCHED_WORKERS"
 
 
 @dataclass
@@ -121,14 +120,9 @@ class _NodeState:
     status: str = "pending"
     #: Attempts started so far (1-based once running).
     attempt: int = 0
-    #: Bumped when an attempt is abandoned (timeout) so its eventual
-    #: completion is recognized as stale and discarded.
-    token: int = 0
     #: ``perf_counter`` when the node last entered the ready heap; the
     #: queue-wait metric is ``started - ready_at``.
     ready_at: float = 0.0
-    #: ``monotonic`` when the current attempt started (budget checks).
-    run_started: float = 0.0
     #: Ready-to-start latency of the successful attempt, filled by the
     #: completion handler and attached to the stage record at collect time
     #: — after every ``plan.notes`` snapshot, so plan notes stay exactly
@@ -137,24 +131,22 @@ class _NodeState:
 
 
 class DagExecutor:
-    """Stage-DAG suite execution over an in-process worker pool.
+    """The suite engine: stage-DAG execution, in process or one fork per
+    benchmark.
 
-    Drop-in for ``run_suite(..., supervisor=...)``: ``run`` takes the
-    benchmark names and config and returns a
+    ``run`` takes the benchmark names and config and returns a
     :class:`~repro.experiments.runner.SuiteResult` in suite order.
 
-    Parameters mirror :class:`~repro.experiments.supervisor.SuiteSupervisor`
-    — ``budget`` (timeout/retries apply per stage node), ``cache`` /
-    ``use_cache``, ``resume`` and ``journal_path`` — plus ``workers``, the
-    requested thread-pool width (default ``$REPRO_SCHED_WORKERS`` or
-    ``min(4, len(suite))``; the ILP/HiGHS solve releases the GIL, so
-    threads overlap real compute wherever the host has cores to run it).
-
-    The pool actually spawned is ``min(workers, os.cpu_count())``: the
-    nodes are CPU-bound, so threads beyond the host's cores cannot add
-    throughput — they only add GIL handoffs and cache contention (~10%
-    measured on a 1-CPU container).  Results are worker-count invariant
-    either way, so the clamp changes wall time, never output.
+    ``budget`` holds the retry policy and, when it sets ``timeout_s`` or
+    ``max_rss_bytes``, makes each benchmark run in a forked child held
+    to those limits.  ``workers`` is the width: worker threads in
+    process, concurrent benchmark children with a budget.  It defaults
+    to one per pending benchmark and is clamped to ``os.cpu_count()``:
+    the work is CPU-bound, so width beyond the host's cores adds only
+    contention.  Results are width-invariant, so the clamp changes wall
+    time, never output.  ``cache`` / ``use_cache``, ``resume`` and
+    ``journal_path`` (default ``<cache>/journal/suite.jsonl``) as for
+    :func:`~repro.experiments.runner.run_benchmark` and ``pdw suite``.
     """
 
     def __init__(
@@ -177,6 +169,9 @@ class DagExecutor:
         self._disk = self.cache if self.use_cache else None
         self._cond = threading.Condition()
         self._jbuf: Optional[List[dict]] = None  # active only inside _execute_graph
+        #: Inside a benchmark's child: the parent journals and counts the
+        #: benchmark-level outcome, so this process must not.
+        self._in_child = False
 
     # -- entry point -------------------------------------------------------------
 
@@ -204,9 +199,13 @@ class DagExecutor:
 
         pending = [name for name in suite if name not in results]
         if pending:
-            n_workers = self._resolve_workers(len(pending))
-            with span("sched.suite", benchmarks=len(pending), workers=n_workers):
-                self._execute_graph(pending, n_workers, cfg, digests, results)
+            width = max(1, min(self.workers or len(pending), os.cpu_count() or 1))
+            forks = self.budget.forks
+            with span("sched.suite", benchmarks=len(pending), workers=width, forks=forks):
+                if forks:
+                    self._run_forked(pending, width, cfg, digests, results)
+                else:
+                    self._execute_graph(pending, width, cfg, digests, results)
 
         entries = [results[name] for name in suite]
         metrics_path = self._dump_metrics(config_digest=digest_config(cfg))
@@ -217,15 +216,163 @@ class DagExecutor:
             metrics_path=metrics_path,
         )
 
-    def _resolve_workers(self, n_benchmarks: int) -> int:
-        if self.workers is not None:
-            return max(1, self.workers)
-        env = env_int(WORKERS_ENV, minimum=1)
-        if env is not None:
-            return env
-        return max(1, min(4, n_benchmarks))
+    # -- one forked child per benchmark (budgeted runs) ---------------------------
 
-    # -- scheduling loop ---------------------------------------------------------
+    def _run_forked(
+        self,
+        names: List[str],
+        width: int,
+        cfg: PDWConfig,
+        digests: Dict[str, str],
+        results: Dict[str, object],
+    ) -> None:
+        """Run each benchmark's subgraph in its own child, ``width`` at a time."""
+        pending: deque = deque((name, 1) for name in names)
+        backoffs: List[Tuple[float, str, int]] = []  # (ready_at, name, attempt)
+        active: Dict[str, Tuple[Child, int]] = {}
+        try:
+            while pending or backoffs or active:
+                now = time.monotonic()
+                for item in [item for item in backoffs if item[0] <= now]:
+                    backoffs.remove(item)
+                    pending.append(item[1:])
+                while pending and len(active) < width:
+                    name, attempt = pending.popleft()
+                    active[name] = (self._fork(name, attempt, cfg, digests[name]), attempt)
+                finished = [name for name, (child, _) in active.items() if child.done()]
+                for name in finished:
+                    child, attempt = active.pop(name)
+                    self._settle_child(name, attempt, child, cfg, digests, results, backoffs)
+                if finished:
+                    continue
+                wake = [child.deadline for child, _ in active.values()]
+                wake += [item[0] for item in backoffs]
+                timeout = max(0.0, min(wake) - time.monotonic())
+                if active:
+                    wait_any(
+                        [child for child, _ in active.values()],
+                        None if timeout == math.inf else timeout,
+                    )
+                else:
+                    time.sleep(timeout)
+        finally:
+            # Only reached with children left on an interrupt: take them along.
+            for child, _ in active.values():
+                child.finish()
+
+    def _fork(self, name: str, attempt: int, cfg: PDWConfig, digest: str) -> Child:
+        self._journal_now(
+            {
+                "event": "attempt",
+                "benchmark": name,
+                "attempt": attempt,
+                "digest": digest,
+                "chaos": chaos.environment_token() or None,
+            }
+        )
+        return Child(
+            _benchmark_child,
+            (name, cfg, digest, self.cache, self.use_cache, self.journal_path, self.budget),
+            name=f"pdw-bench-{name}",
+            timeout_s=self.budget.timeout_s,
+        )
+
+    def _settle_child(
+        self, name, attempt, child: Child, cfg, digests, results, backoffs
+    ) -> None:
+        """Classify one finished child: success, retry, or terminal failure."""
+        payload, failure = child.finish(rss_capped=bool(self.budget.max_rss_bytes))
+        wall = time.monotonic() - child.started
+        entry = None
+        if payload is not None:
+            entry, snapshot = payload
+            self._absorb_metrics(name, attempt, snapshot)
+        ended = time.perf_counter()
+        ok = isinstance(entry, BenchmarkRun)
+        kind = None if ok else (entry.kind if entry is not None else failure[0])
+        tracer().record_span(
+            "suite.attempt", ended - wall, ended,
+            status="ok" if ok else f"fail:{kind}", benchmark=name, attempt=attempt,
+        )
+        if ok:
+            self._settle(name, adopt_run(entry, cfg) if self.use_cache else entry,
+                         attempt, wall, digests[name], results)
+            return
+        obs_metrics.registry().counter("pdw_suite_attempts_total", outcome=kind).inc()
+        message = entry.message if entry is not None else failure[1]
+        # The child already retried its raised node failures; only a
+        # child that died or ran out of time is retried whole.
+        if entry is None and kind in RETRYABLE_KINDS and attempt <= self.budget.retries:
+            delay = self._backoff(name, attempt)
+            obs_metrics.registry().counter("pdw_suite_retries_total", kind=kind).inc()
+            self._journal_now(
+                {
+                    "event": "retry",
+                    "benchmark": name,
+                    "attempt": attempt,
+                    "kind": kind,
+                    "message": message,
+                    "backoff_s": round(delay, 3),
+                }
+            )
+            backoffs.append((time.monotonic() + delay, name, attempt + 1))
+            return
+        self._settle(
+            name,
+            FailureRecord(name=name, kind=kind, message=message,
+                          attempts=attempt, wall_time_s=wall),
+            attempt, wall, digests[name], results,
+        )
+
+    def _absorb_metrics(self, name: str, attempt: int, snapshot) -> None:
+        """Merge one child's metrics snapshot and journal it.
+
+        The journal copy makes the merge durable: ``merged_metrics`` can
+        rebuild the run-wide dump offline, and a parent that dies after
+        journalling loses nothing.
+        """
+        if not isinstance(snapshot, dict) or not snapshot.get("series"):
+            return
+        try:
+            obs_metrics.registry().merge(snapshot)
+        except (TypeError, ValueError):
+            return  # a child on mismatched code; drop rather than corrupt
+        self._journal_now(
+            {"event": "metrics", "benchmark": name, "attempt": attempt, "snapshot": snapshot}
+        )
+
+    def _settle(self, name, entry, attempt, wall, digest, results) -> None:
+        """Record a benchmark's final outcome: result, journal, counters."""
+        results[name] = entry
+        if self._in_child:
+            return  # the parent records it
+        if isinstance(entry, BenchmarkRun):
+            obs_metrics.registry().counter("pdw_suite_attempts_total", outcome="ok").inc()
+            self._journal(
+                {
+                    "event": "success",
+                    "benchmark": name,
+                    "attempt": attempt,
+                    "digest": digest,
+                    "wall_s": round(wall, 3),
+                    "from_cache": entry.from_cache,
+                }
+            )
+            return
+        obs_metrics.registry().counter("pdw_suite_failures_total", kind=entry.kind).inc()
+        self._journal(
+            {
+                "event": "failure",
+                "benchmark": name,
+                "attempt": attempt,
+                "digest": digest,
+                "kind": entry.kind,
+                "message": entry.message,
+                "wall_s": round(wall, 3),
+            }
+        )
+
+    # -- the in-process scheduling loop ------------------------------------------
 
     def _execute_graph(
         self,
@@ -272,16 +419,11 @@ class DagExecutor:
                 if not self._states[node.id].waiting:
                     self._make_ready(node.id)
 
-        # Never oversubscribe the host: the nodes are CPU-bound, so a
-        # pool wider than the core count adds only GIL handoffs and
-        # cache thrash.  Requested width is honored up to that limit
-        # (results are worker-count invariant regardless).
-        pool_width = max(1, min(n_workers, os.cpu_count() or 1))
         threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"sched-worker-{i}", daemon=True
             )
-            for i in range(pool_width)
+            for i in range(n_workers)
         ]
         for thread in threads:
             thread.start()
@@ -294,26 +436,20 @@ class DagExecutor:
                     for item in due:
                         backoffs.remove(item)
                         self._make_ready(item[1])
-                    if due:
-                        self._cond.notify_all()
-                    if self.budget.timeout_s is not None:
-                        for nid in self._expired(now):
-                            outstanding -= self._abandon(
-                                nid, backoffs, results, digests, cfg
-                            )
                     if not self._completions:
                         self._cond.wait(0.05)
                     while self._completions:
                         item = self._completions.popleft()
                         outstanding -= self._complete(
-                            *item, backoffs=backoffs, results=results,
-                            digests=digests, cfg=cfg,
+                            *item, backoffs=backoffs, results=results, digests=digests,
                         )
                 self._flush_journal()
         finally:
             with self._cond:
                 self._stop = True
                 self._cond.notify_all()
+            for thread in threads:
+                thread.join()
             self._flush_journal()
             self._jbuf = None
 
@@ -322,7 +458,7 @@ class DagExecutor:
         st = self._states[nid]
         st.status = "ready"
         st.ready_at = time.perf_counter()
-        heapq.heappush(self._ready, (st.node.sort_key, nid, st.attempt + 1, st.token))
+        heapq.heappush(self._ready, (st.node.sort_key, nid, st.attempt + 1))
         obs_metrics.registry().gauge("pdw_sched_ready_queue_depth").set(
             float(len(self._ready))
         )
@@ -330,14 +466,6 @@ class DagExecutor:
         # condition, and a single notify may wake the loop instead of a
         # worker — stalling a ready node for a full worker poll interval.
         self._cond.notify_all()
-
-    def _expired(self, now: float) -> List[str]:
-        """Running nodes past the per-attempt wall-clock budget."""
-        return [
-            nid
-            for nid, st in self._states.items()
-            if st.status == "running" and now - st.run_started > self.budget.timeout_s
-        ]
 
     # -- worker pool -------------------------------------------------------------
 
@@ -348,13 +476,10 @@ class DagExecutor:
                     self._cond.wait(0.2)
                 if self._stop:
                     return
-                _, nid, attempt, token = heapq.heappop(self._ready)
+                _, nid, attempt = heapq.heappop(self._ready)
                 st = self._states[nid]
-                if token != st.token or st.status != "ready":
-                    continue  # superseded while queued
                 st.status = "running"
                 st.attempt = attempt
-                st.run_started = time.monotonic()
                 obs_metrics.registry().gauge("pdw_sched_ready_queue_depth").set(
                     float(len(self._ready))
                 )
@@ -380,13 +505,15 @@ class DagExecutor:
                 outcome = ("fail", "crash", str(exc))
             except MemoryError:
                 outcome = ("fail", "oom", "MemoryError while running stage")
+            except DegradedInfeasibleError as exc:
+                outcome = ("fail", "infeasible_degraded", str(exc))
             except ReproError as exc:
                 outcome = ("fail", "error", str(exc))
             except BaseException as exc:  # noqa: BLE001 — a worker must always report
                 outcome = ("fail", "crash", f"{type(exc).__name__}: {exc}")
             ended = time.perf_counter()
             with self._cond:
-                self._completions.append((nid, token, outcome, started, ended))
+                self._completions.append((nid, outcome, started, ended))
                 self._cond.notify_all()
 
     # -- node execution (worker threads) -----------------------------------------
@@ -537,12 +664,10 @@ class DagExecutor:
     # -- completion handling (main thread, lock held) ----------------------------
 
     def _complete(
-        self, nid, token, outcome, started, ended, *, backoffs, results, digests, cfg
+        self, nid, outcome, started, ended, *, backoffs, results, digests
     ) -> int:
         """Absorb one worker completion; returns nodes newly terminal."""
         st = self._states[nid]
-        if token != st.token or st.status != "running":
-            return 0  # stale: the attempt was abandoned past its budget
         node = st.node
         bench = self._benches[node.benchmark]
         if outcome[0] == "ok":
@@ -608,42 +733,6 @@ class DagExecutor:
             st, bench, kind, message, started, ended, results, digests
         )
 
-    def _abandon(self, nid: str, backoffs, results, digests, cfg) -> int:
-        """A running node past its budget: discard the attempt, retry/fail."""
-        st = self._states[nid]
-        st.token += 1  # the eventual completion will be recognized as stale
-        ended = time.perf_counter()
-        started = ended - (time.monotonic() - st.run_started)
-        message = f"exceeded wall-clock budget of {self.budget.timeout_s:g}s"
-        # The worker stays stuck on the abandoned attempt (threads cannot
-        # be killed); spawn a replacement so pool capacity is preserved.
-        threading.Thread(target=self._worker_loop, daemon=True).start()
-        if "timeout" in RETRYABLE_KINDS and st.attempt <= self.budget.retries:
-            st.status = "backoff"
-            delay = self._backoff(st.node.id, st.attempt)
-            obs_metrics.registry().counter(
-                "pdw_suite_retries_total", kind="timeout"
-            ).inc()
-            self._journal(
-                {
-                    "event": "node_retry",
-                    "benchmark": st.node.benchmark,
-                    "node": nid,
-                    "stage": st.node.stage,
-                    "method": st.node.method,
-                    "attempt": st.attempt,
-                    "kind": "timeout",
-                    "message": message,
-                    "backoff_s": round(delay, 3),
-                }
-            )
-            backoffs.append((time.monotonic() + delay, nid))
-            return 0
-        bench = self._benches[st.node.benchmark]
-        return self._fail_node(
-            st, bench, "timeout", message, started, ended, results, digests
-        )
-
     def _fail_node(
         self, st: _NodeState, bench: _Bench, kind, message, started, ended,
         results, digests,
@@ -675,18 +764,6 @@ class DagExecutor:
                 name=bench.name, kind=kind, message=message,
                 attempts=st.attempt, wall_time_s=wall,
             )
-            obs_metrics.registry().counter("pdw_suite_failures_total", kind=kind).inc()
-            self._journal(
-                {
-                    "event": "failure",
-                    "benchmark": bench.name,
-                    "attempt": st.attempt,
-                    "digest": bench.digest,
-                    "kind": kind,
-                    "message": message,
-                    "wall_s": round(wall, 3),
-                }
-            )
         terminal = 1
         self._finalize_node(bench, results, digests)
         queue = list(self._children.get(node.id, ()))
@@ -714,31 +791,16 @@ class DagExecutor:
         return terminal
 
     def _finalize_node(self, bench: _Bench, results, digests) -> None:
-        """One node of ``bench`` went terminal; finalize at zero remaining."""
+        """One node of ``bench`` went terminal; settle it at zero remaining."""
         bench.remaining -= 1
         if bench.remaining > 0:
             return
-        if bench.run is not None:
-            results[bench.name] = bench.run
-            obs_metrics.registry().counter(
-                "pdw_suite_attempts_total", outcome="ok"
-            ).inc()
-            self._journal(
-                {
-                    "event": "success",
-                    "benchmark": bench.name,
-                    "attempt": 1,
-                    "digest": digests[bench.name],
-                    "wall_s": round(
-                        time.perf_counter() - bench.started if bench.started else 0.0, 3
-                    ),
-                    "from_cache": bench.run.from_cache,
-                }
-            )
-            return
-        results[bench.name] = bench.failure or FailureRecord(
+        wall = time.perf_counter() - bench.started if bench.started else 0.0
+        entry = bench.run or bench.failure or FailureRecord(
             name=bench.name, kind="error", message="benchmark produced no result"
         )
+        attempt = bench.failure.attempts if bench.run is None and bench.failure else 1
+        self._settle(bench.name, entry, attempt, wall, digests[bench.name], results)
 
     def _node_record(self, node: StageNode, bench: _Bench):
         """The StageRecord a node produced, for the queue-wait attach."""
@@ -749,7 +811,7 @@ class DagExecutor:
         run = bench.pdw_run if node.method == "pdw" else bench.dawo_run
         return run.report.get(node.stage) if run is not None else None
 
-    # -- shared-machinery mirrors (supervisor parity) ----------------------------
+    # -- journal, backoff, resume, metrics dump ----------------------------------
 
     def _journal_now(self, record: dict) -> None:
         sched_journal.append_record(self.journal_path, record)
@@ -780,7 +842,9 @@ class DagExecutor:
                 self._journal_now(record)
 
     def _backoff(self, key: str, attempt: int) -> float:
-        """Supervisor-identical deterministic backoff, keyed by node id."""
+        """Exponential backoff with deterministic jitter (seeded by
+        ``REPRO_FAULT_SEED`` so chaos tests replay identically), keyed by
+        node id or benchmark name."""
         base = self.budget.backoff_base_s * (2 ** (attempt - 1))
         seed = os.environ.get(faults.ENV_SEED, "0")
         jitter = random.Random(f"{seed}:{key}:{attempt}").random()
@@ -807,3 +871,43 @@ class DagExecutor:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(payload, indent=2, sort_keys=True), encoding="utf-8")
         return path
+
+
+def _benchmark_child(conn, name, cfg, digest, cache, use_cache, journal_path, budget) -> None:
+    """A budgeted benchmark's child: run its subgraph in process, report, exit.
+
+    Sends ``(BenchmarkRun or FailureRecord, metrics snapshot)``.  The
+    child journals its ``node_*`` events and retries raised node failures
+    itself; the parent journals the benchmark-level outcome, enforces the
+    wall-clock budget and classifies a child that dies without reporting.
+    """
+    # The forked registry holds the parent's series; start empty so the
+    # parent-side merge adds only this benchmark's work.
+    obs_metrics.reset()
+    if budget.max_rss_bytes:
+        try:
+            import resource
+
+            resource.setrlimit(
+                resource.RLIMIT_AS, (budget.max_rss_bytes, budget.max_rss_bytes)
+            )
+        except (ImportError, ValueError, OSError):
+            pass  # best-effort: not every platform allows it
+    executor = DagExecutor(
+        budget=dataclasses.replace(budget, timeout_s=None, max_rss_bytes=None),
+        cache=cache, use_cache=use_cache, journal_path=journal_path,
+    )
+    executor._in_child = True
+    results: Dict[str, object] = {}
+    try:
+        executor._execute_graph([name], 1, cfg, {name: digest}, results)
+        entry = results[name]
+    except MemoryError:
+        entry = FailureRecord(name, "oom", "MemoryError while running benchmark")
+    except BaseException as exc:  # noqa: BLE001 — a child must always report
+        entry = FailureRecord(name, "crash", f"{type(exc).__name__}: {exc}")
+    safe_send(conn, (entry, obs_metrics.snapshot()))
+    conn.close()
+    # Skip interpreter teardown: the journal and the cache are written
+    # through already, and the worker thread has stopped.
+    os._exit(0)

@@ -1,13 +1,15 @@
-"""Append-only JSONL run journaling, shared by both suite executors.
+"""The suite's run journal, budgets and journal reports.
 
-The subprocess :class:`~repro.experiments.supervisor.SuiteSupervisor` and
-the in-process :class:`~repro.sched.executor.DagExecutor` write the same
-journal file (``<cache>/journal/suite.jsonl``) through these primitives,
-so ``pdw report failures`` and ``--resume`` work identically under
-either.  Benchmark-level events (``attempt``/``success``/``failure``/
-``retry``/``metrics``) are common to both; the DAG executor additionally
-records one event per stage node (``node_attempt``/``node_success``/
-``node_retry``/``node_failure``/``node_cancelled``).
+:class:`~repro.sched.executor.DagExecutor` (every ``pdw suite``,
+``run_suite`` and ``pdw serve`` benchmark job) and the degradation
+matrix append to one JSONL file, ``<cache>/journal/suite.jsonl``
+(:func:`default_journal_path`).  Benchmark-level events are
+``attempt``/``success``/``failure``/``retry``/``metrics``; stage nodes
+add ``node_attempt``/``node_success``/``node_retry``/``node_failure``/
+``node_cancelled``.  ``pdw suite --resume`` replays journaled successes
+(:func:`journaled_successes`), ``pdw report failures`` renders the
+history (:func:`failures_report`) and :func:`merged_metrics` rebuilds a
+run's metrics from the snapshots its benchmark processes journaled.
 
 The file is append-only and reads are tolerant of a truncated final line
 — the interruption resume exists to survive.
@@ -16,18 +18,60 @@ The file is append-only and reads are tolerant of a truncated final line
 from __future__ import annotations
 
 import json
+import os
 import sys
 import threading
 import time
+from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
 from repro.forksafe import renew_lock_in_child
+from repro.obs import metrics as obs_metrics
+from repro.pipeline import ArtifactCache, default_cache, default_cache_dir
 
-#: Serializes concurrent appends from the DAG executor's worker threads
-#: (the supervisor appends from a single thread; sharing the lock is free).
+#: Serializes concurrent appends from the executor's worker threads.
 _WRITE_LOCK = threading.Lock()
 renew_lock_in_child(sys.modules[__name__], "_WRITE_LOCK")
+
+#: Journal file name, relative to the cache root.
+JOURNAL_NAME = os.path.join("journal", "suite.jsonl")
+
+#: Failure kinds worth retrying: a flaky crash or a stall can be
+#: transient, while ``error`` (a deterministic ReproError) and ``oom``
+#: (the same allocation will fail again under the same cap) are not.
+RETRYABLE_KINDS = ("crash", "timeout")
+
+
+@dataclass(frozen=True)
+class RunBudget:
+    """Per-benchmark execution limits and retry policy.
+
+    Setting ``timeout_s`` or ``max_rss_bytes`` runs each benchmark in a
+    forked child the executor kills past its budget.
+    """
+
+    #: Wall-clock seconds per attempt; the benchmark's child is killed past it.
+    timeout_s: Optional[float] = None
+    #: Best-effort address-space cap (``resource.setrlimit``) in bytes.
+    max_rss_bytes: Optional[int] = None
+    #: How many times a transient failure is retried (0 = never).
+    retries: int = 0
+    #: First backoff delay; doubles per retry, jittered, capped below.
+    backoff_base_s: float = 0.5
+    backoff_cap_s: float = 30.0
+
+    @property
+    def forks(self) -> bool:
+        """Whether each benchmark runs in a forked child."""
+        return self.timeout_s is not None or bool(self.max_rss_bytes)
+
+
+def default_journal_path(cache: Optional[ArtifactCache] = None) -> Path:
+    """Where the suite journal lives: under the artifact cache directory."""
+    root = cache.root if cache is not None else default_cache_dir()
+    return Path(root) / JOURNAL_NAME
 
 
 def append_record(path: Path, record: dict) -> None:
@@ -111,3 +155,68 @@ def node_attempts(
             continue
         out.append(record)
     return out
+
+
+def _journal_or_default(journal_path: Optional[Path]) -> Path:
+    if journal_path is not None:
+        return Path(journal_path)
+    return default_journal_path(default_cache())
+
+
+def merged_metrics(journal_path: Optional[Path] = None) -> obs_metrics.MetricsRegistry:
+    """Rebuild a run-wide metrics registry from the journal's snapshots.
+
+    Offline counterpart of the ``metrics.json`` dump: every ``metrics``
+    event (one per finished benchmark process) is merged in journal order.
+    """
+    snapshots = [
+        rec["snapshot"]
+        for rec in read_records(_journal_or_default(journal_path))
+        if rec.get("event") == "metrics" and isinstance(rec.get("snapshot"), dict)
+    ]
+    return obs_metrics.merge_snapshots(snapshots)
+
+
+def failures_report(journal_path: Optional[Path] = None) -> str:
+    """Render the suite journal's failure history as text."""
+    from repro.experiments.reporting import render_table
+
+    path = _journal_or_default(journal_path)
+    records = read_records(path)
+    if not records:
+        return f"no suite journal at {path}\n"
+
+    headers = ["When (UTC)", "Benchmark", "Event", "Kind", "Attempt", "Message"]
+    rows: List[List[str]] = []
+    last_outcome: Dict[str, str] = {}
+    for record in records:
+        event = record.get("event")
+        name = str(record.get("benchmark", "?"))
+        if event == "success":
+            last_outcome[name] = "ok"
+            continue
+        if event not in ("failure", "retry"):
+            continue
+        if event == "failure":
+            last_outcome[name] = f"FAILED({record.get('kind', '?')})"
+        when = datetime.fromtimestamp(
+            float(record.get("ts", 0.0)), tz=timezone.utc
+        ).strftime("%Y-%m-%d %H:%M:%S")
+        message = str(record.get("message", ""))
+        if len(message) > 100:
+            message = message[:97] + "..."
+        rows.append(
+            [
+                when, name, str(event), str(record.get("kind", "-")),
+                str(record.get("attempt", "-")), message,
+            ]
+        )
+
+    title = f"Suite failure journal ({path})\n"
+    if not rows:
+        return title + "no failures on record\n"
+    text = title + render_table(headers, rows)
+    text += "\nlatest outcome per benchmark:\n"
+    for name in sorted(last_outcome):
+        text += f"  {name}: {last_outcome[name]}\n"
+    return text

@@ -2,8 +2,8 @@
 
 The server process keeps admission, dedup, the queue, HTTP and reading
 plans from the cache; it never routes or solves.  Each job runs in a
-child process that a worker thread forks (:data:`repro.procutil.MP`,
-the context the suite supervisor uses): a benchmark job is a
+child process that a worker thread forks (:class:`repro.procutil.Child`,
+what ``pdw suite`` forks each benchmark with): a benchmark job is a
 one-benchmark stage-DAG run under
 :class:`~repro.sched.executor.DagExecutor` (the shared JSONL run
 journal, artifact-cache writes), an assay job calls the pipeline
@@ -65,15 +65,15 @@ from repro.baselines import dawo_plan, immediate_wash_plan
 from repro.core import optimize_washes
 from repro.errors import ReproError
 from repro.experiments.runner import FailureRecord, run_digest
-from repro.experiments.supervisor import default_journal_path
 from repro.export.plan_json import canonical_plan_dict
 from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import ArtifactCache, default_cache
 from repro.pipeline import cache as artifact_cache
-from repro.procutil import MP, reap, safe_send, terminate
+from repro.procutil import Child, safe_send, terminate
 from repro.sched import journal as sched_journal
 from repro.sched.executor import DagExecutor
+from repro.sched.journal import default_journal_path
 from repro.serve.jobs import Job, JobFailure, JobStore, job_progress
 from repro.serve.queue import FairQueue
 from repro.serve.routes import make_handler
@@ -289,40 +289,24 @@ class JobServer:
         """Plan ``job`` in a forked child; fill ``job.plan`` or raise
         :class:`JobFailure` (``timeout`` past ``job_timeout_s``, ``crash``
         when the child dies before reporting)."""
-        proc, conn = self._fork(job)
-        reported = False
-        outcome = None
+        child = self._fork(job)
         try:
-            reported = conn.poll(self.job_timeout_s)
-            if reported:
-                try:
-                    outcome = conn.recv()
-                except (EOFError, OSError):
-                    outcome = None  # died without reporting: EOF
+            outcome, failure = child.wait().finish()
         finally:
-            if not reported:
-                terminate(proc)
-            reap(proc)
-            conn.close()
             with self._fork_lock:
-                self._children.discard(proc)
-        if not reported:
-            raise JobFailure(
-                "timeout", f"exceeded wall-clock budget of {self.job_timeout_s:g}s"
-            )
-        if outcome is None:
-            why = "killed by server shutdown" if self._stop.is_set() else "exited"
-            raise JobFailure(
-                "crash",
-                f"job process {why} with code {proc.exitcode} before reporting a result",
-            )
+                self._children.discard(child.proc)
+        if failure is not None:
+            kind, message = failure
+            if kind == "crash" and self._stop.is_set():
+                message = f"killed by server shutdown: {message}"
+            raise JobFailure(kind, message)
         self._absorb_metrics(outcome[-1])
         if outcome[0] != "ok":
             raise JobFailure(outcome[1], outcome[2])
         job.run_digest, job.plan = outcome[1], outcome[2]
 
-    def _fork(self, job: Job):
-        """Start ``job``'s child; ``(process, read end of its pipe)``.
+    def _fork(self, job: Job) -> Child:
+        """Start ``job``'s child under the job timeout.
 
         Forks are serialized so that no child inherits another job's
         pipe write end: the parent closes its copy before the next fork,
@@ -337,17 +321,14 @@ class JobServer:
             if not self._pinned:
                 highs.pin_mmap_threshold()
                 self._pinned = True
-            conn, child_conn = MP.Pipe(duplex=False)
-            proc = MP.Process(
-                target=_job_entry,
-                args=(child_conn, job.spec, self.cache, self.use_cache, self.journal_path),
+            child = Child(
+                _job_entry,
+                (job.spec, self.cache, self.use_cache, self.journal_path),
                 name=f"pdw-job-{job.id}",
-                daemon=True,
+                timeout_s=self.job_timeout_s,
             )
-            proc.start()
-            child_conn.close()  # the parent keeps only the read end
-            self._children.add(proc)
-        return proc, conn
+            self._children.add(child.proc)
+        return child
 
     def _absorb_metrics(self, snapshot: Any) -> None:
         """Merge one job child's metrics snapshot into ``job_metrics``."""

@@ -14,7 +14,7 @@ from repro.degrade.repair import (
 )
 from repro.degrade.suite import SUCCESS_OUTCOMES, run_degrade_matrix
 from repro.errors import DegradationError
-from repro.experiments.supervisor import JOURNAL_NAME
+from repro.sched.journal import JOURNAL_NAME
 from repro.export.plan_json import plan_to_dict
 from repro.sim.events import SimEventKind
 from repro.sim.validate import degraded_validation_problems

@@ -111,9 +111,20 @@ class TestAblation:
         assert full.integrated_removals >= plans["no-integration"].integrated_removals
         assert plans["no-integration"].integrated_removals == 0
 
+    def test_the_command_line_plans_at_its_time_limit(self, monkeypatch, capsys):
+        from repro.experiments import __main__ as entry
+
+        seen = []
+        monkeypatch.setattr(
+            entry, "ablation_report", lambda names, base=None: seen.append((names, base)) or ""
+        )
+        assert entry.main(["ablation", "--benchmarks", "PCR", "--time-limit", "7"]) == 0
+        assert seen == [(["PCR"], PDWConfig(time_limit_s=7.0))]
+
     def test_pcr_matches_the_pinned_metrics(self, monkeypatch):
         # The pins tests/unit/test_docs.py holds EXPERIMENTS.md's ablation
-        # table to, at the config `python -m repro.experiments ablation` runs.
+        # table to, at the config `python -m repro.experiments ablation
+        # --time-limit 60` runs.
         # They are the full ladder's plans, so a forced rung is cleared: on
         # the branch-and-bound rung alone the no-merge variant finds no
         # incumbent within its 60 s and falls to greedy assembly.

@@ -127,12 +127,8 @@ class TestParallelSuite:
 
     def test_thread_parallel_matches_sequential(self):
         seq = run_suite(self.SUBSET, self.CFG, workers=1)
-        par = run_suite(self.SUBSET, self.CFG, workers=2, executor="thread")
+        par = run_suite(self.SUBSET, self.CFG, workers=2)
         assert [r.name for r in par] == [r.name for r in seq]
         for a, b in zip(seq, par):
             assert a.pdw.metrics() == b.pdw.metrics()
             assert a.dawo.metrics() == b.dawo.metrics()
-
-    def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError):
-            run_suite(self.SUBSET, self.CFG, workers=2, executor="mpi")

@@ -1,7 +1,9 @@
 """Stage-DAG suite execution: node-scoped chaos, retries, resume, CLI.
 
-The companion of tests/integration/test_suite_execution.py for the
-:mod:`repro.sched` executor.  Chaos-driven tests pin a unique
+The companion of tests/integration/test_suite_execution.py, at stage-node
+granularity: the in-process executor, and (where a test says so) the
+same DAG inside a budgeted benchmark's forked child.  Chaos-driven tests
+pin a unique
 ``PDWConfig`` per test for the same reason documented there: the
 in-process memo ignores armed stage faults, so a memo hit from an
 earlier test would bypass the injection point.
@@ -11,14 +13,12 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
-from repro.experiments.supervisor import RunBudget
 from repro.pipeline import ArtifactCache
 from repro.sched import journal as sched_journal
 from repro.sched.executor import DagExecutor
+from repro.sched.journal import RunBudget
 
 SUITE = ["PCR", "Kinase-act-1"]
 
@@ -40,8 +40,8 @@ class TestDagExecutor:
         assert len(sched_journal.node_attempts(records)) == 22
         successes = [r for r in records if r["event"] == "node_success"]
         assert len(successes) == 22
-        # Benchmark-level events stay supervisor-compatible (journaled in
-        # completion order — small benchmarks finish first).
+        # Benchmark-level events are journaled too (in completion order —
+        # small benchmarks finish first).
         assert {
             r["benchmark"] for r in records if r["event"] == "success"
         } == set(SUITE)
@@ -94,6 +94,22 @@ class TestDagExecutor:
         retries = [r for r in records if r["event"] == "node_retry"]
         assert [r["stage"] for r in retries] == ["ilp"]
 
+    def test_retry_rewinds_only_the_crashed_node_in_a_child(self, tmp_path, stage_fault):
+        stage_fault("ilp:crash:1@PCR")
+        ex, _ = _executor(
+            tmp_path,
+            budget=RunBudget(
+                timeout_s=300.0, retries=1, backoff_base_s=0.01, backoff_cap_s=0.05
+            ),
+        )
+        result = ex.run(["PCR"], PDWConfig(time_limit_s=63.5))
+        assert result.ok
+        records = sched_journal.read_records(ex.journal_path)
+        # One benchmark process; inside it, the ILP ran twice, pathgen once.
+        assert [r["attempt"] for r in records if r["event"] == "attempt"] == [1]
+        assert len(sched_journal.node_attempts(records, "PCR", "ilp")) == 2
+        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 1
+
     def test_resume_replays_at_node_granularity(
         self, tmp_path, stage_fault, monkeypatch
     ):
@@ -125,50 +141,33 @@ class TestDagExecutor:
         assert origins["pathgen"] == "cache"
         assert origins["ilp"] == "computed"
 
-    def test_malformed_worker_env_warns_and_falls_back(self, monkeypatch):
-        from repro.sched.executor import WORKERS_ENV
-
-        monkeypatch.setenv(WORKERS_ENV, "three")
-        ex = DagExecutor(use_cache=False)
-        with pytest.warns(RuntimeWarning, match=WORKERS_ENV):
-            assert ex._resolve_workers(2) == 2
-
 
 class TestTimingsReport:
     def test_queue_wait_table_appears_for_dag_runs(self, tmp_path, monkeypatch):
         from repro.experiments.timings import timings_report
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        text = timings_report(
-            ["Kinase-act-1"], PDWConfig(time_limit_s=65.0), sched_workers=2
-        )
+        text = timings_report(["Kinase-act-1"], PDWConfig(time_limit_s=65.0))
         assert "Scheduler queue waits" in text
-
-    def test_queue_wait_table_absent_for_serial_runs(self, tmp_path, monkeypatch):
-        from repro.experiments.timings import timings_report
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        text = timings_report(["Kinase-act-1"], PDWConfig(time_limit_s=65.5))
-        assert "Scheduler queue waits" not in text
 
 
 class TestCli:
-    def test_suite_sched_workers_exit_0(self, tmp_path, monkeypatch, capsys):
+    def test_suite_workers_exit_0(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         code = cli_main(
-            ["suite", "Kinase-act-1", "--sched-workers", "2", "--time-limit", "66"]
+            ["suite", "Kinase-act-1", "--workers", "2", "--time-limit", "66"]
         )
         out = capsys.readouterr().out
         assert code == 0
         assert "1/1 benchmarks succeeded" in out
 
-    def test_suite_sched_workers_exit_3_on_partial_failure(
+    def test_suite_workers_exit_3_on_partial_failure(
         self, tmp_path, monkeypatch, stage_fault, capsys
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         stage_fault("ilp:crash@PCR")
         code = cli_main(
-            ["suite", "PCR", "Kinase-act-1", "--sched-workers", "2",
+            ["suite", "PCR", "Kinase-act-1", "--workers", "2",
              "--time-limit", "67"]
         )
         out = capsys.readouterr().out

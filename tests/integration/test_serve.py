@@ -30,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import procutil
 from repro.arch import pathkernel
 from repro.experiments import runner
 from repro.obs import metrics as obs_metrics
@@ -372,7 +373,7 @@ class TestJobProcesses:
     def test_job_completes_when_other_threads_hold_its_locks_at_fork(
         self, make_server, monkeypatch
     ):
-        monkeypatch.setattr(server_module, "MP", HoldLocksAcrossFork())
+        monkeypatch.setattr(procutil, "MP", HoldLocksAcrossFork())
         srv, cli = make_server(job_timeout_s=60.0)
         _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
         status = cli.wait_done(body["id"], timeout_s=90.0)

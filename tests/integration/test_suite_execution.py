@@ -1,4 +1,8 @@
-"""Fault-tolerant suite execution: supervisor, journals, resume, CLI.
+"""Fault-tolerant suite execution: forked benchmarks, journals, resume, CLI.
+
+``TestSupervisor`` drives :class:`~repro.sched.executor.DagExecutor`
+under a budget, where each benchmark runs in its own forked child;
+``TestRunSuite`` drives the in-process ``run_suite``.
 
 Chaos-driven tests pin a unique ``PDWConfig`` per test: the in-process
 memo deliberately ignores armed stage faults (see
@@ -8,44 +12,48 @@ otherwise bypass the injection point entirely.
 
 from __future__ import annotations
 
-import pytest
+import os
+import threading
+
 
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
 from repro.experiments.runner import (
     BenchmarkRun,
     SuiteResult,
-    _worker_count,
     run_benchmark,
     run_suite,
 )
-from repro.experiments.supervisor import (
-    RunBudget,
-    SuiteSupervisor,
-    _read_journal,
-    failures_report,
-)
 from repro.experiments.table2 import table2_report
 from repro.pipeline import ArtifactCache
+from repro.sched import journal as sched_journal
+from repro.sched.executor import DagExecutor
+from repro.sched.journal import RunBudget, failures_report
+from tests.integration.test_serve import children_of, needs_proc
 
 SUITE = ["PCR", "Kinase-act-1"]
 
-
-def _supervisor(tmp_path, **kwargs):
+def _supervisor(tmp_path, budget=None, **kwargs):
+    """A budgeted executor: every benchmark runs in a forked child."""
     cache = kwargs.pop("cache", None) or ArtifactCache(tmp_path / "store")
-    return SuiteSupervisor(cache=cache, **kwargs), cache
+    budget = budget or RunBudget(timeout_s=300.0)
+    return DagExecutor(budget=budget, cache=cache, **kwargs), cache
+
+
+def _read_journal(path):
+    return sched_journal.read_records(path)
 
 
 class TestSupervisor:
     def test_all_success(self, tmp_path):
-        sup, cache = _supervisor(tmp_path, budget=RunBudget(timeout_s=300.0))
+        sup, cache = _supervisor(tmp_path)
         result = sup.run(SUITE, PDWConfig(time_limit_s=41.0))
         assert isinstance(result, SuiteResult)
         assert result.ok
         assert [run.name for run in result.runs] == SUITE
         assert all(isinstance(run, BenchmarkRun) for run in result)
         events = {r["event"] for r in _read_journal(result.journal_path)}
-        assert events == {"attempt", "success", "metrics"}
+        assert events == {"attempt", "success", "metrics", "node_attempt", "node_success"}
 
     def test_crashed_benchmark_does_not_abort_the_suite(self, tmp_path, stage_fault):
         stage_fault("pathgen:crash@PCR")
@@ -64,14 +72,19 @@ class TestSupervisor:
         stage_fault("pathgen:crash:1@PCR")  # only the first trip fires
         sup, _ = _supervisor(
             tmp_path,
-            budget=RunBudget(retries=1, backoff_base_s=0.01, backoff_cap_s=0.05),
+            budget=RunBudget(
+                timeout_s=300.0, retries=1, backoff_base_s=0.01, backoff_cap_s=0.05
+            ),
         )
         result = sup.run(["PCR"], PDWConfig(time_limit_s=43.0))
         assert result.ok
         records = _read_journal(result.journal_path)
+        # The child retried the raised failure at its node: one benchmark
+        # attempt, two pathgen attempts.
         attempts = [r for r in records if r["event"] == "attempt"]
-        assert [r["attempt"] for r in attempts] == [1, 2]
-        assert any(r["event"] == "retry" for r in records)
+        assert [r["attempt"] for r in attempts] == [1]
+        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 2
+        assert [r["stage"] for r in records if r["event"] == "node_retry"] == ["pathgen"]
         assert records[-1]["event"] == "success"
 
     def test_hang_is_killed_on_the_wall_clock_budget(self, tmp_path, stage_fault):
@@ -82,6 +95,16 @@ class TestSupervisor:
         assert failure.kind == "timeout"
         assert "wall-clock" in failure.message
 
+    @needs_proc
+    def test_a_timeout_leaves_no_thread_and_no_child(self, tmp_path, stage_fault):
+        stage_fault("synthesis:hang:60@PCR")
+        sup, _ = _supervisor(tmp_path, budget=RunBudget(timeout_s=1.0))
+        threads, kids = set(threading.enumerate()), children_of(os.getpid())
+        result = sup.run(["PCR"], PDWConfig(time_limit_s=44.5))
+        assert [f.label for f in result.failures] == ["FAILED(timeout)"]
+        assert set(threading.enumerate()) <= threads, "a timeout left a thread running"
+        assert children_of(os.getpid()) <= kids, "a benchmark process outlived its timeout"
+
     def test_worker_death_is_classified_as_crash(self, tmp_path, stage_fault):
         stage_fault("replay:exit@PCR")  # os._exit: no goodbye over the pipe
         sup, _ = _supervisor(tmp_path)
@@ -89,6 +112,22 @@ class TestSupervisor:
         (failure,) = result.failures
         assert failure.kind == "crash"
         assert "exited with code 13" in failure.message
+
+    def test_a_dead_child_is_retried_whole(self, tmp_path, stage_fault):
+        stage_fault("replay:exit@PCR")
+        sup, _ = _supervisor(
+            tmp_path,
+            budget=RunBudget(
+                timeout_s=300.0, retries=1, backoff_base_s=0.01, backoff_cap_s=0.05
+            ),
+        )
+        result = sup.run(["PCR"], PDWConfig(time_limit_s=45.5))
+        (failure,) = result.failures
+        assert (failure.kind, failure.attempts) == ("crash", 2)
+        records = _read_journal(result.journal_path)
+        assert [r["attempt"] for r in records if r["event"] == "attempt"] == [1, 2]
+        assert [r["kind"] for r in records if r["event"] == "retry"] == ["crash"]
+        assert records[-1]["event"] == "failure"
 
     def test_resume_skips_journaled_successes(self, tmp_path, stage_fault, monkeypatch):
         from repro.pipeline import chaos
@@ -121,6 +160,13 @@ class TestSupervisor:
         assert "crash" in text
         assert "FAILED(crash)" in text
 
+    def test_merged_metrics_rebuild_the_children_series(self, tmp_path):
+        sup, _ = _supervisor(tmp_path)
+        result = sup.run(["PCR"], PDWConfig(time_limit_s=47.5))
+        merged = sched_journal.merged_metrics(result.journal_path).as_dict()
+        names = {series["name"] for series in merged["series"]}
+        assert "pdw_plan_validations_total" in names
+
 
 class TestRunSuite:
     def test_custom_cache_reaches_the_workers(self, tmp_path):
@@ -134,9 +180,10 @@ class TestRunSuite:
 
         cfg = PDWConfig(time_limit_s=49.0)
         cache = ArtifactCache(tmp_path / "shared")
-        warm = run_suite(SUITE, cfg, cache=cache, workers=2, executor="thread")
+        warm = run_suite(SUITE, cfg, cache=cache, workers=2)
         runner.clear_cache()
-        cold_memo = run_suite(SUITE, cfg, cache=cache, workers=2, executor="process")
+        sup, _ = _supervisor(tmp_path, cache=cache, workers=2)
+        cold_memo = sup.run(SUITE, cfg)
         assert cold_memo.ok
         for a, b in zip(warm.runs, cold_memo.runs):
             assert a.name == b.name
@@ -150,7 +197,8 @@ class TestRunSuite:
         cfg = PDWConfig(time_limit_s=50.0)
         cache = ArtifactCache(tmp_path / "adopt")
         runner.clear_cache()
-        result = run_suite(["PCR"], cfg, cache=cache, workers=2, executor="process")
+        sup, _ = _supervisor(tmp_path, cache=cache)
+        result = sup.run(["PCR"], cfg)
         assert run_benchmark("PCR", cfg, cache=cache) is result[0]
 
     def test_unsupervised_suite_captures_repro_errors(self, stage_fault):
@@ -159,10 +207,11 @@ class TestRunSuite:
         assert [f.name for f in result.failures] == ["PCR"]
         assert [r.name for r in result.runs] == ["Kinase-act-1"]
 
-    def test_malformed_worker_env_warns_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUITE_WORKERS", "three")
-        with pytest.warns(RuntimeWarning, match="REPRO_SUITE_WORKERS"):
-            assert _worker_count(["a", "b"], None) >= 1
+    def test_run_suite_leaves_no_worker_thread(self):
+        threads = set(threading.enumerate())
+        result = run_suite(["PCR"], PDWConfig(time_limit_s=51.5), use_cache=False)
+        assert result.ok
+        assert set(threading.enumerate()) <= threads
 
 
 class TestReports:
@@ -197,6 +246,27 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "PCR" in out
+
+    def test_suite_exit_3_when_a_benchmark_process_dies(
+        self, tmp_path, monkeypatch, stage_fault, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        stage_fault("replay:exit@PCR")
+        code = cli_main(["suite", "PCR", "Kinase-act-1", "--time-limit", "54.5"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "exited with code 13" in out
+        assert "1/2 benchmarks succeeded" in out
+
+    def test_suite_exit_3_on_a_hang_past_the_timeout(
+        self, tmp_path, monkeypatch, stage_fault, capsys
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        stage_fault("synthesis:hang:60@PCR")
+        code = cli_main(["suite", "PCR", "--time-limit", "54.7", "--timeout", "1"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "FAILED(timeout)" in out
 
     def test_cache_verify_reports_corruption(self, tmp_path, monkeypatch, capsys):
         # This tests the disk cache itself, so it must be on even where the

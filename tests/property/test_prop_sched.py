@@ -48,6 +48,26 @@ class TestWorkerCountInvariance:
             # Identically ordered rows *and* byte-identical plan JSON.
             assert rows == baseline, f"workers={workers} diverged from serial"
 
+    def test_forked_plans_byte_identical_to_run_benchmark(self):
+        """Budgeted runs (one forked child per benchmark) = run_benchmark."""
+        from repro.experiments.runner import run_benchmark
+        from repro.sched.executor import DagExecutor
+        from repro.sched.journal import RunBudget
+
+        cfg = PDWConfig(time_limit_s=61.2)
+        runs = [run_benchmark(name, cfg, use_cache=False) for name in SUITE]
+        baseline = [
+            (run.name, canonical_plan_json(run.pdw), canonical_plan_json(run.dawo))
+            for run in runs
+        ]
+        for workers in (1, 2):
+            executor = DagExecutor(
+                budget=RunBudget(timeout_s=600.0), use_cache=False, workers=workers
+            )
+            result = executor.run(SUITE, cfg)
+            assert result.ok
+            assert _canonical_rows(result) == baseline, f"workers={workers} diverged"
+
 
 class TestGraphShape:
     @pytest.mark.parametrize("name", ["PCR", "IVD"])

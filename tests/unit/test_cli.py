@@ -106,30 +106,27 @@ class TestCliAssay:
         assert err.startswith("pdw: error:")
 
 
-class _SupervisorBuilt(Exception):
-    """Stops ``pdw suite`` once it has chosen its engine."""
+class _EngineBuilt(Exception):
+    """Stops ``pdw suite`` once it has built its engine."""
 
 
 class TestCliSuiteEngine:
     def test_worker_env_vars_choose_neither_engine_nor_width(self, monkeypatch):
-        from repro.experiments import supervisor
+        # The two retired width variables must not come back through the
+        # environment: pdw suite forks under its budget at default width.
         from repro.sched import executor
 
         built = []
 
-        class Recording(supervisor.SuiteSupervisor):
+        class Recording(executor.DagExecutor):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
                 built.append(self)
-                raise _SupervisorBuilt
+                raise _EngineBuilt
 
-        def no_dag(**kwargs):
-            raise AssertionError("pdw suite chose the DAG engine unasked")
-
-        monkeypatch.setattr(supervisor, "SuiteSupervisor", Recording)
-        monkeypatch.setattr(executor, "DagExecutor", no_dag)
+        monkeypatch.setattr(executor, "DagExecutor", Recording)
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "4")
         monkeypatch.setenv("REPRO_SCHED_WORKERS", "2")
-        with pytest.raises(_SupervisorBuilt):
+        with pytest.raises(_EngineBuilt):
             main(["suite", "PCR", "--no-cache"])
-        assert [sup.workers for sup in built] == [1]
+        assert [(ex.workers, ex.budget.forks) for ex in built] == [(None, True)]

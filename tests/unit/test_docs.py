@@ -255,3 +255,31 @@ class TestExperimentsRuntime:
                 for column in self.COLUMNS
             )
             assert cells == want, name
+
+
+class TestBenchArtifactCitations:
+    """Every ``BENCH_*.json`` artifact the documents and CI cite exists at
+    the path cited (``BENCH_<git-sha>.json``-style templates aside)."""
+
+    SOURCES = (
+        *sorted((REPO / "docs").glob("*.md")),
+        REPO / "DESIGN.md",
+        REPO / "EXPERIMENTS.md",
+        REPO / "README.md",
+        REPO / ".github" / "workflows" / "ci.yml",
+    )
+    CITATION = re.compile(r"(?<![\w/.-])((?:[\w.-]+/)*BENCH_\w+\.json)")
+
+    def citations(self):
+        return [
+            (source.relative_to(REPO), path)
+            for source in self.SOURCES
+            for path in self.CITATION.findall(source.read_text(encoding="utf-8"))
+        ]
+
+    def test_the_documents_cite_artifacts(self):
+        assert len(self.citations()) >= 18
+
+    def test_every_cited_artifact_exists(self):
+        missing = [(str(src), path) for src, path in self.citations() if not (REPO / path).is_file()]
+        assert missing == []

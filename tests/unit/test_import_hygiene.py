@@ -95,7 +95,6 @@ def test_non_solving_entry_points_skip_the_solver_stack(code, tmp_path):
 @pytest.mark.parametrize(
     "module",
     [
-        "repro.experiments.supervisor",
         "repro.experiments.runner",
         "repro.sched.executor",
         "repro.serve",

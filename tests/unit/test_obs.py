@@ -170,7 +170,7 @@ class TestRegistry:
 
     def test_snapshot_merge_across_processes(self):
         # Two "workers" build registries independently; snapshots travel
-        # through JSON (as over the supervisor pipe / journal) and merge.
+        # through JSON (as over a benchmark child's pipe / journal) and merge.
         merged = MetricsRegistry()
         for worker in range(2):
             reg = MetricsRegistry()
