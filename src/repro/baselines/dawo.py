@@ -211,7 +211,6 @@ class DawoClusterStage(StageBase):
     """DAWO's demand-driven grouping: one cluster per first blocking task."""
 
     name = "clusters"
-    requires = ("necessity",)
     provides = "clusters"
 
     def key(self, ctx: PDWContext):
@@ -239,7 +238,6 @@ class SweepLineStage(StageBase):
     """BFS wash paths + sweep-line placement, assembling the DAWO plan."""
 
     name = "sweepline"
-    requires = ("clusters",)
     provides = "plan"
 
     def key(self, ctx: PDWContext):
@@ -259,9 +257,8 @@ class SweepLineStage(StageBase):
 DAWO_CLUSTER_STAGE = DawoClusterStage()
 SWEEPLINE_STAGE = SweepLineStage()
 
-#: The DAWO method as an ordered stage chain (replay/necessity are shared
-#: with PDW); consumed by the suite DAG alongside
-#: :data:`repro.core.stages.PDW_PIPELINE`.
+#: The DAWO method as an ordered stage chain (the replay is shared with
+#: PDW's, :data:`repro.core.stages.PDW_PIPELINE`).
 DAWO_PIPELINE = (
     REPLAY_STAGE,
     NECESSITY_STAGE,

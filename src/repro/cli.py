@@ -12,7 +12,7 @@ Subcommands::
     pdw suite [benchmark ...] --degrade SPEC[,SPEC...]
               [--degrade-online [NODE@TICK]]      # degradation matrix
     pdw bench [benchmark ...] [--iterations N] [--quick] [--out FILE]
-              [--compare BASELINE.json] [--threshold PCT] [--sched-workers N]
+              [--compare BASELINE.json] [--threshold PCT]
     pdw assay <file.json> [--method ...]     # optimize a user assay
     pdw cost <benchmark>                     # chip cost + plan comparison
     pdw simulate <benchmark> [--method ...]  # discrete-event execution log
@@ -268,11 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=25.0, metavar="PCT",
         help="allowed hot-path median growth in percent (default 25)",
     )
-    p_bench.add_argument(
-        "--sched-workers", type=int, default=None, metavar="N",
-        help="also time one cold whole-suite pass through the DAG executor "
-        "at N workers and record it as the artifact's 'suite' section",
-    )
 
     p_cache = sub.add_parser("cache", help="inspect, verify, or clear the artifact cache")
     p_cache.add_argument("action", choices=("info", "clear", "verify", "gc"))
@@ -462,8 +457,8 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
     from repro.core import PDWConfig
     from repro.experiments.runner import FailureRecord
     from repro.pipeline import default_cache
-    from repro.sched.executor import DagExecutor
-    from repro.sched.journal import RunBudget
+    from repro.sched.executor import SuiteExecutor
+    from repro.sched.journal import RunBudget, default_journal_path
 
     config = PDWConfig(
         time_limit_s=args.time_limit,
@@ -476,12 +471,14 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
         max_rss_bytes=int(args.max_rss * 2**20) if args.max_rss else None,
         retries=max(0, args.retries),
     )
-    executor = DagExecutor(
+    cache = None if args.no_cache else default_cache()
+    executor = SuiteExecutor(
         budget=budget,
-        cache=None if args.no_cache else default_cache(),
+        cache=cache,
         use_cache=not args.no_cache,
         workers=args.workers,
         resume=args.resume,
+        journal_path=default_journal_path(cache),
     )
     result = executor.run(args.benchmarks or None, config)
     for entry in result:
@@ -555,7 +552,6 @@ def _run_bench_cmd(args: argparse.Namespace) -> int:
         iterations=args.iterations,
         quick=args.quick,
         progress=lambda line: print(f"  {line}"),
-        sched_workers=args.sched_workers,
     )
     out = args.out if args.out is not None else result.default_path(Path.cwd())
     out.write_text(result.to_json() + "\n", encoding="utf-8")

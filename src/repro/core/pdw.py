@@ -157,8 +157,7 @@ def record_ilp_rows(run: PipelineRun, outcome) -> None:
     (surfacing as ``pdw.ilp.presolve``) records the model-reduction pass
     with its fixed/dropped counters under the same cache gating.  Each
     solver-ladder rung attempt then gets its own ``ilp.rung.<rung>``
-    record.  Shared by the serial orchestrator above and the suite DAG
-    executor's ILP node.
+    record.
     """
     last = run.report.stages[-1] if run.report.stages else None
     cached = last is not None and last.stage == "ilp" and last.cached
@@ -199,8 +198,7 @@ def record_ilp_rows(run: PipelineRun, outcome) -> None:
 
 def no_wash_plan(ctx: PDWContext) -> WashPlan:
     """The empty PDW plan for a run whose necessity analysis demands no
-    washes — the baseline schedule passes through untouched.  Shared by
-    the serial orchestrator above and the suite DAG executor."""
+    washes — the baseline schedule passes through untouched."""
     return WashPlan(
         method="PDW",
         chip=ctx.synthesis.chip,

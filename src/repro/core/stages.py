@@ -104,9 +104,7 @@ class ReplayStage(StageBase):
     """Replay the wash-free baseline and index contamination events."""
 
     name = "replay"
-    requires = ("synthesis",)
     provides = "tracker"
-    shared = True
 
     def key(self, ctx: PDWContext):
         # Keyed on the synthesis alone so PDW and DAWO share the artifact.
@@ -126,7 +124,6 @@ class NecessityStage(StageBase):
     """Type 1/2/3 wash-necessity analysis (Eqs. 9-11)."""
 
     name = "necessity"
-    requires = ("tracker",)
     provides = "necessity"
 
     def key(self, ctx: PDWContext):
@@ -159,7 +156,6 @@ class ClusterStage(StageBase):
     """
 
     name = "clusters"
-    requires = ("necessity",)
     provides = "clusters"
 
     def key(self, ctx: PDWContext):
@@ -216,7 +212,6 @@ class PathGenStage(StageBase):
     """
 
     name = "pathgen"
-    requires = ("clusters",)
     provides = "candidates"
 
     def key(self, ctx: PDWContext):
@@ -377,7 +372,6 @@ class ScheduleIlpStage(StageBase):
     """
 
     name = "ilp"
-    requires = ("clusters", "candidates")
     provides = "outcome"
 
     def key(self, ctx: PDWContext):
@@ -495,7 +489,6 @@ class AssembleStage(StageBase):
     """
 
     name = "assemble"
-    requires = ("outcome", "clusters", "necessity")
     provides = "plan"
 
     def compute(self, ctx: PDWContext) -> WashPlan:
@@ -587,10 +580,7 @@ PATHGEN_STAGE = PathGenStage()
 SCHEDULE_ILP_STAGE = ScheduleIlpStage()
 ASSEMBLE_STAGE = AssembleStage()
 
-#: The PDW method as an ordered stage chain.  The order is a valid
-#: topological sort of the stages' ``requires``/``provides`` declarations;
-#: the suite DAG (:mod:`repro.sched`) derives its edges from those
-#: declarations rather than from this tuple's adjacency.
+#: The PDW method as an ordered stage chain.
 PDW_PIPELINE = (
     REPLAY_STAGE,
     NECESSITY_STAGE,

@@ -17,12 +17,12 @@ synthesized once and the contamination replay is computed once, then handed
 to both DAWO and PDW (their plans record the stage as ``shared``).
 
 :func:`run_suite` runs a list of benchmarks through the suite engine,
-:class:`~repro.sched.executor.DagExecutor`, in process on ``workers``
-threads, and never aborts mid-suite: a benchmark that fails with a
-:class:`~repro.errors.ReproError` (including injected stage faults)
-becomes a :class:`FailureRecord` in the returned :class:`SuiteResult`
-and the remaining benchmarks still run.  ``pdw suite`` drives the same
-engine with a budget, which forks one child per benchmark.
+:class:`~repro.sched.executor.SuiteExecutor`, in process one benchmark
+at a time, and never aborts mid-suite: a benchmark whose
+:func:`run_benchmark` raises becomes a :class:`FailureRecord` (kind by
+:func:`classify_failure`) in the returned :class:`SuiteResult` and the
+remaining benchmarks still run.  ``pdw suite`` drives the same engine
+with a budget, which forks one child per benchmark attempt.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.assay.io import graph_to_dict
 from repro.baselines import dawo_plan
@@ -39,6 +39,7 @@ from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig, optimize_washes
 from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
+from repro.errors import DegradedInfeasibleError, ReproError
 from repro.forksafe import renew_lock_in_child
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
@@ -129,6 +130,21 @@ class FailureRecord:
 SuiteEntry = Union[BenchmarkRun, FailureRecord]
 
 
+def classify_failure(exc: BaseException) -> Tuple[str, str]:
+    """``(kind, message)`` of a raised error, ``kind`` one of
+    :data:`FAILURE_KINDS`: the one mapping every suite attempt and every
+    ``pdw serve`` job uses."""
+    if isinstance(exc, chaos.InjectedFault):
+        return "crash", str(exc)
+    if isinstance(exc, MemoryError):
+        return "oom", "MemoryError while running benchmark"
+    if isinstance(exc, DegradedInfeasibleError):
+        return "infeasible_degraded", str(exc)
+    if isinstance(exc, ReproError):
+        return "error", str(exc)
+    return "crash", f"{type(exc).__name__}: {exc}"
+
+
 @dataclass
 class SuiteResult(Sequence):
     """Per-benchmark outcomes of a suite run, in suite order.
@@ -176,17 +192,6 @@ renew_lock_in_child(sys.modules[__name__], "_CACHE_LOCK")
 
 def _memo_key(name: str, config: PDWConfig) -> tuple:
     return (name, config, faults.environment_token())
-
-
-def memo_lookup(name: str, config: Optional[PDWConfig] = None) -> Optional[BenchmarkRun]:
-    """The in-process memoized run for ``(name, config)``, if any.
-
-    Shared with the DAG executor's synthesis node so a suite re-run in
-    the same process short-circuits the whole benchmark subgraph.
-    """
-    cfg = config or default_config()
-    with _CACHE_LOCK:
-        return _CACHE.get(_memo_key(name, cfg))
 
 
 def adopt_run(run: BenchmarkRun, config: Optional[PDWConfig] = None) -> BenchmarkRun:
@@ -308,19 +313,17 @@ def run_suite(
     config: Optional[PDWConfig] = None,
     use_cache: bool = True,
     cache: Optional[ArtifactCache] = None,
-    workers: Optional[int] = None,
 ) -> SuiteResult:
     """Run a list of benchmarks (default: the full Table II suite).
 
-    The suite runs in this process on ``workers`` threads (default: one
-    per benchmark, at most one per CPU) as one stage DAG
-    (:class:`~repro.sched.executor.DagExecutor`); results keep suite
-    order and every plan is byte-identical to :func:`run_benchmark`'s.
-    ``cache`` overrides the default on-disk artifact cache.
+    Each benchmark is one :func:`run_benchmark` in this process, one at
+    a time (:class:`~repro.sched.executor.SuiteExecutor` without a
+    budget); results keep suite order.  ``cache`` overrides the default
+    on-disk artifact cache.  Writes no run journal and no metrics dump.
     """
-    from repro.sched.executor import DagExecutor
+    from repro.sched.executor import SuiteExecutor
 
-    executor = DagExecutor(cache=cache, use_cache=use_cache, workers=workers)
+    executor = SuiteExecutor(cache=cache, use_cache=use_cache)
     return executor.run(list(names or BENCHMARKS), config)
 
 

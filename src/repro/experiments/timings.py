@@ -63,35 +63,6 @@ def computed_mean_row(runs: Sequence[BenchmarkRun]) -> List[str]:
     return cells
 
 
-def queue_wait_rows(runs: Sequence[BenchmarkRun]) -> List[List[str]]:
-    """One row per benchmark: per-stage scheduler queue wait.
-
-    The DAG executor (:mod:`repro.sched`) stamps every stage record with
-    ``queue_wait_s`` — the time between the node becoming ready (all
-    dependencies done) and a worker starting it.  Cells show ``-`` for
-    stages without the counter (runs planned by ``run_benchmark``, skipped nodes);
-    cache-served stages keep their usual origin semantics and simply show
-    the wait their *lookup* node spent queued.
-    """
-    rows: List[List[str]] = []
-    for run in runs:
-        cells = [run.name]
-        for stage, _ in STAGE_COLUMNS:
-            rec = run.report.get(stage) if run.report else None
-            wait = rec.counters.get("queue_wait_s") if rec is not None else None
-            cells.append(f"{wait:.3f}" if wait is not None else "-")
-        rows.append(cells)
-    return rows
-
-
-def _has_queue_waits(runs: Sequence[BenchmarkRun]) -> bool:
-    return any(
-        run.report is not None
-        and any("queue_wait_s" in rec.counters for rec in run.report.stages)
-        for run in runs
-    )
-
-
 def routing_cache_line(runs: Sequence[BenchmarkRun]) -> str:
     """Aggregate routing-kernel cache traffic across the suite.
 
@@ -152,10 +123,8 @@ def timings_report(
 ) -> str:
     """Render per-stage timings + solver statistics for the suite.
 
-    The suite runs through the stage-DAG executor, so a per-stage
-    queue-wait table (ready → start latency per node) follows the stage
-    table whenever a run's stage records carry one.  Failed benchmarks
-    are listed below the tables instead of aborting the report.
+    Failed benchmarks are listed below the tables instead of aborting
+    the report.
     """
     result = run_suite(names, config)
     runs = result.runs
@@ -170,12 +139,6 @@ def timings_report(
     cache_line = routing_cache_line(runs)
     if cache_line:
         text += "\n" + cache_line
-
-    if _has_queue_waits(runs):
-        wait_headers = ["Benchmark"]
-        wait_headers.extend(label for _, label in STAGE_COLUMNS)
-        text += "\nScheduler queue waits (s; node ready -> node start)\n"
-        text += render_table(wait_headers, queue_wait_rows(runs))
 
     solver_headers = [
         "Benchmark", "status", "rung", "tried", "vars", "bin", "constrs",

@@ -124,20 +124,12 @@ def run_bench(
     iterations: int = DEFAULT_ITERATIONS,
     quick: bool = False,
     progress=None,
-    sched_workers: Optional[int] = None,
 ) -> BenchResult:
     """Run the pinned matrix cold ``iterations`` times and reduce.
 
     ``quick`` shrinks the matrix to :data:`QUICK_BENCHMARK` with a single
     iteration (the CI smoke configuration).  ``progress`` is an optional
     ``callable(str)`` fed one line per completed sample.
-
-    ``sched_workers`` additionally times cold whole-suite passes through
-    the stage-DAG executor at that worker count, A/B-interleaved with
-    serial back-to-back passes over the same benchmarks, and records the
-    medians as the artifact's ``suite`` section (``wall_s`` vs
-    ``serial_sum_s``) — the committed evidence that overlapping
-    independent stages beats running the benchmarks serially.
     """
     # Imported here so ``pdw bench --compare`` works without triggering
     # the full solver import chain (and so repro.obs stays importable
@@ -196,73 +188,6 @@ def run_bench(
         "hot_paths": list(DEFAULT_HOT_PATHS),
         "benchmarks": benchmarks,
     }
-    if sched_workers:
-        from repro.sched.executor import DagExecutor
-
-        # A/B-interleaved sampling: each iteration runs the benchmarks
-        # back to back (the serial whole-suite wall) and then once
-        # through the DAG executor, so both sides see the same box
-        # conditions — a load spike between phases cannot fake (or hide)
-        # the overlap win.  Medians over ``iterations`` of each.
-        serial_walls: List[float] = []
-        suite_walls: List[float] = []
-        failures = 0
-        # One untimed warm-up pass of each side before sampling: the
-        # first pass in a process pays one-time costs (solver binding
-        # initialisation, allocator growth) that belong to neither
-        # side's steady-state wall.  Symmetric, so it cannot tilt the
-        # comparison.
-        for name in suite:
-            run_benchmark(name, cfg, use_cache=False)
-        DagExecutor(use_cache=False, workers=sched_workers).run(suite, cfg)
-        for i in range(iterations):
-            # Counterbalanced order (serial-first on even iterations,
-            # DAG-first on odd): a load spike arriving mid-iteration
-            # otherwise always lands on whichever side runs second.
-            def _serial() -> None:
-                started = time.perf_counter()
-                for name in suite:
-                    run_benchmark(name, cfg, use_cache=False)
-                serial_walls.append(time.perf_counter() - started)
-
-            def _dag() -> None:
-                nonlocal failures
-                started = time.perf_counter()
-                suite_result = DagExecutor(
-                    use_cache=False, workers=sched_workers
-                ).run(suite, cfg)
-                suite_walls.append(time.perf_counter() - started)
-                failures = max(failures, len(suite_result.failures))
-
-            first, second = (_serial, _dag) if i % 2 == 0 else (_dag, _serial)
-            first()
-            second()
-            if progress is not None:
-                progress(
-                    f"suite sample {i + 1}/{iterations}: serial "
-                    f"{serial_walls[-1]:.3f}s, DAG x{sched_workers} "
-                    f"{suite_walls[-1]:.3f}s"
-                )
-        if progress is not None:
-            progress(
-                f"suite via DAG x{sched_workers}: median "
-                f"{median(suite_walls):.3f}s vs serial median "
-                f"{median(serial_walls):.3f}s"
-            )
-        import os
-
-        payload["suite"] = {
-            "sched_workers": int(sched_workers),
-            # The executor never oversubscribes the host (pool is
-            # clamped to the core count), so record what actually ran.
-            "cpu_count": os.cpu_count(),
-            "pool_width": max(1, min(int(sched_workers), os.cpu_count() or 1)),
-            "wall_s": round(median(suite_walls), 6),
-            "samples": [round(s, 6) for s in suite_walls],
-            "serial_sum_s": round(median(serial_walls), 6),
-            "serial_samples": [round(s, 6) for s in serial_walls],
-            "failures": failures,
-        }
     return BenchResult(payload)
 
 

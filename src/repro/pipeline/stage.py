@@ -11,7 +11,9 @@ invalidates the artifacts the previous code computed.
 A :class:`PipelineRun` executes stages in order, consults the
 content-addressed :class:`~repro.pipeline.cache.ArtifactCache` before
 computing, and records one :class:`~repro.pipeline.report.StageRecord` per
-stage (wall time, cache hit, counters) into its :class:`RunReport`.
+stage (wall time, cache hit, counters) into its :class:`RunReport` — and,
+while the process has a run journal set, one ``stage`` event into that
+journal (:func:`repro.sched.journal.record_stage`).
 """
 
 from __future__ import annotations
@@ -23,19 +25,15 @@ from repro.obs.trace import span
 from repro.pipeline import chaos
 from repro.pipeline.cache import ArtifactCache, stable_digest
 from repro.pipeline.report import RunReport
+from repro.sched import journal as run_journal
 
 
 @runtime_checkable
 class Stage(Protocol):
     """One pipeline step producing a cacheable artifact from a context.
 
-    Beyond the required members below, stages may declare their *dataflow*
-    — ``requires`` (context attribute names read by :meth:`compute`) and
-    ``provides`` (the context attribute the artifact fills, bound by
-    ``apply``).  The declarations are what the suite stage DAG
-    (:mod:`repro.sched`) derives its edges from, so a stage that reads an
-    undeclared input simply never becomes schedulable before that input's
-    producer — edges are derived, not hardcoded.
+    Beyond the required members below, a stage may declare ``provides``
+    (the context attribute its artifact fills, bound by ``apply``).
     """
 
     #: Stage name; also the instrumentation label.
@@ -55,22 +53,12 @@ class Stage(Protocol):
 
 
 class StageBase:
-    """Convenience base: no cache key, no counters, no detail.
-
-    Subclasses declare their dataflow through ``requires``/``provides``;
-    the defaults (no inputs, anonymous output) keep ad-hoc stages working
-    while registered pipeline stages override both so the suite DAG can
-    derive dependency edges from the declarations.
-    """
+    """Convenience base: no cache key, no counters, no detail, and an
+    anonymous output unless a subclass declares ``provides``."""
 
     name = "stage"
-    #: Context attribute names this stage reads (its dataflow inputs).
-    requires: tuple = ()
-    #: Context attribute its artifact fills (its dataflow output), or "".
+    #: Context attribute its artifact fills, or "".
     provides: str = ""
-    #: Whether the artifact is method-independent (keyed on the synthesis
-    #: alone), so pipelines containing the same stage share one DAG node.
-    shared: bool = False
 
     def key(self, ctx: Any) -> Optional[Any]:
         return None
@@ -136,6 +124,7 @@ class PipelineRun:
                         counters=counters,
                         detail=getattr(stage, "detail", lambda a: "")(artifact),
                     )
+                    run_journal.record_stage(self.report.label, stage.name, "cache")
                     return artifact
             artifact = stage.compute(ctx)
             if self.cache is not None and digest is not None and artifact is not None:
@@ -148,6 +137,7 @@ class PipelineRun:
                 counters=stage.counters(artifact),
                 detail=getattr(stage, "detail", lambda a: "")(artifact),
             )
+            run_journal.record_stage(self.report.label, stage.name, "computed")
             return artifact
 
     def provided(self, name: str, counters: Optional[Dict[str, float]] = None) -> None:
@@ -181,4 +171,5 @@ class PipelineRun:
                 counters=counters(artifact) if counters else {},
                 detail=detail,
             )
+            run_journal.record_stage(self.report.label, name, "computed")
             return artifact

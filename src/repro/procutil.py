@@ -1,8 +1,8 @@
 """Forked workers: fork, wait with a timeout, kill, reap, classify.
 
 Two callers isolate work in a forked child and collect one result over a
-pipe: :class:`~repro.sched.executor.DagExecutor` runs each budgeted
-benchmark in one (``pdw suite``), and
+pipe: :class:`~repro.sched.executor.SuiteExecutor` runs each budgeted
+benchmark attempt in one (``pdw suite``), and
 :class:`~repro.serve.server.JobServer` each ``pdw serve`` job.  Both
 must kill a child that outlives its wall-clock budget, reap every child
 they start, and tell a child that reported from one that died first.

@@ -1,12 +1,14 @@
 """The suite's run journal, budgets and journal reports.
 
-:class:`~repro.sched.executor.DagExecutor` (every ``pdw suite``,
-``run_suite`` and ``pdw serve`` benchmark job) and the degradation
-matrix append to one JSONL file, ``<cache>/journal/suite.jsonl``
-(:func:`default_journal_path`).  Benchmark-level events are
-``attempt``/``success``/``failure``/``retry``/``metrics``; stage nodes
-add ``node_attempt``/``node_success``/``node_retry``/``node_failure``/
-``node_cancelled``.  ``pdw suite --resume`` replays journaled successes
+:class:`~repro.sched.executor.SuiteExecutor` (every ``pdw suite`` and
+``pdw serve`` benchmark job) and the degradation matrix append to one
+JSONL file, ``<cache>/journal/suite.jsonl`` (:func:`default_journal_path`).
+Benchmark-level events are ``attempt``/``success``/``failure``/``retry``/
+``metrics``.  While a process has a run journal set
+(:func:`stage_journal`), every stage a
+:class:`~repro.pipeline.stage.PipelineRun` records adds one ``stage``
+event (:func:`record_stage`): ``pdw serve`` counts them for job progress.
+``pdw suite --resume`` replays journaled successes
 (:func:`journaled_successes`), ``pdw report failures`` renders the
 history (:func:`failures_report`) and :func:`merged_metrics` rebuilds a
 run's metrics from the snapshots its benchmark processes journaled.
@@ -22,16 +24,21 @@ import os
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.forksafe import renew_lock_in_child
 from repro.obs import metrics as obs_metrics
-from repro.pipeline import ArtifactCache, default_cache, default_cache_dir
 
-#: Serializes concurrent appends from the executor's worker threads.
+# The submodule, not the package: repro.pipeline.stage imports this module
+# while repro.pipeline itself is still initializing.
+from repro.pipeline.cache import ArtifactCache, default_cache, default_cache_dir
+
+#: Serializes concurrent appends from the threads of one process (serve's
+#: lifecycle events, the stage records of a job).
 _WRITE_LOCK = threading.Lock()
 renew_lock_in_child(sys.modules[__name__], "_WRITE_LOCK")
 
@@ -85,6 +92,46 @@ def append_record(path: Path, record: dict) -> None:
             fh.write(line)
 
 
+#: This process's stage-record target, ``(journal, benchmark)``, while a
+#: suite attempt runs (:func:`stage_journal`); ``None`` records nothing.
+_STAGE_JOURNAL: Optional[Tuple[Path, str]] = None
+
+
+@contextmanager
+def stage_journal(path: Optional[Path], benchmark: str) -> Iterator[None]:
+    """Journal every stage this process records as ``benchmark``'s, to
+    ``path`` (``None``: to nowhere), for the duration of the block."""
+    global _STAGE_JOURNAL
+    previous = _STAGE_JOURNAL
+    _STAGE_JOURNAL = (Path(path), benchmark) if path is not None else None
+    try:
+        yield
+    finally:
+        _STAGE_JOURNAL = previous
+
+
+def record_stage(label: str, stage: str, origin: str) -> None:
+    """Append one ``stage`` event when this process has a run journal set.
+
+    ``label`` is the recording run's report label (``bench:PCR``,
+    ``PDW:PCR``, ``DAWO:PCR``); its prefix, lower-cased, is the method.
+    """
+    target = _STAGE_JOURNAL
+    if target is None:
+        return
+    path, benchmark = target
+    append_record(
+        path,
+        {
+            "event": "stage",
+            "benchmark": benchmark,
+            "method": label.split(":", 1)[0].lower(),
+            "stage": stage,
+            "origin": origin,
+        },
+    )
+
+
 def journal_size(path: Path) -> int:
     """The journal's length in bytes now (0 when it does not exist yet): an
     offset :func:`read_records` can later start from."""
@@ -132,29 +179,6 @@ def journaled_successes(records: Iterable[dict]) -> Dict[str, str]:
         elif event == "failure":
             done.pop(name, None)
     return done
-
-
-def node_attempts(
-    records: Iterable[dict],
-    benchmark: Optional[str] = None,
-    stage: Optional[str] = None,
-) -> List[dict]:
-    """The ``node_attempt`` events, optionally filtered.
-
-    The chaos tests and the CI ``dag-executor`` job assert retry scoping
-    through this view — e.g. "an injected ILP crash leaves exactly one
-    pathgen attempt for that benchmark".
-    """
-    out: List[dict] = []
-    for record in records:
-        if record.get("event") != "node_attempt":
-            continue
-        if benchmark is not None and record.get("benchmark") != benchmark:
-            continue
-        if stage is not None and record.get("stage") != stage:
-            continue
-        out.append(record)
-    return out
 
 
 def _journal_or_default(journal_path: Optional[Path]) -> Path:

@@ -14,10 +14,10 @@ resubmittable — the same id is re-queued with a fresh attempt counter,
 so a transient crash doesn't poison the digest forever.
 
 Progress for running benchmark jobs is read from the suite run journal:
-the DAG executor writes one ``node_success`` record per finished
-``(benchmark, method, stage)`` node, so counting this job's records
-since its start gives ``nodes_done / nodes_total`` without any extra
-bookkeeping channel.
+the job's child writes one ``stage`` record per pipeline stage it runs
+(:func:`repro.sched.journal.record_stage`), so counting this job's
+records since its start gives ``nodes_done / nodes_total`` without any
+extra bookkeeping channel.
 """
 
 from __future__ import annotations
@@ -27,15 +27,20 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+from repro.baselines.dawo import DAWO_PIPELINE
+from repro.core.stages import PDW_PIPELINE, REPLAY_STAGE
 from repro.serve.wire import JobSpec, job_id_for
 
 #: The lifecycle states, in canonical order (docs/SERVICE.md table).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: Stage nodes per benchmark in the suite DAG (repro.sched.graph): the
-#: denominator of the progress fraction for benchmark jobs.
-NODES_PER_BENCHMARK = 11
+#: Stage records one cold benchmark run journals — the denominator of a
+#: benchmark job's progress fraction: synthesis, the replay both methods
+#: share, and every other stage of each method's pipeline.
+STAGES_PER_BENCHMARK = 2 + sum(
+    stage is not REPLAY_STAGE for stage in PDW_PIPELINE + DAWO_PIPELINE
+)
 
 
 class JobFailure(Exception):
@@ -182,17 +187,18 @@ class JobStore:
 def job_progress(job: Job, journal_records: List[dict]) -> Dict[str, Any]:
     """Stage progress of a running benchmark job from journal records.
 
-    Counts distinct ``node_success`` stages recorded for this job's
-    benchmark at timestamps after the job started; assay jobs (which run
-    outside the DAG) report coarse state-only progress.
+    Counts distinct ``(method, stage)`` pairs among the ``stage`` records
+    journaled for this job's benchmark at timestamps after the job
+    started; assay jobs (not benchmark runs) report coarse state-only
+    progress.
     """
     if job.spec.kind != "benchmark" or job.started_ts is None:
         return {"nodes_done": None, "nodes_total": None}
     done = {
         (rec.get("method"), rec.get("stage"))
         for rec in journal_records
-        if rec.get("event") == "node_success"
+        if rec.get("event") == "stage"
         and rec.get("benchmark") == job.spec.benchmark
         and float(rec.get("ts", 0.0)) >= job.started_ts - 1.0
     }
-    return {"nodes_done": len(done), "nodes_total": NODES_PER_BENCHMARK}
+    return {"nodes_done": len(done), "nodes_total": STAGES_PER_BENCHMARK}

@@ -4,9 +4,9 @@ The server process keeps admission, dedup, the queue, HTTP and reading
 plans from the cache; it never routes or solves.  Each job runs in a
 child process that a worker thread forks (:class:`repro.procutil.Child`,
 what ``pdw suite`` forks each benchmark with): a benchmark job is a
-one-benchmark stage-DAG run under
-:class:`~repro.sched.executor.DagExecutor` (the shared JSONL run
-journal, artifact-cache writes), an assay job calls the pipeline
+one-benchmark :class:`~repro.sched.executor.SuiteExecutor` run, inline
+in the child (the shared JSONL run journal with one ``stage`` record per
+stage, artifact-cache writes), an assay job calls the pipeline
 directly.  The child sends back ``(run_digest, canonical plan dict,
 metrics snapshot)`` or a failure kind over a pipe and exits; the worker
 merges the snapshot into the server's registry, so ``/metrics`` carries
@@ -63,8 +63,7 @@ import repro.arch.io  # noqa: F401
 from repro.assay import graph_from_dict
 from repro.baselines import dawo_plan, immediate_wash_plan
 from repro.core import optimize_washes
-from repro.errors import ReproError
-from repro.experiments.runner import FailureRecord, run_digest
+from repro.experiments.runner import FailureRecord, classify_failure, run_digest
 from repro.export.plan_json import canonical_plan_dict
 from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
@@ -72,7 +71,7 @@ from repro.pipeline import ArtifactCache, default_cache
 from repro.pipeline import cache as artifact_cache
 from repro.procutil import Child, safe_send, terminate
 from repro.sched import journal as sched_journal
-from repro.sched.executor import DagExecutor
+from repro.sched.executor import SuiteExecutor
 from repro.sched.journal import default_journal_path
 from repro.serve.jobs import Job, JobFailure, JobStore, job_progress
 from repro.serve.queue import FairQueue
@@ -108,10 +107,8 @@ def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) 
         outcome: tuple = ("ok", digest, canonical_plan_dict(plan))
     except JobFailure as exc:
         outcome = ("fail", exc.kind, str(exc))
-    except ReproError as exc:
-        outcome = ("fail", "error", str(exc))
     except Exception as exc:  # a job child reports every failure it survives
-        outcome = ("fail", "crash", f"{type(exc).__name__}: {exc}")
+        outcome = ("fail", *classify_failure(exc))
     safe_send(conn, outcome + (obs_metrics.snapshot(),))
     conn.close()
     # Skip interpreter teardown: it flushes std streams whose locks
@@ -124,14 +121,12 @@ def _plan_job(
 ) -> Tuple[Optional[str], Any]:
     """``(run_digest or None, plan)`` for one job, in the job child."""
     if spec.kind == "benchmark":
-        executor = DagExecutor(
-            cache=cache, use_cache=use_cache, workers=1, journal_path=journal_path
-        )
+        executor = SuiteExecutor(cache=cache, use_cache=use_cache, journal_path=journal_path)
         entry = executor.run([spec.benchmark], spec.config).entries[0]
         if isinstance(entry, FailureRecord):
             raise JobFailure(entry.kind, entry.message)
         return run_digest(spec.benchmark, spec.config), _method_plan(entry, spec.method)
-    # User-assay jobs run the pipeline directly (no benchmark DAG).
+    # User-assay jobs run the pipeline directly (no benchmark run).
     synth = synthesize(graph_from_dict(dict(spec.assay)))
     disk = cache if use_cache else None
     if spec.method == "pdw":

@@ -125,9 +125,14 @@ class TestParallelSuite:
     SUBSET = ["PCR", "Kinase-act-1"]
     CFG = PDWConfig(time_limit_s=60.0)
 
-    def test_thread_parallel_matches_sequential(self):
-        seq = run_suite(self.SUBSET, self.CFG, workers=1)
-        par = run_suite(self.SUBSET, self.CFG, workers=2)
+    def test_forked_parallel_matches_sequential(self):
+        from repro.sched.executor import SuiteExecutor
+        from repro.sched.journal import RunBudget
+
+        seq = run_suite(self.SUBSET, self.CFG, use_cache=False)
+        par = SuiteExecutor(
+            budget=RunBudget(timeout_s=600.0), use_cache=False, workers=2
+        ).run(self.SUBSET, self.CFG)
         assert [r.name for r in par] == [r.name for r in seq]
         for a, b in zip(seq, par):
             assert a.pdw.metrics() == b.pdw.metrics()

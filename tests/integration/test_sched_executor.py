@@ -1,116 +1,102 @@
-"""Stage-DAG suite execution: node-scoped chaos, retries, resume, CLI.
+"""The suite engine, inline and forked: stage records, retries, resume, CLI.
 
-The companion of tests/integration/test_suite_execution.py, at stage-node
-granularity: the in-process executor, and (where a test says so) the
-same DAG inside a budgeted benchmark's forked child.  Chaos-driven tests
-pin a unique
-``PDWConfig`` per test for the same reason documented there: the
-in-process memo ignores armed stage faults, so a memo hit from an
-earlier test would bypass the injection point.
+The companion of tests/integration/test_suite_execution.py, at the level
+of what one benchmark attempt journals: the inline executor, and (where
+a test says so) the same attempt inside a budgeted benchmark's forked
+child.  Chaos-driven tests pin a unique ``PDWConfig`` per test for the
+same reason documented there: the in-process memo ignores armed stage
+faults, so a memo hit from an earlier test would bypass the injection
+point.
 """
 
 from __future__ import annotations
-
-import json
 
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
 from repro.pipeline import ArtifactCache
 from repro.sched import journal as sched_journal
-from repro.sched.executor import DagExecutor
+from repro.sched.executor import SuiteExecutor
 from repro.sched.journal import RunBudget
+from repro.serve.jobs import STAGES_PER_BENCHMARK
 
 SUITE = ["PCR", "Kinase-act-1"]
+QUICK_RETRY = dict(retries=1, backoff_base_s=0.01, backoff_cap_s=0.05)
 
 
 def _executor(tmp_path, **kwargs):
     cache = kwargs.pop("cache", None) or ArtifactCache(tmp_path / "store")
     journal = kwargs.pop("journal_path", tmp_path / "journal.jsonl")
-    return DagExecutor(cache=cache, journal_path=journal, **kwargs), cache
+    return SuiteExecutor(cache=cache, journal_path=journal, **kwargs), cache
 
 
-class TestDagExecutor:
-    def test_all_success_journals_every_node(self, tmp_path):
-        ex, _ = _executor(tmp_path, workers=2)
+def _stages(records, benchmark, stage=None):
+    return [
+        r for r in records
+        if r["event"] == "stage" and r["benchmark"] == benchmark
+        and (stage is None or r["stage"] == stage)
+    ]
+
+
+class TestSuiteExecutor:
+    def test_all_success_journals_every_stage(self, tmp_path):
+        ex, _ = _executor(tmp_path)
         result = ex.run(SUITE, PDWConfig(time_limit_s=61.5))
         assert result.ok
         assert [run.name for run in result.runs] == SUITE
         records = sched_journal.read_records(ex.journal_path)
-        # 11 nodes per benchmark, one attempt + one success each.
-        assert len(sched_journal.node_attempts(records)) == 22
-        successes = [r for r in records if r["event"] == "node_success"]
-        assert len(successes) == 22
-        # Benchmark-level events are journaled too (in completion order —
-        # small benchmarks finish first).
-        assert {
-            r["benchmark"] for r in records if r["event"] == "success"
-        } == set(SUITE)
-        # Every stage record carries its scheduler queue wait.
-        for run in result.runs:
-            rec = run.report.get("pdw.ilp")
-            assert rec is not None
-            assert rec.counters.get("queue_wait_s") is not None
+        for name in SUITE:
+            assert len(_stages(records, name)) == STAGES_PER_BENCHMARK
+        assert [(r["event"], r["benchmark"]) for r in records if r["event"] != "stage"] == [
+            ("attempt", "PCR"), ("success", "PCR"),
+            ("attempt", "Kinase-act-1"), ("success", "Kinase-act-1"),
+        ]
+        assert result.metrics_path == ex.journal_path.parent / "metrics.json"
 
-    def test_ilp_crash_kills_only_its_node_and_dependents(
+    def test_a_crashed_benchmark_fails_whole_and_its_sibling_completes(
         self, tmp_path, stage_fault
     ):
         stage_fault("ilp:crash@PCR")
-        ex, _ = _executor(tmp_path, workers=2)
+        ex, _ = _executor(tmp_path)
         result = ex.run(SUITE, PDWConfig(time_limit_s=62.0))
         (failure,) = result.failures
-        assert failure.name == "PCR"
-        assert failure.kind == "crash"
+        assert (failure.name, failure.kind, failure.attempts) == ("PCR", "crash", 1)
         (run,) = result.runs
-        assert run.name == "Kinase-act-1"  # sibling benchmark completes
-
+        assert run.name == "Kinase-act-1"
         records = sched_journal.read_records(ex.journal_path)
-        cancelled = {r["node"] for r in records if r["event"] == "node_cancelled"}
-        assert cancelled == {"PCR/pdw/assemble", "PCR/run/collect"}
-        # PCR's DAWO chain is not downstream of the crashed ILP: it finished.
-        dawo_done = {
-            r["node"]
-            for r in records
-            if r["event"] == "node_success"
-            and r["benchmark"] == "PCR"
-            and r["method"] == "dawo"
-        }
-        assert dawo_done == {
-            "PCR/dawo/necessity", "PCR/dawo/clusters", "PCR/dawo/sweepline"
-        }
-        # The crash never rewound upstream work.
-        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 1
+        # PCR stopped at its ILP: nothing after it ran, nothing was cancelled.
+        assert [r["stage"] for r in _stages(records, "PCR")][-2:] == ["clusters", "pathgen"]
+        assert {r["event"] for r in records} == {"attempt", "stage", "failure", "success"}
 
-    def test_retry_rewinds_only_the_crashed_node(self, tmp_path, stage_fault):
+    def test_retry_reruns_the_benchmark_from_the_stage_cache(self, tmp_path, stage_fault):
         stage_fault("ilp:crash:1@PCR")  # only the first trip fires
-        ex, _ = _executor(
-            tmp_path,
-            budget=RunBudget(retries=1, backoff_base_s=0.01, backoff_cap_s=0.05),
-        )
+        ex, _ = _executor(tmp_path, budget=RunBudget(**QUICK_RETRY))
         result = ex.run(["PCR"], PDWConfig(time_limit_s=63.0))
         assert result.ok
         records = sched_journal.read_records(ex.journal_path)
-        assert len(sched_journal.node_attempts(records, "PCR", "ilp")) == 2
-        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 1
-        retries = [r for r in records if r["event"] == "node_retry"]
-        assert [r["stage"] for r in retries] == ["ilp"]
+        assert [r["attempt"] for r in records if r["event"] == "attempt"] == [1, 2]
+        assert [r["kind"] for r in records if r["event"] == "retry"] == ["crash"]
+        # The second attempt got pathgen back from the cache, not recomputed.
+        assert [r["origin"] for r in _stages(records, "PCR", "pathgen")] == [
+            "computed", "cache"
+        ]
+        assert [r["origin"] for r in _stages(records, "PCR", "ilp")] == ["computed"]
 
-    def test_retry_rewinds_only_the_crashed_node_in_a_child(self, tmp_path, stage_fault):
+    def test_retry_in_a_child_reruns_the_benchmark_in_a_new_child(
+        self, tmp_path, stage_fault
+    ):
+        # The fixture's chaos state directory counts trips across
+        # processes: the second child sees the first child's trip.
         stage_fault("ilp:crash:1@PCR")
-        ex, _ = _executor(
-            tmp_path,
-            budget=RunBudget(
-                timeout_s=300.0, retries=1, backoff_base_s=0.01, backoff_cap_s=0.05
-            ),
-        )
+        ex, _ = _executor(tmp_path, budget=RunBudget(timeout_s=300.0, **QUICK_RETRY))
         result = ex.run(["PCR"], PDWConfig(time_limit_s=63.5))
         assert result.ok
         records = sched_journal.read_records(ex.journal_path)
-        # One benchmark process; inside it, the ILP ran twice, pathgen once.
-        assert [r["attempt"] for r in records if r["event"] == "attempt"] == [1]
-        assert len(sched_journal.node_attempts(records, "PCR", "ilp")) == 2
-        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 1
+        assert [r["attempt"] for r in records if r["event"] == "attempt"] == [1, 2]
+        assert [r["origin"] for r in _stages(records, "PCR", "pathgen")] == [
+            "computed", "cache"
+        ]
 
-    def test_resume_replays_at_node_granularity(
+    def test_resume_replays_finished_stages_from_the_cache(
         self, tmp_path, stage_fault, monkeypatch
     ):
         from repro.pipeline import chaos
@@ -132,23 +118,10 @@ class TestDagExecutor:
         fresh = sched_journal.read_records(ex2.journal_path)[before:]
         assert not [r for r in fresh if r.get("benchmark") == "Kinase-act-1"]
         # Within PCR, stages that finished before the crash come back from
-        # the per-stage artifact cache; only the crashed node recomputes.
-        origins = {
-            r["stage"]: r["origin"]
-            for r in fresh
-            if r["event"] == "node_success" and r["benchmark"] == "PCR"
-        }
+        # the per-stage artifact cache; the crashed ILP recomputes.
+        origins = {r["stage"]: r["origin"] for r in _stages(fresh, "PCR")}
         assert origins["pathgen"] == "cache"
         assert origins["ilp"] == "computed"
-
-
-class TestTimingsReport:
-    def test_queue_wait_table_appears_for_dag_runs(self, tmp_path, monkeypatch):
-        from repro.experiments.timings import timings_report
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        text = timings_report(["Kinase-act-1"], PDWConfig(time_limit_s=65.0))
-        assert "Scheduler queue waits" in text
 
 
 class TestCli:
@@ -174,18 +147,3 @@ class TestCli:
         assert code == 3
         assert "FAILED(crash)" in out
         assert "1/2 benchmarks succeeded" in out
-
-    def test_bench_records_the_suite_section(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        out_file = tmp_path / "bench.json"
-        code = cli_main(
-            ["bench", "--quick", "--sched-workers", "2", "--out", str(out_file)]
-        )
-        capsys.readouterr()
-        assert code == 0
-        payload = json.loads(out_file.read_text(encoding="utf-8"))
-        suite = payload["suite"]
-        assert suite["sched_workers"] == 2
-        assert suite["failures"] == 0
-        assert suite["wall_s"] > 0.0
-        assert suite["serial_sum_s"] > 0.0

@@ -2,8 +2,8 @@
 
 Covers the issue's concurrency contract end-to-end against a real
 listening server: N concurrent submissions of the same payload converge
-on one job and one underlying run (the journal shows a single
-``node_attempt`` chain), every reader observes byte-identical canonical
+on one job and one underlying run (the journal shows one attempt and
+each stage once), every reader observes byte-identical canonical
 plan JSON, distinct configs past the queue cap are rejected with 429 +
 ``Retry-After``, and a SIGTERM'd ``pdw serve`` subprocess exits cleanly
 with no orphaned children.
@@ -39,9 +39,10 @@ from repro.pipeline import ArtifactCache
 from repro.pipeline import cache as artifact_cache
 from repro.procutil import MP
 from repro.sched import journal as sched_journal
-from repro.sched.executor import DagExecutor
+from repro.sched.executor import SuiteExecutor
 from repro.serve import JobServer, parse_job
 from repro.serve import server as server_module
+from repro.serve.jobs import STAGES_PER_BENCHMARK, job_progress
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="reads process parents from /proc"
@@ -247,14 +248,14 @@ class TestConcurrency:
         job_id = ids.pop()
         assert client.wait_done(job_id)["state"] == "done"
 
-        # One underlying run: the journal's node_attempt chain for PCR has
-        # each stage node exactly once.
-        records = sched_journal.read_records(server.journal_path)[earlier:]
-        attempts = [r for r in records
-                    if r.get("event") == "node_attempt" and r.get("benchmark") == "PCR"]
-        nodes = [r["node"] for r in attempts]
-        assert len(nodes) == len(set(nodes)), f"stage re-ran: {nodes}"
-        assert len(nodes) == 11
+        # One underlying run: one PCR attempt, and each stage journaled
+        # exactly once.
+        records = [r for r in sched_journal.read_records(server.journal_path)[earlier:]
+                   if r.get("benchmark") == "PCR"]
+        assert len([r for r in records if r.get("event") == "attempt"]) == 1
+        stages = [(r["method"], r["stage"]) for r in records if r.get("event") == "stage"]
+        assert len(stages) == len(set(stages)), f"stage re-ran: {stages}"
+        assert len(stages) == STAGES_PER_BENCHMARK
 
         # Every reader sees byte-identical canonical plan JSON.
         plans = {client.request("GET", f"/v1/jobs/{job_id}/plan")[1] for _ in range(n)}
@@ -441,8 +442,8 @@ class TestJobProcesses:
     def test_metrics_carry_each_jobs_series(self, make_server, tmp_path):
         # The counts one in-process run of the same job records.
         obs_metrics.reset()
-        DagExecutor(
-            use_cache=False, workers=1, journal_path=tmp_path / "ref.jsonl"
+        SuiteExecutor(
+            use_cache=False, journal_path=tmp_path / "ref.jsonl"
         ).run(["PCR"], parse_job(PCR_JOB).config)
         expected = prom_series(
             obs_metrics.registry().render_prometheus().encode(),
@@ -465,6 +466,18 @@ class TestJobProcesses:
 
 
 class TestProgress:
+    def test_a_real_job_journals_the_stages_progress_counts(self, make_server):
+        srv, cli = make_server()
+        _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "config": {"time_limit_s": 21}})
+        assert cli.wait_done(body["id"])["state"] == "done"
+        job = srv.store.get(body["id"])
+        records = sched_journal.read_records(srv.journal_path, job.journal_offset)
+        stages = [r for r in records if r.get("event") == "stage"]
+        assert len(stages) == STAGES_PER_BENCHMARK
+        assert job_progress(job, records) == {
+            "nodes_done": STAGES_PER_BENCHMARK, "nodes_total": STAGES_PER_BENCHMARK
+        }
+
     def test_polls_read_only_the_journal_tail_after_the_fork(
         self, make_server, monkeypatch, tmp_path
     ):
@@ -476,7 +489,7 @@ class TestProgress:
         srv.journal_path.parent.mkdir(parents=True, exist_ok=True)
         with srv.journal_path.open("w", encoding="utf-8") as fh:
             for i in range(prefix):
-                record = {"event": "node_success", "benchmark": "PCR",
+                record = {"event": "stage", "benchmark": "PCR",
                           "method": "pdw", "stage": f"old-{i}", "ts": late}
                 fh.write(json.dumps(record) + "\n")
         prefix_bytes = srv.journal_path.stat().st_size
@@ -485,7 +498,7 @@ class TestProgress:
         def fake_plan_job(spec, cache, use_cache, journal_path):
             for stage in ("synth", "clusters", "pathgen"):
                 sched_journal.append_record(journal_path, {
-                    "event": "node_success", "benchmark": "PCR",
+                    "event": "stage", "benchmark": "PCR",
                     "method": "pdw", "stage": stage,
                 })
             deadline = time.monotonic() + 60.0
@@ -513,7 +526,7 @@ class TestProgress:
                 if progress and progress["nodes_done"] == 3:
                     break
                 time.sleep(0.05)
-            assert progress == {"nodes_done": 3, "nodes_total": 11}
+            assert progress == {"nodes_done": 3, "nodes_total": STAGES_PER_BENCHMARK}
         finally:
             gate.touch()
         assert cli.wait_done(body["id"])["state"] == "failed"

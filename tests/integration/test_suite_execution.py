@@ -1,8 +1,8 @@
 """Fault-tolerant suite execution: forked benchmarks, journals, resume, CLI.
 
-``TestSupervisor`` drives :class:`~repro.sched.executor.DagExecutor`
-under a budget, where each benchmark runs in its own forked child;
-``TestRunSuite`` drives the in-process ``run_suite``.
+``TestSupervisor`` drives :class:`~repro.sched.executor.SuiteExecutor`
+under a budget, where each benchmark attempt runs in its own forked
+child; ``TestRunSuite`` drives the in-process ``run_suite``.
 
 Chaos-driven tests pin a unique ``PDWConfig`` per test: the in-process
 memo deliberately ignores armed stage faults (see
@@ -13,8 +13,11 @@ otherwise bypass the injection point entirely.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+import textwrap
 import threading
-
+from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
@@ -27,17 +30,20 @@ from repro.experiments.runner import (
 from repro.experiments.table2 import table2_report
 from repro.pipeline import ArtifactCache
 from repro.sched import journal as sched_journal
-from repro.sched.executor import DagExecutor
+from repro.sched.executor import SuiteExecutor
 from repro.sched.journal import RunBudget, failures_report
 from tests.integration.test_serve import children_of, needs_proc
 
 SUITE = ["PCR", "Kinase-act-1"]
+SRC = str(Path(__file__).resolve().parents[2] / "src")
+
 
 def _supervisor(tmp_path, budget=None, **kwargs):
     """A budgeted executor: every benchmark runs in a forked child."""
     cache = kwargs.pop("cache", None) or ArtifactCache(tmp_path / "store")
     budget = budget or RunBudget(timeout_s=300.0)
-    return DagExecutor(budget=budget, cache=cache, **kwargs), cache
+    journal = tmp_path / "journal.jsonl"
+    return SuiteExecutor(budget=budget, cache=cache, journal_path=journal, **kwargs), cache
 
 
 def _read_journal(path):
@@ -53,7 +59,7 @@ class TestSupervisor:
         assert [run.name for run in result.runs] == SUITE
         assert all(isinstance(run, BenchmarkRun) for run in result)
         events = {r["event"] for r in _read_journal(result.journal_path)}
-        assert events == {"attempt", "success", "metrics", "node_attempt", "node_success"}
+        assert events == {"attempt", "success", "metrics", "stage"}
 
     def test_crashed_benchmark_does_not_abort_the_suite(self, tmp_path, stage_fault):
         stage_fault("pathgen:crash@PCR")
@@ -79,12 +85,10 @@ class TestSupervisor:
         result = sup.run(["PCR"], PDWConfig(time_limit_s=43.0))
         assert result.ok
         records = _read_journal(result.journal_path)
-        # The child retried the raised failure at its node: one benchmark
-        # attempt, two pathgen attempts.
+        # The raised failure retried the whole benchmark in a new child.
         attempts = [r for r in records if r["event"] == "attempt"]
-        assert [r["attempt"] for r in attempts] == [1]
-        assert len(sched_journal.node_attempts(records, "PCR", "pathgen")) == 2
-        assert [r["stage"] for r in records if r["event"] == "node_retry"] == ["pathgen"]
+        assert [r["attempt"] for r in attempts] == [1, 2]
+        assert [r["kind"] for r in records if r["event"] == "retry"] == ["crash"]
         assert records[-1]["event"] == "success"
 
     def test_hang_is_killed_on_the_wall_clock_budget(self, tmp_path, stage_fault):
@@ -104,6 +108,34 @@ class TestSupervisor:
         assert [f.label for f in result.failures] == ["FAILED(timeout)"]
         assert set(threading.enumerate()) <= threads, "a timeout left a thread running"
         assert children_of(os.getpid()) <= kids, "a benchmark process outlived its timeout"
+
+    def test_a_tight_address_space_cap_reads_as_oom(self, tmp_path):
+        # A fresh interpreter's address space already exceeds a 24 MiB cap,
+        # so the child's first allocations fail.  (This process's heap may
+        # hold enough freed memory for a whole run under any cap.)  The
+        # child runs the benchmark on its main thread: there is no worker
+        # thread to fail to start ("can't start new thread", a crash).
+        code = textwrap.dedent(
+            """
+            from repro.core import PDWConfig
+            from repro.sched.executor import SuiteExecutor
+            from repro.sched.journal import RunBudget
+
+            executor = SuiteExecutor(
+                budget=RunBudget(max_rss_bytes=24 << 20), use_cache=False
+            )
+            result = executor.run(["PCR"], PDWConfig(time_limit_s=44.7))
+            print(*[f.kind for f in result.failures])
+            """
+        )
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "cache"))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["oom"]
 
     def test_worker_death_is_classified_as_crash(self, tmp_path, stage_fault):
         stage_fault("replay:exit@PCR")  # os._exit: no goodbye over the pipe
@@ -180,7 +212,7 @@ class TestRunSuite:
 
         cfg = PDWConfig(time_limit_s=49.0)
         cache = ArtifactCache(tmp_path / "shared")
-        warm = run_suite(SUITE, cfg, cache=cache, workers=2)
+        warm = run_suite(SUITE, cfg, cache=cache)
         runner.clear_cache()
         sup, _ = _supervisor(tmp_path, cache=cache, workers=2)
         cold_memo = sup.run(SUITE, cfg)
@@ -206,6 +238,15 @@ class TestRunSuite:
         result = run_suite(SUITE, PDWConfig(time_limit_s=51.0), use_cache=False)
         assert [f.name for f in result.failures] == ["PCR"]
         assert [r.name for r in result.runs] == ["Kinase-act-1"]
+
+    def test_a_cache_off_suite_writes_nothing_to_disk(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "off")
+        monkeypatch.setenv("HOME", str(tmp_path / "home"))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        result = run_suite(["PCR"], PDWConfig(time_limit_s=51.2))
+        assert result.ok
+        assert (result.journal_path, result.metrics_path) == (None, None)
+        assert not list(tmp_path.iterdir())
 
     def test_run_suite_leaves_no_worker_thread(self):
         threads = set(threading.enumerate())

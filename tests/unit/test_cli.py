@@ -118,13 +118,13 @@ class TestCliSuiteEngine:
 
         built = []
 
-        class Recording(executor.DagExecutor):
+        class Recording(executor.SuiteExecutor):
             def __init__(self, **kwargs):
                 super().__init__(**kwargs)
                 built.append(self)
                 raise _EngineBuilt
 
-        monkeypatch.setattr(executor, "DagExecutor", Recording)
+        monkeypatch.setattr(executor, "SuiteExecutor", Recording)
         monkeypatch.setenv("REPRO_SUITE_WORKERS", "4")
         monkeypatch.setenv("REPRO_SCHED_WORKERS", "2")
         with pytest.raises(_EngineBuilt):

@@ -379,7 +379,7 @@ class TestBenchCli:
     @pytest.fixture
     def canned_run(self, monkeypatch):
         def fake_run_bench(names=None, config=None, iterations=3, quick=False,
-                           progress=None, sched_workers=None):
+                           progress=None):
             return perf.BenchResult(_bench_payload(wall=1.0))
 
         monkeypatch.setattr(perf, "run_bench", fake_run_bench)

@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 from repro.serve import JobStore, parse_job
-from repro.serve.jobs import JOB_STATES, TERMINAL_STATES, job_progress
+from repro.serve.jobs import (
+    JOB_STATES,
+    STAGES_PER_BENCHMARK,
+    TERMINAL_STATES,
+    job_progress,
+)
 from repro.serve.wire import job_digest
 
 
@@ -107,19 +112,23 @@ class TestProgress:
         store.mark_running(job)
         records = [
             # A stale record from before this job started must not count.
-            {"event": "node_success", "benchmark": "PCR", "method": "pdw",
+            {"event": "stage", "benchmark": "PCR", "method": "bench",
              "stage": "synthesis", "ts": job.started_ts - 100},
-            {"event": "node_success", "benchmark": "PCR", "method": "pdw",
+            {"event": "stage", "benchmark": "PCR", "method": "pdw",
              "stage": "pathgen", "ts": job.started_ts + 1},
-            # Another benchmark's node is invisible to this job.
-            {"event": "node_success", "benchmark": "IVD", "method": "pdw",
+            # Another benchmark's stage is invisible to this job.
+            {"event": "stage", "benchmark": "IVD", "method": "pdw",
              "stage": "pathgen", "ts": job.started_ts + 1},
-            # Attempts don't count, only successes.
-            {"event": "node_attempt", "benchmark": "PCR", "method": "pdw",
-             "stage": "ilp", "ts": job.started_ts + 2},
+            # Other events don't count, only stage records.
+            {"event": "attempt", "benchmark": "PCR", "attempt": 1,
+             "ts": job.started_ts + 2},
         ]
         progress = job_progress(job, records)
-        assert progress == {"nodes_done": 1, "nodes_total": 11}
+        assert progress == {"nodes_done": 1, "nodes_total": STAGES_PER_BENCHMARK}
+
+    def test_the_total_counts_each_journaled_stage_once(self):
+        # synthesis, the shared replay, 5 more PDW stages, 3 more DAWO ones.
+        assert STAGES_PER_BENCHMARK == 10
 
     def test_progress_is_none_before_start(self):
         store = JobStore()
