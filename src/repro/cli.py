@@ -56,28 +56,6 @@ _PRESOLVE = ("on", "off")
 _METHODS = ("pdw", "dawo", "immediate")
 
 
-def _plan(method: str, synth, config, cache):
-    """Optimize ``synth`` with one of :data:`_METHODS`."""
-    if method == "dawo":
-        from repro.baselines import dawo_plan
-
-        return dawo_plan(synth, cache=cache)
-    if method == "immediate":
-        from repro.baselines import immediate_wash_plan
-
-        return immediate_wash_plan(synth)
-    from repro.core import optimize_washes
-
-    return optimize_washes(synth, config, cache=cache)
-
-
-def _synthesize_benchmark(name: str):
-    from repro.bench import benchmark, load_benchmark
-    from repro.synth import synthesize
-
-    return synthesize(load_benchmark(name), inventory=benchmark(name).inventory)
-
-
 def _print_plan(plan, show_gantt: bool, show_chip: bool, show_stats: bool = False) -> None:
     print(f"method:      {plan.method} ({plan.solver_status} via {plan.solver_rung})")
     for key, value in plan.metrics().items():
@@ -431,22 +409,21 @@ def _dispatch(args: argparse.Namespace) -> int:
             args.benchmark, args.what, args.method, config, args.out, args.format
         )
 
+    from repro.experiments.runner import plan_one
     from repro.pipeline import default_cache
 
     if args.command == "run":
-        synth = _synthesize_benchmark(args.benchmark)
+        target = args.benchmark
     else:
         from repro.assay import graph_from_json, parse_assay
-        from repro.synth import synthesize
 
         text = args.file.read_text()
         if args.file.suffix == ".json":
-            assay = graph_from_json(text)
+            target = graph_from_json(text)
         else:  # .dsl / .assay text format
-            assay = parse_assay(text)
-        synth = synthesize(assay)
+            target = parse_assay(text)
     cache = None if args.no_cache else default_cache()
-    plan = _plan(args.method, synth, config, cache)
+    plan = plan_one(target, args.method, config, cache)
     _print_plan(plan, args.gantt, args.chip, args.stats)
     return 0
 
@@ -619,12 +596,13 @@ def _run_cache(
 
 def _run_cost(bench_name: str, config: PDWConfig) -> int:
     from repro.analysis import chip_cost, compare_plans
+    from repro.experiments.runner import plan_one, synthesize_target
     from repro.pipeline import default_cache
 
-    synth = _synthesize_benchmark(bench_name)
+    synth = synthesize_target(bench_name)
     cache = default_cache()
-    pdw = _plan("pdw", synth, config, cache)
-    dawo = _plan("dawo", synth, config, cache)
+    pdw = plan_one(synth, "pdw", config, cache)
+    dawo = plan_one(synth, "dawo", config, cache)
 
     print(f"chip cost of {bench_name} (baseline schedule):")
     for key, value in chip_cost(synth.chip, synth.schedule).as_dict().items():
@@ -642,6 +620,7 @@ def _run_export(
     out: Path | None,
     fmt: str = "json",
 ) -> int:
+    from repro.experiments.runner import plan_one, synthesize_target
     from repro.export import actuation_program, plan_to_json, render_svg
     from repro.obs import metrics as obs_metrics
     from repro.obs.trace import tracer
@@ -654,8 +633,8 @@ def _run_export(
         tracer().clear()
         obs_metrics.reset()
 
-    synth = _synthesize_benchmark(bench_name)
-    plan = _plan(method, synth, config, default_cache())
+    synth = synthesize_target(bench_name)
+    plan = plan_one(synth, method, config, default_cache())
     if what == "plan":
         text = plan_to_json(plan)
     elif what == "actuation":
@@ -685,11 +664,12 @@ def _run_export(
 
 
 def _run_simulate(bench_name: str, method: str, config: PDWConfig, events: bool) -> int:
+    from repro.experiments.runner import plan_one, synthesize_target
     from repro.pipeline import default_cache
     from repro.sim import simulate_plan
 
-    synth = _synthesize_benchmark(bench_name)
-    plan = _plan(method, synth, config, default_cache())
+    synth = synthesize_target(bench_name)
+    plan = plan_one(synth, method, config, default_cache())
     report = simulate_plan(plan, synth)
     print(f"{plan.method} plan on {bench_name}: {report.summary()}")
     print("execution " + ("OK" if report.ok else "BROKEN"))

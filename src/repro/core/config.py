@@ -70,8 +70,7 @@ class PDWConfig:
         coefficient per row and drops dominated wash-path candidates —
         the reduced model provably preserves the optimal objective and
         produces byte-identical canonical plans.  ``"off"`` emits the
-        raw constraint system (``REPRO_PRESOLVE`` overrides ``"on"``
-        from the environment; see DESIGN.md §16).
+        raw constraint system (see DESIGN.md §16).
     degrade:
         Chip-degradation scenario (DESIGN.md §14): a preset
         (``light`` / ``moderate`` / ``heavy``) or a

@@ -26,7 +26,7 @@ over the fixed precedence/order DAG and proves which ordering binaries,
 big-M rows and candidate paths are dead; the builder consults that
 :class:`~repro.ilp.presolve.PresolveInfo` row by row and skips what was
 proven (DESIGN.md §16 argues each rule preserves the optimal plans).
-``PDWConfig.presolve = "off"`` / ``REPRO_PRESOLVE=off`` disables the
+``PDWConfig.presolve = "off"`` (``--presolve off``) disables the
 reduction and emits the unreduced constraint system.  The
 objective tie-breaks apply in both modes (start-time drift, candidate
 pool index, absorption preference), so at *proven optimality* alternate
@@ -57,7 +57,6 @@ from repro.ilp import (
     SolveStatus,
     Variable,
 )
-from repro.ilp import faults as ilp_faults
 from repro.ilp import presolve as ilp_presolve
 from repro.ilp.presolve import PresolveInfo, baseline_order_pairs, precedence_pairs
 from repro.obs.trace import span
@@ -130,9 +129,7 @@ class WashScheduleIlp:
         #: the candidate pool; all of them with presolve off).
         self._survivors: Dict[str, List[int]] = {}
         self.build_time_s: float = 0.0
-        self.presolve_enabled = (
-            ilp_faults.resolve_presolve(getattr(self.config, "presolve", "on")) == "on"
-        )
+        self.presolve_enabled = getattr(self.config, "presolve", "on") == "on"
         self.presolve_info: Optional[PresolveInfo] = None
         self.presolve_time_s: float = 0.0
         #: Solution of the most recent :meth:`solve`, kept so callers can

@@ -31,10 +31,11 @@ from repro.bench import benchmark, benchmark_names, load_benchmark
 from repro.core import PDWConfig, optimize_washes
 from repro.degrade.model import DegradationSpec, parse_matrix
 from repro.degrade.repair import parse_fault, repair_plan
-from repro.errors import DegradationError, DegradedInfeasibleError, ReproError
+from repro.errors import DegradationError
+from repro.experiments.runner import FailureRecord, classify_failure
 from repro.obs.metrics import registry
 from repro.obs.trace import span
-from repro.pipeline import ArtifactCache, chaos, default_cache
+from repro.pipeline import ArtifactCache, default_cache
 from repro.sched import journal as sched_journal
 from repro.synth import synthesize
 
@@ -217,32 +218,17 @@ def run_degrade_matrix(
                         name, scenario, spec, synthesis, base_config, cache, online,
                         started,
                     )
-                except (DegradedInfeasibleError, DegradationError) as exc:
+                except Exception as exc:  # noqa: BLE001 — every failure is a row
+                    kind, message = classify_failure(exc)
+                    if isinstance(exc, DegradationError):
+                        kind = "infeasible_degraded"  # a spec this chip cannot take
                     row = DegradeRow(
                         benchmark=name,
                         scenario=scenario,
-                        outcome="INFEASIBLE_DEGRADED",
+                        outcome=FailureRecord(name, kind).label,
                         coverage=0.0,
                         wall_s=time.perf_counter() - started,
-                        message=str(exc),
-                    )
-                except chaos.InjectedFault as exc:
-                    row = DegradeRow(
-                        benchmark=name,
-                        scenario=scenario,
-                        outcome="FAILED(crash)",
-                        coverage=0.0,
-                        wall_s=time.perf_counter() - started,
-                        message=str(exc),
-                    )
-                except ReproError as exc:
-                    row = DegradeRow(
-                        benchmark=name,
-                        scenario=scenario,
-                        outcome="FAILED(error)",
-                        coverage=0.0,
-                        wall_s=time.perf_counter() - started,
-                        message=str(exc),
+                        message=message,
                     )
             reg.counter("pdw_degrade_scenarios_total", outcome=row.outcome).inc()
             result.rows.append(row)

@@ -16,6 +16,10 @@ Within one cold run the two methods share upstream work: the baseline is
 synthesized once and the contamination replay is computed once, then handed
 to both DAWO and PDW (their plans record the stage as ``shared``).
 
+:func:`plan_one` makes a single method's plan of a benchmark or assay —
+what ``pdw run``, ``pdw assay`` and every ``pdw serve`` job ask for — with
+per-stage caching only: no memo, no whole-run entry.
+
 :func:`run_suite` runs a list of benchmarks through the suite engine,
 :class:`~repro.sched.executor.SuiteExecutor`, in process one benchmark
 at a time, and never aborts mid-suite: a benchmark whose
@@ -31,10 +35,10 @@ import sys
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.assay.io import graph_to_dict
-from repro.baselines import dawo_plan
+from repro.baselines import dawo_plan, immediate_wash_plan
 from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig, optimize_washes
 from repro.core.plan import WashPlan
@@ -54,6 +58,10 @@ from repro.pipeline import (
 )
 from repro.synth import synthesize
 from repro.synth.synthesis import SynthesisResult
+
+if TYPE_CHECKING:
+    from repro.assay.graph import SequencingGraph
+
 
 def default_config() -> PDWConfig:
     """The config used when callers pass ``config=None``.
@@ -304,6 +312,48 @@ def _run_benchmark_scoped(
         with _CACHE_LOCK:
             run = _CACHE.setdefault(key, run)
     return run
+
+
+# -- one method's plan ------------------------------------------------------------
+
+def synthesize_target(
+    target: Union[str, "SequencingGraph", SynthesisResult],
+) -> SynthesisResult:
+    """The synthesis of a benchmark name (with its device inventory) or of
+    an assay graph; a synthesis passes through."""
+    if isinstance(target, SynthesisResult):
+        return target
+    if isinstance(target, str):
+        return synthesize(load_benchmark(target), inventory=benchmark(target).inventory)
+    return synthesize(target)
+
+
+def plan_one(
+    target: Union[str, "SequencingGraph", SynthesisResult],
+    method: str = "pdw",
+    config: Optional[PDWConfig] = None,
+    cache: Optional[ArtifactCache] = None,
+) -> WashPlan:
+    """One method's plan of a benchmark, an assay graph or a synthesis.
+
+    The single way one plan is made: ``pdw run``, ``pdw assay``,
+    ``pdw cost``, ``pdw export``, ``pdw simulate`` and every ``pdw serve``
+    job call it.  ``cache`` serves and stores stage artifacts (``None``:
+    none); no whole-run entry is written.  A benchmark name also scopes
+    the run for ``@<benchmark>`` stage faults, as :func:`run_benchmark`
+    does.
+    """
+    if isinstance(target, str):
+        with chaos.scope(target):
+            return plan_one(synthesize_target(target), method, config, cache)
+    synthesis = synthesize_target(target)
+    if method == "pdw":
+        return optimize_washes(synthesis, config or default_config(), cache=cache)
+    if method == "dawo":
+        return dawo_plan(synthesis, cache=cache)
+    if method == "immediate":
+        return immediate_wash_plan(synthesis)
+    raise ReproError(f"unknown method {method!r}; one of pdw, dawo, immediate")
 
 
 # -- suite execution ---------------------------------------------------------------

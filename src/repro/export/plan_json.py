@@ -66,8 +66,9 @@ def canonical_plan_dict(plan: WashPlan) -> Dict[str, Any]:
     report (wall times, cache origins, queue waits) — leaving exactly the
     *decisions*: schedule, washes, metrics, solver status/rung.  Two runs
     of the same inputs must produce identical canonical dicts regardless
-    of caching, worker count or executor, which is what the suite DAG's
-    determinism test and the CI ``dag-executor`` plan diff assert.
+    of caching, worker count or process, which is what the suite
+    engine's determinism test and the CI ``suite-engine`` and ``serve``
+    plan diffs assert.
     """
     out = plan_to_dict(plan)
     out.pop("pipeline", None)

@@ -5,9 +5,9 @@ equivalent substrate without proprietary dependencies:
 
 * :class:`~repro.ilp.expr.Variable` / :class:`~repro.ilp.expr.LinExpr` —
   linear expressions with natural operator overloading,
-* :class:`~repro.ilp.model.Model` — constraint container with big-M /
-  indicator helpers used by the scheduling formulation (Eqs. 1-26); its
-  rows live once, as triplet arrays that
+* :class:`~repro.ilp.model.Model` — constraint container with the big-M
+  ordering disjunction the scheduling formulation builds on (Eqs. 2, 3,
+  8, 19, 20); its rows live once, as triplet arrays that
   :meth:`~repro.ilp.model.Model.row_matrix` turns into ``array.array``
   CSR buffers,
 * :func:`~repro.ilp.solver.solve` — exact solve by the HiGHS MILP solver,

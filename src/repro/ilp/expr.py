@@ -207,13 +207,6 @@ class LinExpr:
 
     # -- introspection ----------------------------------------------------
 
-    def simplified(self, tol: float = 0.0) -> "LinExpr":
-        """Return a copy with near-zero coefficients dropped."""
-        return LinExpr(
-            {v: c for v, c in self.terms.items() if abs(c) > tol},
-            self.constant,
-        )
-
     def variables(self) -> Tuple[Variable, ...]:
         """Variables appearing with a (possibly zero) coefficient."""
         return tuple(self.terms)

@@ -54,12 +54,6 @@ ENV_FAULT = "REPRO_INJECT_SOLVER_FAULT"
 ENV_FORCE = "REPRO_FORCE_SOLVER"
 #: Environment variable seeding the ``flaky`` pseudo-random stream.
 ENV_SEED = "REPRO_FAULT_SEED"
-#: Environment variable toggling ILP model reduction (presolve).
-ENV_PRESOLVE = "REPRO_PRESOLVE"
-
-#: Valid ``REPRO_PRESOLVE`` / ``PDWConfig.presolve`` values.
-PRESOLVE_CHOICES = ("on", "off")
-
 #: Rungs the injected faults apply to (the primary backend's attempts).
 FAULT_TARGET_RUNGS = ("highs", "highs-relaxed")
 
@@ -118,45 +112,17 @@ def forced_solver() -> Optional[str]:
     return raw
 
 
-def env_presolve() -> Optional[str]:
-    """The presolve toggle from ``REPRO_PRESOLVE``, or ``None``."""
-    raw = os.environ.get(ENV_PRESOLVE, "").strip()
-    if not raw:
-        return None
-    if raw not in PRESOLVE_CHOICES:
-        raise SolverError(
-            f"unknown {ENV_PRESOLVE} value {raw!r}; expected one of {PRESOLVE_CHOICES}"
-        )
-    return raw
-
-
-def resolve_presolve(config_presolve: str = "on") -> str:
-    """Effective presolve toggle: config wins unless left at the default.
-
-    An explicit ``PDWConfig.presolve`` (or ``--presolve``) beats the
-    environment; ``REPRO_PRESOLVE`` only overrides the ``"on"`` default,
-    so a suite can be flipped to raw models without touching configs.
-    """
-    if config_presolve != "on":
-        return config_presolve
-    return env_presolve() or config_presolve
-
-
 def environment_token() -> str:
     """Cache-key token covering the solver-altering environment.
 
     Empty in a clean environment, so existing digests are unchanged when
-    no variable is set.  ``REPRO_PRESOLVE`` is covered because presolved
-    and raw models are meant to agree, but that equivalence is an
-    invariant under test, not an assumption caches may bake in —
-    presolved and raw artifacts must never collide.
+    no variable is set.
     """
     fault = os.environ.get(ENV_FAULT, "").strip()
     force = os.environ.get(ENV_FORCE, "").strip()
-    presolve = os.environ.get(ENV_PRESOLVE, "").strip()
-    if not fault and not force and not presolve:
+    if not fault and not force:
         return ""
-    return f"fault={fault};force={force};presolve={presolve}"
+    return f"fault={fault};force={force}"
 
 
 def reset() -> None:

@@ -76,7 +76,7 @@ def structure_key(synthesis_digest: str, config: Any) -> Tuple:
         getattr(config, "degrade", ""),
         # Presolve reshapes variable bounds and the candidate pool, so
         # reduced and raw structures must never share an incumbent slot.
-        faults.resolve_presolve(getattr(config, "presolve", "on")),
+        getattr(config, "presolve", "on"),
         faults.environment_token(),
     )
 

@@ -156,13 +156,6 @@ class Model:
         terms = {v: c for v, c in expr.terms.items() if abs(c) > 0.0}
         return self._append_row(terms, sense, -expr.constant, name)
 
-    def add_constrs(self, relations: Iterable[Tuple[LinExpr, str]], prefix: str = "") -> List[int]:
-        """Add several constraints, auto-naming them ``prefix_<i>``."""
-        out = []
-        for i, rel in enumerate(relations):
-            out.append(self.add_constr(rel, f"{prefix}_{i}" if prefix else ""))
-        return out
-
     def add_linear_constraint(
         self,
         coeffs: CoeffsLike,
@@ -248,7 +241,7 @@ class Model:
         )
 
     # ------------------------------------------------------------------
-    # big-M / indicator patterns (Eqs. 2, 3, 8, 19, 20)
+    # the big-M ordering pattern (Eqs. 2, 3, 8, 19, 20)
     # ------------------------------------------------------------------
 
     def add_disjunction(
@@ -283,67 +276,6 @@ class Model:
             f"{name}_bwd",
         )
         return b
-
-    def add_implication(
-        self,
-        binary: Variable,
-        relation: Tuple[LinExpr, str],
-        name: str = "impl",
-    ) -> int:
-        """Add ``binary == 1  =>  relation`` via big-M relaxation.
-
-        For ``expr <= 0`` the encoding is ``expr <= M (1 - binary)``;
-        for ``expr >= 0`` it is ``expr >= -M (1 - binary)``.
-        Equalities are split into both directions.
-        """
-        expr, sense = relation
-        slack = self.big_m * (1 - LinExpr.from_any(binary) * 1.0)
-        if sense == "<=":
-            return self.add_constr(expr <= slack, name)
-        if sense == ">=":
-            return self.add_constr(expr >= -1.0 * slack, name)
-        self.add_constr(expr <= slack, f"{name}_le")
-        return self.add_constr(expr >= -1.0 * slack, f"{name}_ge")
-
-    def add_max_lower_bound(self, target: ExprLike, terms: Sequence[ExprLike], name: str = "max") -> None:
-        """Constrain ``target >= max(terms)`` (used for ``T_assay`` in Eq. 22)."""
-        for i, term in enumerate(terms):
-            self.add_constr(LinExpr.from_any(target) >= term, f"{name}_{i}")
-
-    def add_or_indicator(self, binaries: Sequence[Variable], name: str = "or") -> Variable:
-        """Return a binary equal to the logical OR of ``binaries``.
-
-        Encodes ``y >= b_i`` for all i and ``y <= sum(b_i)`` — exact for 0/1
-        inputs.  This implements Eq. (24): a path needs washing iff *any*
-        of its cells needs washing.
-        """
-        y = self.add_binary_var(f"{name}[{len(self.variables)}]")
-        for i, b in enumerate(binaries):
-            self.add_constr(y >= b, f"{name}_ge_{i}")
-        if binaries:
-            self.add_constr(LinExpr.from_any(y) <= LinExpr.sum(binaries), f"{name}_le")
-        else:
-            self.add_constr(LinExpr.from_any(y) <= 0, f"{name}_zero")
-        return y
-
-    def add_and_indicator(self, binaries: Sequence[Variable], name: str = "and") -> Variable:
-        """Return a binary equal to the logical AND of ``binaries``.
-
-        Used for Eq. (11): a cell must be washed iff *none* of the Type 1/2/3
-        exemptions hold, i.e. ``r = AND(not a1, not a2, not a3)``.
-        """
-        y = self.add_binary_var(f"{name}[{len(self.variables)}]")
-        for i, b in enumerate(binaries):
-            self.add_constr(y <= b, f"{name}_le_{i}")
-        n = len(binaries)
-        if n:
-            self.add_constr(
-                LinExpr.from_any(y) >= LinExpr.sum(binaries) - (n - 1),
-                f"{name}_ge",
-            )
-        else:
-            self.add_constr(LinExpr.from_any(y) >= 1, f"{name}_one")
-        return y
 
     # ------------------------------------------------------------------
     # objective / solving

@@ -35,7 +35,7 @@ surviving variables, hence the optimal plans — see DESIGN.md §16):
 
 Everything here is advisory: :func:`analyze` returns a
 :class:`PresolveInfo` and the model builder consults it row by row.  With
-presolve disabled (``--presolve off`` / ``REPRO_PRESOLVE=off``) the
+presolve disabled (``--presolve off`` / ``PDWConfig(presolve="off")``) the
 builder emits the unreduced constraint system, and the reduced and raw
 models must produce byte-identical canonical plans — an invariant CI
 checks on every suite run.

@@ -31,8 +31,9 @@ clauses::
         verification, driving the cache's quarantine path.
 ``@<benchmark>``
     Scope the clause to one benchmark.  :func:`scope` is entered by
-    :func:`repro.experiments.runner.run_benchmark` (and the ablation
-    harness), so an unscoped clause fires everywhere.
+    :func:`repro.experiments.runner.run_benchmark`,
+    :func:`~repro.experiments.runner.plan_one` given a benchmark name
+    (and the ablation harness), so an unscoped clause fires everywhere.
 
 Unlike solver faults, stage faults never *alter* a produced artifact —
 they only prevent production (crash / hang / exit) or invalidate a read

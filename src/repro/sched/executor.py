@@ -1,8 +1,7 @@
 """The one suite engine: a worklist of benchmarks, each one ``run_benchmark``.
 
-:class:`SuiteExecutor` runs every suite — ``pdw suite``, ``run_suite``
-(Table II, Fig. 4/5, timings) and each ``pdw serve`` benchmark job.
-Every attempt at a benchmark is one
+:class:`SuiteExecutor` runs every suite — ``pdw suite`` and
+``run_suite`` (Table II, Fig. 4/5, timings).  Every attempt at a benchmark is one
 :func:`~repro.experiments.runner.run_benchmark` call
 (:func:`attempt_benchmark`), run one of two ways, chosen by the
 :class:`~repro.sched.journal.RunBudget`:

@@ -1,13 +1,14 @@
 """The suite's run journal, budgets and journal reports.
 
-:class:`~repro.sched.executor.SuiteExecutor` (every ``pdw suite`` and
-``pdw serve`` benchmark job) and the degradation matrix append to one
-JSONL file, ``<cache>/journal/suite.jsonl`` (:func:`default_journal_path`).
+:class:`~repro.sched.executor.SuiteExecutor` (every ``pdw suite``), the
+degradation matrix and ``pdw serve`` append to one JSONL file,
+``<cache>/journal/suite.jsonl`` (:func:`default_journal_path`).
 Benchmark-level events are ``attempt``/``success``/``failure``/``retry``/
-``metrics``.  While a process has a run journal set
-(:func:`stage_journal`), every stage a
+``metrics``; serve adds ``serve`` lifecycle events.  While a process has
+a run journal set (:func:`stage_journal`), every stage a
 :class:`~repro.pipeline.stage.PipelineRun` records adds one ``stage``
-event (:func:`record_stage`): ``pdw serve`` counts them for job progress.
+event (:func:`record_stage`): ``pdw serve`` counts a job's own (they
+carry its id) for job progress.
 ``pdw suite --resume`` replays journaled successes
 (:func:`journaled_successes`), ``pdw report failures`` renders the
 history (:func:`failures_report`) and :func:`merged_metrics` rebuilds a
@@ -92,18 +93,22 @@ def append_record(path: Path, record: dict) -> None:
             fh.write(line)
 
 
-#: This process's stage-record target, ``(journal, benchmark)``, while a
-#: suite attempt runs (:func:`stage_journal`); ``None`` records nothing.
-_STAGE_JOURNAL: Optional[Tuple[Path, str]] = None
+#: This process's stage-record target, ``(journal, benchmark, job)``,
+#: while a suite attempt or a serve job runs (:func:`stage_journal`);
+#: ``None`` records nothing.
+_STAGE_JOURNAL: Optional[Tuple[Path, str, Optional[str]]] = None
 
 
 @contextmanager
-def stage_journal(path: Optional[Path], benchmark: str) -> Iterator[None]:
+def stage_journal(
+    path: Optional[Path], benchmark: str, job: Optional[str] = None
+) -> Iterator[None]:
     """Journal every stage this process records as ``benchmark``'s, to
-    ``path`` (``None``: to nowhere), for the duration of the block."""
+    ``path`` (``None``: to nowhere), for the duration of the block; each
+    record carries the serve ``job`` id when one is given."""
     global _STAGE_JOURNAL
     previous = _STAGE_JOURNAL
-    _STAGE_JOURNAL = (Path(path), benchmark) if path is not None else None
+    _STAGE_JOURNAL = (Path(path), benchmark, job) if path is not None else None
     try:
         yield
     finally:
@@ -119,17 +124,17 @@ def record_stage(label: str, stage: str, origin: str) -> None:
     target = _STAGE_JOURNAL
     if target is None:
         return
-    path, benchmark = target
-    append_record(
-        path,
-        {
-            "event": "stage",
-            "benchmark": benchmark,
-            "method": label.split(":", 1)[0].lower(),
-            "stage": stage,
-            "origin": origin,
-        },
-    )
+    path, benchmark, job = target
+    record = {
+        "event": "stage",
+        "benchmark": benchmark,
+        "method": label.split(":", 1)[0].lower(),
+        "stage": stage,
+        "origin": origin,
+    }
+    if job is not None:
+        record["job"] = job
+    append_record(path, record)
 
 
 def journal_size(path: Path) -> int:

@@ -4,11 +4,11 @@ The front door that turns the repository from "a CLI that runs
 benchmarks" into a long-running service (ROADMAP north star; DESIGN.md
 §15).  Stdlib-only — ``http.server`` + ``threading``, keeping the
 zero-dependency stance — and a thin layer over machinery that already
-exists: each job runs in a forked child process as a one-benchmark
-:class:`~repro.sched.executor.SuiteExecutor` run, dedup rides the
-content-addressed artifact-cache digest, progress is read from the JSONL
-run journal, and ``/metrics`` is the Prometheus registry the rest of the
-system already populates.
+exists: each job runs in a forked child process that makes its one plan
+with :func:`~repro.experiments.runner.plan_one`, as ``pdw run`` does,
+dedup keys on a content digest of the job, progress is read from the
+JSONL run journal, and ``/metrics`` is the Prometheus registry the rest
+of the system already populates.
 
 Module map:
 

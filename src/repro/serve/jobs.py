@@ -13,11 +13,11 @@ run); a digest whose previous job **failed or was cancelled** is
 resubmittable — the same id is re-queued with a fresh attempt counter,
 so a transient crash doesn't poison the digest forever.
 
-Progress for running benchmark jobs is read from the suite run journal:
-the job's child writes one ``stage`` record per pipeline stage it runs
-(:func:`repro.sched.journal.record_stage`), so counting this job's
-records since its start gives ``nodes_done / nodes_total`` without any
-extra bookkeeping channel.
+Progress for running jobs is read from the suite run journal: the job's
+child writes one ``stage`` record per pipeline stage it runs, tagged
+with the job's id (:func:`repro.sched.journal.record_stage`), so
+counting this job's records gives ``nodes_done / nodes_total`` without
+any extra bookkeeping channel.
 """
 
 from __future__ import annotations
@@ -28,19 +28,17 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.baselines.dawo import DAWO_PIPELINE
-from repro.core.stages import PDW_PIPELINE, REPLAY_STAGE
+from repro.core.stages import PDW_PIPELINE
 from repro.serve.wire import JobSpec, job_id_for
 
 #: The lifecycle states, in canonical order (docs/SERVICE.md table).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 TERMINAL_STATES = ("done", "failed", "cancelled")
 
-#: Stage records one cold benchmark run journals — the denominator of a
-#: benchmark job's progress fraction: synthesis, the replay both methods
-#: share, and every other stage of each method's pipeline.
-STAGES_PER_BENCHMARK = 2 + sum(
-    stage is not REPLAY_STAGE for stage in PDW_PIPELINE + DAWO_PIPELINE
-)
+#: Stage records one job of each method journals — the denominator of
+#: its progress fraction.  An ``immediate`` plan runs no staged pipeline,
+#: so its job reports state only.
+METHOD_STAGES = {"pdw": len(PDW_PIPELINE), "dawo": len(DAWO_PIPELINE)}
 
 
 class JobFailure(Exception):
@@ -66,10 +64,8 @@ class Job:
     attempts: int = 0
     error_kind: Optional[str] = None
     error_message: Optional[str] = None
-    #: Whole-run artifact digest (benchmark jobs) for /plan cache lookups.
-    run_digest: Optional[str] = None
-    #: In-memory canonical plan dict (fallback when the disk cache is off).
-    plan: Optional[Dict[str, Any]] = None
+    #: The canonical plan JSON ``GET /v1/jobs/<id>/plan`` serves, once done.
+    plan: Optional[str] = None
     #: Journal length when the job started, before its child was forked:
     #: progress polls read only the records appended after it.
     journal_offset: int = 0
@@ -185,20 +181,18 @@ class JobStore:
 
 
 def job_progress(job: Job, journal_records: List[dict]) -> Dict[str, Any]:
-    """Stage progress of a running benchmark job from journal records.
+    """Stage progress of a running job from journal records.
 
-    Counts distinct ``(method, stage)`` pairs among the ``stage`` records
-    journaled for this job's benchmark at timestamps after the job
-    started; assay jobs (not benchmark runs) report coarse state-only
-    progress.
+    Counts the distinct ``(method, stage)`` pairs among the ``stage``
+    records carrying this job's id; ``immediate`` jobs, which run no
+    staged pipeline, report state only.
     """
-    if job.spec.kind != "benchmark" or job.started_ts is None:
+    total = METHOD_STAGES.get(job.spec.method)
+    if total is None or job.started_ts is None:
         return {"nodes_done": None, "nodes_total": None}
     done = {
         (rec.get("method"), rec.get("stage"))
         for rec in journal_records
-        if rec.get("event") == "stage"
-        and rec.get("benchmark") == job.spec.benchmark
-        and float(rec.get("ts", 0.0)) >= job.started_ts - 1.0
+        if rec.get("event") == "stage" and rec.get("job") == job.id
     }
-    return {"nodes_done": len(done), "nodes_total": STAGES_PER_BENCHMARK}
+    return {"nodes_done": len(done), "nodes_total": total}

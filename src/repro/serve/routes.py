@@ -212,11 +212,7 @@ def make_handler(server: Any) -> type:
                     route,
                 )
                 return
-            text = server.plan_json(job)
-            if text is None:
-                self._error(404, f"plan artifact for {job.id} not found", route)
-                return
-            self._respond(200, text, route)
+            self._respond(200, job.plan, route)
 
         def _do_cancel_job(self, route: Route, params: Dict[str, str]) -> None:
             job = server.store.get(params["id"])

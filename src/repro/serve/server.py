@@ -1,18 +1,18 @@
 """The ``pdw serve`` job server: admission, execution, lifecycle, shutdown.
 
-The server process keeps admission, dedup, the queue, HTTP and reading
-plans from the cache; it never routes or solves.  Each job runs in a
-child process that a worker thread forks (:class:`repro.procutil.Child`,
-what ``pdw suite`` forks each benchmark with): a benchmark job is a
-one-benchmark :class:`~repro.sched.executor.SuiteExecutor` run, inline
-in the child (the shared JSONL run journal with one ``stage`` record per
-stage, artifact-cache writes), an assay job calls the pipeline
-directly.  The child sends back ``(run_digest, canonical plan dict,
-metrics snapshot)`` or a failure kind over a pipe and exits; the worker
-merges the snapshot into the server's registry, so ``/metrics`` carries
-every job's series.  ``GET /v1/jobs/<id>`` progress is read from the
-journal and ``GET /v1/jobs/<id>/plan`` from the same content-addressed
-cache a CLI run would populate.
+The server process keeps admission, dedup, the queue, HTTP and the
+finished jobs' plans; it never routes, solves or plans.  Each job runs
+in a child process that a worker thread forks
+(:class:`repro.procutil.Child`, what ``pdw suite`` forks each benchmark
+with): the child makes the job's one plan with
+:func:`~repro.experiments.runner.plan_one`, as ``pdw run`` and
+``pdw assay`` do, with one ``stage`` record per stage journaled under
+the job's id to the shared JSONL run journal.  It sends back
+``(canonical plan dict, metrics snapshot)`` or a failure kind over a
+pipe and exits; the worker keeps the plan's canonical JSON on the job
+and merges the snapshot into the server's registry, so ``/metrics``
+carries every job's series.  ``GET /v1/jobs/<id>`` progress is read from
+the journal and ``GET /v1/jobs/<id>/plan`` serves the kept JSON.
 
 Why a process per job: a job's routing and HiGHS heap leave with the
 child instead of staying in the server, a timeout kills and reaps the
@@ -20,9 +20,8 @@ child (no thread keeps burning CPU), and a stage that exits fails only
 its own job.  What stays warm across jobs is digest dedup and the disk
 cache: a request that differs only in its weights reuses the replay,
 necessity, clusters and pathgen artifacts from disk and builds and
-solves only its own ILP.  The whole-run memo is per child, so under
-``--no-cache`` a request that differs from an earlier one only in
-``method`` runs again.
+solves only its own ILP.  Under ``--no-cache`` every job plans from
+scratch.
 
 Forking a multi-threaded process is safe here for two reasons (Python
 3.12 warns about it in general): everything a job imports is imported
@@ -61,9 +60,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 # lazily by the stage digests in the child otherwise.
 import repro.arch.io  # noqa: F401
 from repro.assay import graph_from_dict
-from repro.baselines import dawo_plan, immediate_wash_plan
-from repro.core import optimize_washes
-from repro.experiments.runner import FailureRecord, classify_failure, run_digest
+from repro.experiments.runner import classify_failure, plan_one
 from repro.export.plan_json import canonical_plan_dict
 from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
@@ -71,13 +68,11 @@ from repro.pipeline import ArtifactCache, default_cache
 from repro.pipeline import cache as artifact_cache
 from repro.procutil import Child, safe_send, terminate
 from repro.sched import journal as sched_journal
-from repro.sched.executor import SuiteExecutor
 from repro.sched.journal import default_journal_path
 from repro.serve.jobs import Job, JobFailure, JobStore, job_progress
 from repro.serve.queue import FairQueue
 from repro.serve.routes import make_handler
 from repro.serve.wire import JobSpec, job_digest
-from repro.synth import synthesize
 
 #: Seconds clients are told to back off when admission rejects with 429.
 RETRY_AFTER_S = 5
@@ -87,13 +82,15 @@ RETRY_AFTER_S = 5
 highs.leave_pin_to_caller()
 
 
-def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) -> None:
+def _job_entry(
+    conn, job_id: str, spec: JobSpec, cache: Optional[ArtifactCache], journal_path: Path
+) -> None:
     """Job child body: plan one job, send the outcome home, exit.
 
-    Sends ``("ok", run_digest, plan_dict, snapshot)`` or ``("fail",
-    kind, message, snapshot)``; a child that dies first sends nothing,
-    and the parent classifies it from the closed pipe.  The child has
-    no timeout of its own: the parent kills it past ``job_timeout_s``.
+    Sends ``("ok", plan_dict, snapshot)`` or ``("fail", kind, message,
+    snapshot)``; a child that dies first sends nothing, and the parent
+    classifies it from the closed pipe.  The child has no timeout of its
+    own: the parent kills it past ``job_timeout_s``.
     """
     # The server's SIGTERM/SIGINT handler would run a second server
     # shutdown in here; the parent kills its children instead.
@@ -103,10 +100,12 @@ def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) 
     # the parent-side merge adds only this job's work.
     obs_metrics.reset()
     try:
-        digest, plan = _plan_job(spec, cache, use_cache, journal_path)
-        outcome: tuple = ("ok", digest, canonical_plan_dict(plan))
-    except JobFailure as exc:
-        outcome = ("fail", exc.kind, str(exc))
+        target = spec.benchmark
+        if spec.kind == "assay":
+            target = graph_from_dict(dict(spec.assay))
+        with sched_journal.stage_journal(journal_path, spec.target, job=job_id):
+            plan = plan_one(target, spec.method, spec.config, cache)
+        outcome: tuple = ("ok", canonical_plan_dict(plan))
     except Exception as exc:  # a job child reports every failure it survives
         outcome = ("fail", *classify_failure(exc))
     safe_send(conn, outcome + (obs_metrics.snapshot(),))
@@ -114,34 +113,6 @@ def _job_entry(conn, spec: JobSpec, cache, use_cache: bool, journal_path: Path) 
     # Skip interpreter teardown: it flushes std streams whose locks
     # another server thread may have held at fork time.
     os._exit(0)
-
-
-def _plan_job(
-    spec: JobSpec, cache: Optional[ArtifactCache], use_cache: bool, journal_path: Path
-) -> Tuple[Optional[str], Any]:
-    """``(run_digest or None, plan)`` for one job, in the job child."""
-    if spec.kind == "benchmark":
-        executor = SuiteExecutor(cache=cache, use_cache=use_cache, journal_path=journal_path)
-        entry = executor.run([spec.benchmark], spec.config).entries[0]
-        if isinstance(entry, FailureRecord):
-            raise JobFailure(entry.kind, entry.message)
-        return run_digest(spec.benchmark, spec.config), _method_plan(entry, spec.method)
-    # User-assay jobs run the pipeline directly (no benchmark run).
-    synth = synthesize(graph_from_dict(dict(spec.assay)))
-    disk = cache if use_cache else None
-    if spec.method == "pdw":
-        return None, optimize_washes(synth, spec.config, cache=disk)
-    if spec.method == "dawo":
-        return None, dawo_plan(synth, cache=disk)
-    return None, immediate_wash_plan(synth)
-
-
-def _method_plan(run: Any, method: str):
-    if method == "pdw":
-        return run.pdw
-    if method == "dawo":
-        return run.dawo
-    return immediate_wash_plan(run.synthesis)
 
 
 class _HttpServer(ThreadingHTTPServer):
@@ -298,7 +269,7 @@ class JobServer:
         self._absorb_metrics(outcome[-1])
         if outcome[0] != "ok":
             raise JobFailure(outcome[1], outcome[2])
-        job.run_digest, job.plan = outcome[1], outcome[2]
+        job.plan = json.dumps(outcome[1], indent=2, sort_keys=True) + "\n"
 
     def _fork(self, job: Job) -> Child:
         """Start ``job``'s child under the job timeout.
@@ -318,7 +289,8 @@ class JobServer:
                 self._pinned = True
             child = Child(
                 _job_entry,
-                (job.spec, self.cache, self.use_cache, self.journal_path),
+                (job.id, job.spec, self.cache if self.use_cache else None,
+                 self.journal_path),
                 name=f"pdw-job-{job.id}",
                 timeout_s=self.job_timeout_s,
             )
@@ -362,24 +334,6 @@ class JobServer:
             "queue_cap": self.queue.capacity,
             "jobs": self.store.counts(),
         }
-
-    def plan_json(self, job: Job) -> Optional[str]:
-        """Canonical plan JSON for a done job — cache first, memory second.
-
-        Both paths serialize the same timing-free canonical dict with the
-        same dump settings, so every reader of a deduped job observes
-        byte-identical plans regardless of which path served it.
-        """
-        plan_dict = None
-        if job.run_digest is not None and self.use_cache:
-            stored = self.cache.get(job.run_digest)
-            if stored is not None:
-                plan_dict = canonical_plan_dict(_method_plan(stored, job.spec.method))
-        if plan_dict is None:
-            plan_dict = job.plan
-        if plan_dict is None:
-            return None
-        return json.dumps(plan_dict, indent=2, sort_keys=True) + "\n"
 
     def render_metrics(self) -> str:
         self._set_queue_gauge()

@@ -14,10 +14,9 @@ mistyped config values are a 400, never a silent default — because the
 job **digest** is derived from the parsed spec: two clients sending the
 "same" job must land on the same digest, so everything that reaches the
 digest has to be canonicalized here (ints submitted for float fields are
-coerced before hashing, key order never matters).  Benchmark-job digests
-wrap :func:`repro.experiments.runner.run_digest`, the exact key under
-which the executed run is stored in the artifact cache — dedup and the
-``/plan`` endpoint's cache lookup cannot drift apart.
+coerced before hashing, key order never matters).  A job hashes its
+method, its benchmark name or canonical assay graph, its config and the
+solver-altering environment.
 """
 
 from __future__ import annotations
@@ -200,19 +199,10 @@ def decode_body(body: bytes, default_client: str = "anon") -> JobSpec:
 
 
 def job_digest(spec: JobSpec) -> str:
-    """Content digest of a job — the dedup key.
-
-    Benchmark jobs reuse the whole-run digest (assay graph, inventory,
-    config, environment token), so a serve job and a CLI
-    ``pdw run`` of the same benchmark+config share one cache entry.
-    """
-    if spec.kind == "benchmark":
-        from repro.experiments.runner import run_digest
-
-        inner = run_digest(spec.benchmark, spec.config)
-        return stable_digest("serve-job", WIRE_SCHEMA, spec.method, inner)
+    """Content digest of a job — the dedup key."""
+    target = spec.benchmark if spec.kind == "benchmark" else spec.assay
     return stable_digest(
-        "serve-job", WIRE_SCHEMA, spec.method, spec.assay, spec.config,
+        "serve-job", WIRE_SCHEMA, spec.method, target, spec.config,
         faults.environment_token(),
     )
 

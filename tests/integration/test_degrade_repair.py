@@ -110,6 +110,31 @@ def test_degrade_matrix_online_repair(tmp_path):
     assert row.repair_rounds >= 1
 
 
+def test_a_crashing_cell_is_a_row_and_the_next_cell_runs(tmp_path, monkeypatch):
+    from repro.degrade import suite
+
+    planned = []
+
+    def optimize_washes(synthesis, config, cache=None):
+        planned.append(config.degrade)
+        if len(planned) == 1:
+            raise RuntimeError("a bug in the first cell")
+        return real(synthesis, config, cache=cache)
+
+    real = suite.optimize_washes
+    monkeypatch.setattr(suite, "optimize_washes", optimize_washes)
+    result = run_degrade_matrix(
+        names=["PCR"], scenarios="light,moderate",
+        journal_path=tmp_path / "journal.jsonl", use_cache=False,
+    )
+    assert len(planned) == 2
+    first, second = result.rows
+    assert first.outcome == "FAILED(crash)"
+    assert first.message == "RuntimeError: a bug in the first cell"
+    assert second.outcome in SUCCESS_OUTCOMES
+    assert not result.ok
+
+
 def test_degrade_matrix_rejects_preset_config():
     with pytest.raises(DegradationError):
         run_degrade_matrix(names=["PCR"], config=PDWConfig(degrade="light"))

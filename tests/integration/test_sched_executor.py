@@ -11,13 +11,18 @@ point.
 
 from __future__ import annotations
 
+from repro.baselines.dawo import DAWO_PIPELINE
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
+from repro.core.stages import PDW_PIPELINE
 from repro.pipeline import ArtifactCache
 from repro.sched import journal as sched_journal
 from repro.sched.executor import SuiteExecutor
 from repro.sched.journal import RunBudget
-from repro.serve.jobs import STAGES_PER_BENCHMARK
+
+#: Stage records one cold ``run_benchmark`` journals: synthesis, the
+#: replay both methods share, and every other stage of each pipeline.
+STAGES_PER_RUN = 2 + (len(PDW_PIPELINE) - 1) + (len(DAWO_PIPELINE) - 1)
 
 SUITE = ["PCR", "Kinase-act-1"]
 QUICK_RETRY = dict(retries=1, backoff_base_s=0.01, backoff_cap_s=0.05)
@@ -45,7 +50,7 @@ class TestSuiteExecutor:
         assert [run.name for run in result.runs] == SUITE
         records = sched_journal.read_records(ex.journal_path)
         for name in SUITE:
-            assert len(_stages(records, name)) == STAGES_PER_BENCHMARK
+            assert len(_stages(records, name)) == STAGES_PER_RUN
         assert [(r["event"], r["benchmark"]) for r in records if r["event"] != "stage"] == [
             ("attempt", "PCR"), ("success", "PCR"),
             ("attempt", "Kinase-act-1"), ("success", "Kinase-act-1"),

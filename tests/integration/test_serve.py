@@ -1,17 +1,17 @@
 """Live-server integration tests for ``pdw serve`` (repro.serve).
 
-Covers the issue's concurrency contract end-to-end against a real
-listening server: N concurrent submissions of the same payload converge
-on one job and one underlying run (the journal shows one attempt and
-each stage once), every reader observes byte-identical canonical
-plan JSON, distinct configs past the queue cap are rejected with 429 +
-``Retry-After``, and a SIGTERM'd ``pdw serve`` subprocess exits cleanly
-with no orphaned children.
+Covers the concurrency contract end-to-end against a real listening
+server: N concurrent submissions of the same payload converge on one job
+and one underlying plan (the journal shows each of its stages once),
+every reader observes byte-identical canonical plan JSON, equal to the
+plan ``pdw run`` makes, distinct configs past the queue cap are rejected
+with 429 + ``Retry-After``, and a SIGTERM'd ``pdw serve`` subprocess
+exits cleanly with no orphaned children.
 
 Each job runs in a forked child of the server: a timeout or an exiting
 stage costs only that job and leaves no thread or process behind, a
 fork while other threads hold the job's locks still completes, and the
-server's own registry never records a solve.
+server itself never routes, solves or plans.
 """
 
 from __future__ import annotations
@@ -32,17 +32,18 @@ import pytest
 
 from repro import procutil
 from repro.arch import pathkernel
+from repro.core.stages import PDW_PIPELINE
 from repro.experiments import runner
+from repro.export import canonical_plan_json
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracer
 from repro.pipeline import ArtifactCache
 from repro.pipeline import cache as artifact_cache
 from repro.procutil import MP
 from repro.sched import journal as sched_journal
-from repro.sched.executor import SuiteExecutor
 from repro.serve import JobServer, parse_job
 from repro.serve import server as server_module
-from repro.serve.jobs import STAGES_PER_BENCHMARK, job_progress
+from repro.serve.jobs import job_progress
 
 needs_proc = pytest.mark.skipif(
     not Path("/proc/self/stat").exists(), reason="reads process parents from /proc"
@@ -248,14 +249,12 @@ class TestConcurrency:
         job_id = ids.pop()
         assert client.wait_done(job_id)["state"] == "done"
 
-        # One underlying run: one PCR attempt, and each stage journaled
-        # exactly once.
+        # One underlying plan: each of its stages journaled exactly once.
         records = [r for r in sched_journal.read_records(server.journal_path)[earlier:]
-                   if r.get("benchmark") == "PCR"]
-        assert len([r for r in records if r.get("event") == "attempt"]) == 1
-        stages = [(r["method"], r["stage"]) for r in records if r.get("event") == "stage"]
+                   if r.get("job") == job_id and r.get("event") == "stage"]
+        stages = [(r["method"], r["stage"]) for r in records]
         assert len(stages) == len(set(stages)), f"stage re-ran: {stages}"
-        assert len(stages) == STAGES_PER_BENCHMARK
+        assert len(stages) == len(PDW_PIPELINE)
 
         # Every reader sees byte-identical canonical plan JSON.
         plans = {client.request("GET", f"/v1/jobs/{job_id}/plan")[1] for _ in range(n)}
@@ -439,12 +438,10 @@ class TestJobProcesses:
             "pdw_plan_validations_total",
         } <= jobs
 
-    def test_metrics_carry_each_jobs_series(self, make_server, tmp_path):
-        # The counts one in-process run of the same job records.
+    def test_metrics_carry_each_jobs_series(self, make_server):
+        # The counts one in-process plan of the same job records.
         obs_metrics.reset()
-        SuiteExecutor(
-            use_cache=False, journal_path=tmp_path / "ref.jsonl"
-        ).run(["PCR"], parse_job(PCR_JOB).config)
+        runner.plan_one("PCR", "pdw", parse_job(PCR_JOB).config)
         expected = prom_series(
             obs_metrics.registry().render_prometheus().encode(),
             "pdw_plan_validations_total",
@@ -456,13 +453,52 @@ class TestJobProcesses:
         assert cli.wait_done(body["id"])["state"] == "done"
         raw = cli.request("GET", "/metrics")[1]
         assert prom_series(raw, "pdw_plan_validations_total") == expected
-        assert not prom_series(raw, "pdw_run_cache_hits_total")
-        # Same run, other method: a new job whose child finds the run on
-        # disk, as a fresh `pdw run` on the warm cache would.
+        # Same benchmark, other method: a job plans only its own method,
+        # so there is no whole run to find on disk.
         _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": "dawo"})
         assert cli.wait_done(body["id"])["state"] == "done"
         raw = cli.request("GET", "/metrics")[1]
-        assert prom_series(raw, "pdw_run_cache_hits_total") == {'{benchmark="PCR"}': 1.0}
+        assert not prom_series(raw, "pdw_run_cache_hits_total")
+        assert prom_series(raw, "pdw_plan_validations_total") != expected
+
+    @pytest.mark.parametrize("method", ["pdw", "dawo", "immediate"])
+    def test_a_served_plan_is_the_plan_pdw_run_makes(self, make_server, method):
+        job = {**PCR_JOB, "method": method}
+        expected = canonical_plan_json(
+            runner.plan_one("PCR", method, parse_job(job).config)
+        ) + "\n"
+        srv, cli = make_server()
+        _, body = cli.json("POST", "/v1/jobs", job)
+        assert cli.wait_done(body["id"])["state"] == "done"
+        code, plan, _ = cli.request("GET", f"/v1/jobs/{body['id']}/plan")
+        assert code == 200
+        assert plan.decode() == expected
+
+    def test_reading_a_plan_plans_nothing_in_the_server(self, make_server, monkeypatch):
+        srv, cli = make_server()
+        _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": "immediate"})
+        assert cli.wait_done(body["id"])["state"] == "done"
+        path = f"/v1/jobs/{body['id']}/plan"
+        code, first, _ = cli.request("GET", path)
+        assert code == 200
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("the server made a plan")
+
+        for module in (server_module, runner, sys.modules["repro.baselines"],
+                       sys.modules["repro.baselines.immediate"]):
+            monkeypatch.setattr(module, "immediate_wash_plan", refuse, raising=False)
+        assert cli.request("GET", path)[:2] == (200, first)
+
+    def test_a_served_job_leaves_the_suite_metrics_dump_alone(self, make_server):
+        srv, cli = make_server()
+        dump = srv.journal_path.parent / "metrics.json"
+        dump.parent.mkdir(parents=True, exist_ok=True)
+        dump.write_text('{"series": [], "journal": "from pdw suite"}\n', encoding="utf-8")
+        before = dump.read_bytes()
+        _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
+        assert cli.wait_done(body["id"])["state"] == "done"
+        assert dump.read_bytes() == before
 
 
 class TestProgress:
@@ -473,10 +509,47 @@ class TestProgress:
         job = srv.store.get(body["id"])
         records = sched_journal.read_records(srv.journal_path, job.journal_offset)
         stages = [r for r in records if r.get("event") == "stage"]
-        assert len(stages) == STAGES_PER_BENCHMARK
+        assert len(stages) == len(PDW_PIPELINE)
+        assert {(r["method"], r["job"]) for r in stages} == {("pdw", job.id)}
+        # A served job is no suite attempt: `pdw suite --resume` must not
+        # read it as the benchmark being done.
+        assert not [r for r in records
+                    if r.get("event") in ("attempt", "success", "failure")]
         assert job_progress(job, records) == {
-            "nodes_done": STAGES_PER_BENCHMARK, "nodes_total": STAGES_PER_BENCHMARK
+            "nodes_done": len(PDW_PIPELINE), "nodes_total": len(PDW_PIPELINE)
         }
+
+    def test_concurrent_jobs_on_one_benchmark_count_only_their_own_stages(
+        self, server, client
+    ):
+        gate = threading.Event()
+        server._execute = lambda job: gate.wait(30.0)  # hold both in running
+        try:
+            ids = []
+            for limit in (51, 52):
+                _, body = client.json(
+                    "POST", "/v1/jobs", {"benchmark": "PCR", "config": {"time_limit_s": limit}}
+                )
+                ids.append(body["id"])
+            deadline = time.monotonic() + 10.0
+            while time.monotonic() < deadline and any(
+                client.json("GET", f"/v1/jobs/{jid}")[1]["state"] != "running" for jid in ids
+            ):
+                time.sleep(0.05)
+            own = {ids[0]: ("replay", "necessity"), ids[1]: ("clusters", "pathgen", "ilp")}
+            for jid, stages in own.items():
+                for stage in stages:
+                    sched_journal.append_record(server.journal_path, {
+                        "event": "stage", "benchmark": "PCR", "method": "pdw",
+                        "stage": stage, "origin": "computed", "job": jid,
+                    })
+            for jid, stages in own.items():
+                status = client.json("GET", f"/v1/jobs/{jid}")[1]
+                assert status["progress"] == {
+                    "nodes_done": len(stages), "nodes_total": len(PDW_PIPELINE)
+                }
+        finally:
+            gate.set()
 
     def test_polls_read_only_the_journal_tail_after_the_fork(
         self, make_server, monkeypatch, tmp_path
@@ -495,16 +568,13 @@ class TestProgress:
         prefix_bytes = srv.journal_path.stat().st_size
         gate = tmp_path / "go"
 
-        def fake_plan_job(spec, cache, use_cache, journal_path):
-            for stage in ("synth", "clusters", "pathgen"):
-                sched_journal.append_record(journal_path, {
-                    "event": "stage", "benchmark": "PCR",
-                    "method": "pdw", "stage": stage,
-                })
+        def fake_plan_one(target, method, config, cache):
+            for stage in ("replay", "clusters", "pathgen"):
+                sched_journal.record_stage("PDW:PCR", stage, "computed")
             deadline = time.monotonic() + 60.0
             while not gate.exists() and time.monotonic() < deadline:
                 time.sleep(0.05)
-            raise server_module.JobFailure("error", "released")
+            raise RuntimeError("released")
 
         reads = []
         read_records = sched_journal.read_records
@@ -514,7 +584,7 @@ class TestProgress:
             reads.append((offset, len(records)))
             return records
 
-        monkeypatch.setattr(server_module, "_plan_job", fake_plan_job)
+        monkeypatch.setattr(server_module, "plan_one", fake_plan_one)
         monkeypatch.setattr(server_module.sched_journal, "read_records", spy)
         try:
             _, body = cli.json("POST", "/v1/jobs", PCR_JOB)
@@ -526,7 +596,7 @@ class TestProgress:
                 if progress and progress["nodes_done"] == 3:
                     break
                 time.sleep(0.05)
-            assert progress == {"nodes_done": 3, "nodes_total": STAGES_PER_BENCHMARK}
+            assert progress == {"nodes_done": 3, "nodes_total": len(PDW_PIPELINE)}
         finally:
             gate.touch()
         assert cli.wait_done(body["id"])["state"] == "failed"

@@ -79,7 +79,6 @@ class TestStageRecords:
         from repro.core.stages import PDW_PIPELINE, REPLAY_STAGE
         from repro.sched.executor import SuiteExecutor
         from repro.sched.journal import read_records
-        from repro.serve.jobs import STAGES_PER_BENCHMARK
 
         journal = tmp_path / "journal.jsonl"
         result = SuiteExecutor(use_cache=False, journal_path=journal).run(
@@ -95,7 +94,7 @@ class TestStageRecords:
             for stage in pipeline
             if stage is not REPLAY_STAGE
         ]
-        assert len(stages) == STAGES_PER_BENCHMARK
+        assert len(stages) == 10
 
 
 class TestKernelCounts:

@@ -37,7 +37,7 @@ class TestFormulationDoc:
             "repro.core.targets.cluster_requirements",
             "repro.core.pathgen.integration_candidates",
             "repro.units.PhysicalParameters.wash_time_s",
-            "repro.ilp.model.Model.add_or_indicator",
+            "repro.ilp.model.Model.add_disjunction",
             "repro.baselines.dawo.SweepLineReplayer",
             "repro.arch.control.ControlLayer.actuation_table",
             "repro.sim.executor.ScheduleExecutor",

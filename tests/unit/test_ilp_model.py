@@ -38,14 +38,6 @@ class TestModelConstruction:
         assert "1 bin" in m.stats()
         assert "1 constrs" in m.stats()
 
-    def test_add_constrs_prefix_names(self):
-        m = Model()
-        x = m.add_continuous_var("x")
-        rows = m.add_constrs([x >= 0, x <= 5], prefix="p")
-        assert rows == [0, 1]
-        assert m.row_names == ["p_0", "p_1"]
-        assert m.num_rows == 2
-
 
 def dense_rows(model):
     """The constraint matrix of ``model`` as a dense array."""
@@ -196,7 +188,8 @@ class TestDisjunction:
         a_e, b_e = a_s + 3, b_s + 4
         m.add_disjunction((a_e, b_s), (b_e, a_s))
         mk = m.add_continuous_var("mk", 0, 100)
-        m.add_max_lower_bound(mk, [a_e, b_e])
+        m.add_constr(mk >= a_e)
+        m.add_constr(mk >= b_e)
         m.set_objective(mk)
         sol = m.solve()
         assert sol.status is SolveStatus.OPTIMAL
@@ -209,56 +202,6 @@ class TestDisjunction:
         flag = m.add_binary_var  # count before
         order = m.add_disjunction((a + 1, b), (b + 1, a))
         assert order.is_integral
-
-
-class TestIndicators:
-    @pytest.mark.parametrize(
-        "values, expected_or, expected_and",
-        [
-            ((0, 0, 0), 0, 0),
-            ((1, 0, 0), 1, 0),
-            ((1, 1, 1), 1, 1),
-            ((0, 1, 1), 1, 0),
-        ],
-    )
-    def test_or_and_match_truth_table(self, values, expected_or, expected_and):
-        m = Model()
-        bs = [m.add_binary_var(f"b{i}") for i in range(3)]
-        o = m.add_or_indicator(bs)
-        a = m.add_and_indicator(bs)
-        for b, v in zip(bs, values):
-            m.add_constr(LinExpr.from_any(b) == v)
-        m.set_objective(LinExpr.sum([o, a]))
-        sol = m.solve()
-        assert sol.rounded(o) == expected_or
-        assert sol.rounded(a) == expected_and
-
-    def test_empty_or_is_false_and_empty_and_is_true(self):
-        m = Model()
-        o = m.add_or_indicator([])
-        a = m.add_and_indicator([])
-        m.set_objective(LinExpr.from_any(o) - LinExpr.from_any(a))
-        sol = m.solve()
-        assert sol.rounded(o) == 0
-        assert sol.rounded(a) == 1
-
-    def test_implication_active_when_binary_set(self):
-        m = Model(big_m=100)
-        b = m.add_binary_var("b")
-        x = m.add_continuous_var("x", 0, 50)
-        m.add_implication(b, x >= 10)
-        m.add_constr(LinExpr.from_any(b) == 1)
-        m.set_objective(x)
-        assert m.solve().objective == pytest.approx(10.0)
-
-    def test_implication_inert_when_binary_clear(self):
-        m = Model(big_m=100)
-        b = m.add_binary_var("b")
-        x = m.add_continuous_var("x", 0, 50)
-        m.add_implication(b, x >= 10)
-        m.add_constr(LinExpr.from_any(b) == 0)
-        m.set_objective(x)
-        assert m.solve().objective == pytest.approx(0.0)
 
 
 class TestSolutionChecking:

@@ -8,7 +8,6 @@ from repro.core.config import PDWConfig
 from repro.core.monolithic import MonolithicWashIlp
 from repro.core.schedule_ilp import WashScheduleIlp
 from repro.core.targets import WashCluster
-from repro.ilp import faults as ilp_faults
 from repro.ilp import presolve
 from repro.schedule import Schedule, ScheduledTask, TaskKind
 
@@ -137,6 +136,7 @@ class TestBuilderIntegration:
         off.ensure_built()
         assert on.model.num_rows < off.model.num_rows
         assert on.presolve_info is not None
+        assert off.presolve_enabled is False
         assert off.presolve_info is None
         assert on.presolve_info.dropped_constraints > 0
 
@@ -146,29 +146,3 @@ class TestBuilderIntegration:
         ilp = MonolithicWashIlp(chip, baseline, [cluster()],
                                 {"w1": [SHORT]}, PDWConfig())
         assert ilp.presolve_enabled is False
-
-    def test_env_override_disables_presolve(self, chip, baseline, monkeypatch):
-        monkeypatch.setenv(ilp_faults.ENV_PRESOLVE, "off")
-        ilp = WashScheduleIlp(chip, baseline, [cluster()],
-                              {"w1": [SHORT]}, PDWConfig())
-        assert ilp.presolve_enabled is False
-        # An explicit config pin beats the environment.
-        pinned = WashScheduleIlp(chip, baseline, [cluster()],
-                                 {"w1": [SHORT]}, PDWConfig(presolve="off"))
-        assert pinned.presolve_enabled is False
-
-
-class TestEnvironmentToken:
-    def test_presolve_env_lands_in_token(self, monkeypatch):
-        monkeypatch.delenv(ilp_faults.ENV_PRESOLVE, raising=False)
-        base = ilp_faults.environment_token()
-        monkeypatch.setenv(ilp_faults.ENV_PRESOLVE, "off")
-        assert ilp_faults.environment_token() != base
-        assert "presolve=off" in ilp_faults.environment_token()
-
-    def test_resolve_presolve_prefers_explicit_config(self, monkeypatch):
-        monkeypatch.setenv(ilp_faults.ENV_PRESOLVE, "off")
-        assert ilp_faults.resolve_presolve("on") == "off"
-        monkeypatch.delenv(ilp_faults.ENV_PRESOLVE)
-        assert ilp_faults.resolve_presolve("off") == "off"
-        assert ilp_faults.resolve_presolve("on") == "on"

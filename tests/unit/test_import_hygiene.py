@@ -227,14 +227,20 @@ def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
         before = set(sys.modules)
         for payload in payloads:
             spec = parse_job({**payload, "config": {"time_limit_s": 20}})
-            digest, plan = server._plan_job(spec, cache, True, cache.root / "j.jsonl")
-            if digest is not None:
-                server._method_plan(cache.get(digest), spec.method)
+            target = spec.benchmark or server.graph_from_dict(dict(spec.assay))
+            with server.sched_journal.stage_journal(cache.root / "j.jsonl", spec.target, "j"):
+                plan = server.plan_one(target, spec.method, spec.config, cache)
             reader, writer = MP.Pipe(duplex=False)
-            writer.send(("ok", digest, server.canonical_plan_dict(plan), metrics.snapshot()))
+            writer.send(("ok", server.canonical_plan_dict(plan), metrics.snapshot()))
             reader.recv()
         new = sorted(set(sys.modules) - before)
         assert not new, new
         """,
         tmp_path,
     )
+
+
+def test_the_server_does_not_load_the_suite_engine(tmp_path):
+    # A served job makes one plan the way `pdw run` does; the suite
+    # engine is `pdw suite`'s alone.
+    assert "repro.sched.executor" not in _loaded_after("import repro.serve", tmp_path)

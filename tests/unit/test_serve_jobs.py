@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from repro.serve import JobStore, parse_job
+from repro.baselines.dawo import DAWO_PIPELINE
+from repro.core.stages import PDW_PIPELINE
 from repro.serve.jobs import (
     JOB_STATES,
-    STAGES_PER_BENCHMARK,
+    METHOD_STAGES,
     TERMINAL_STATES,
     job_progress,
 )
@@ -109,26 +111,42 @@ class TestProgress:
     def test_progress_counts_this_jobs_nodes_only(self):
         store = JobStore()
         job, _ = _admit(store)
+        other, _ = _admit(store, config={"time_limit_s": 7})
         store.mark_running(job)
         records = [
-            # A stale record from before this job started must not count.
-            {"event": "stage", "benchmark": "PCR", "method": "bench",
-             "stage": "synthesis", "ts": job.started_ts - 100},
             {"event": "stage", "benchmark": "PCR", "method": "pdw",
-             "stage": "pathgen", "ts": job.started_ts + 1},
-            # Another benchmark's stage is invisible to this job.
-            {"event": "stage", "benchmark": "IVD", "method": "pdw",
-             "stage": "pathgen", "ts": job.started_ts + 1},
+             "stage": "replay", "job": job.id},
+            {"event": "stage", "benchmark": "PCR", "method": "pdw",
+             "stage": "pathgen", "job": job.id},
+            # Another job on the same benchmark is invisible to this one,
+            # and so is a record that names no job.
+            {"event": "stage", "benchmark": "PCR", "method": "pdw",
+             "stage": "ilp", "job": other.id},
+            {"event": "stage", "benchmark": "PCR", "method": "pdw",
+             "stage": "necessity"},
             # Other events don't count, only stage records.
-            {"event": "attempt", "benchmark": "PCR", "attempt": 1,
-             "ts": job.started_ts + 2},
+            {"event": "serve", "action": "start", "job": job.id},
         ]
         progress = job_progress(job, records)
-        assert progress == {"nodes_done": 1, "nodes_total": STAGES_PER_BENCHMARK}
+        assert progress == {"nodes_done": 2, "nodes_total": len(PDW_PIPELINE)}
 
     def test_the_total_counts_each_journaled_stage_once(self):
-        # synthesis, the shared replay, 5 more PDW stages, 3 more DAWO ones.
-        assert STAGES_PER_BENCHMARK == 10
+        # A job journals one record per stage of its method's pipeline;
+        # an immediate plan runs no staged pipeline.
+        assert METHOD_STAGES == {"pdw": 6, "dawo": 4}
+        assert METHOD_STAGES == {"pdw": len(PDW_PIPELINE), "dawo": len(DAWO_PIPELINE)}
+
+    def test_a_dawo_job_counts_against_its_own_pipeline(self):
+        store = JobStore()
+        job, _ = _admit(store, method="dawo")
+        store.mark_running(job)
+        assert job_progress(job, []) == {"nodes_done": 0, "nodes_total": 4}
+
+    def test_an_immediate_job_reports_state_only(self):
+        store = JobStore()
+        job, _ = _admit(store, method="immediate")
+        store.mark_running(job)
+        assert job_progress(job, []) == {"nodes_done": None, "nodes_total": None}
 
     def test_progress_is_none_before_start(self):
         store = JobStore()
