@@ -15,38 +15,32 @@ Run from the command line::
     python -m repro.experiments fig5
     python -m repro.experiments ablation
     python -m repro.experiments all
+
+Every name below resolves on first access (PEP 562), so importing one
+submodule — ``repro.experiments.runner``, say, which every planning
+process needs — loads none of the report modules.
 """
 
-from repro.experiments.runner import (
-    BenchmarkRun,
-    FailureRecord,
-    SuiteResult,
-    adopt_run,
-    default_config,
-    run_benchmark,
-    run_suite,
-)
-from repro.experiments.table2 import table2_report
-from repro.experiments.fig4 import fig4_report
-from repro.experiments.fig5 import fig5_report
-from repro.experiments.ablation import ablation_report
-from repro.experiments.necessity_stats import necessity_report
-from repro.experiments.pareto import pareto_report
-from repro.experiments.timings import timings_report
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "BenchmarkRun",
-    "FailureRecord",
-    "SuiteResult",
-    "ablation_report",
-    "adopt_run",
-    "default_config",
-    "fig4_report",
-    "fig5_report",
-    "necessity_report",
-    "pareto_report",
-    "run_benchmark",
-    "run_suite",
-    "table2_report",
-    "timings_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.experiments.runner": (
+            "BenchmarkRun",
+            "FailureRecord",
+            "SuiteResult",
+            "adopt_run",
+            "default_config",
+            "run_benchmark",
+            "run_suite",
+        ),
+        "repro.experiments.table2": ("table2_report",),
+        "repro.experiments.fig4": ("fig4_report",),
+        "repro.experiments.fig5": ("fig5_report",),
+        "repro.experiments.ablation": ("ablation_report",),
+        "repro.experiments.necessity_stats": ("necessity_report",),
+        "repro.experiments.pareto": ("pareto_report",),
+        "repro.experiments.timings": ("timings_report",),
+    },
+)

@@ -31,8 +31,6 @@ with a budget, which forks one child per benchmark attempt.
 
 from __future__ import annotations
 
-import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
@@ -44,7 +42,6 @@ from repro.core import PDWConfig, optimize_washes
 from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
 from repro.errors import DegradedInfeasibleError, ReproError
-from repro.forksafe import renew_lock_in_child
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -194,8 +191,6 @@ class SuiteResult(Sequence):
 
 
 _CACHE: Dict[tuple, BenchmarkRun] = {}
-_CACHE_LOCK = threading.Lock()
-renew_lock_in_child(sys.modules[__name__], "_CACHE_LOCK")
 
 
 def _memo_key(name: str, config: PDWConfig) -> tuple:
@@ -207,8 +202,7 @@ def adopt_run(run: BenchmarkRun, config: Optional[PDWConfig] = None) -> Benchmar
     into this process's memo, preserving object identity for later
     same-process calls."""
     cfg = config or default_config()
-    with _CACHE_LOCK:
-        return _CACHE.setdefault(_memo_key(run.name, cfg), run)
+    return _CACHE.setdefault(_memo_key(run.name, cfg), run)
 
 
 def run_digest(name: str, config: Optional[PDWConfig] = None) -> str:
@@ -259,8 +253,7 @@ def _run_benchmark_scoped(
 ) -> BenchmarkRun:
     key = _memo_key(name, cfg)
     if use_cache:
-        with _CACHE_LOCK:
-            hit = _CACHE.get(key)
+        hit = _CACHE.get(key)
         if hit is not None:
             return hit
 
@@ -275,9 +268,7 @@ def _run_benchmark_scoped(
             obs_metrics.registry().counter(
                 "pdw_run_cache_hits_total", benchmark=name
             ).inc()
-            with _CACHE_LOCK:
-                run = _CACHE.setdefault(key, stored)
-            return run
+            return _CACHE.setdefault(key, stored)
 
     pipeline = PipelineRun(label=f"bench:{name}", cache=disk)
     spec = benchmark(name)
@@ -309,8 +300,7 @@ def _run_benchmark_scoped(
     if disk is not None:
         disk.put(digest, run)
     if use_cache:
-        with _CACHE_LOCK:
-            run = _CACHE.setdefault(key, run)
+        run = _CACHE.setdefault(key, run)
     return run
 
 
@@ -379,5 +369,4 @@ def run_suite(
 
 def clear_cache() -> None:
     """Drop all in-process cached runs (used by tests)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
+    _CACHE.clear()

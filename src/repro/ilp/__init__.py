@@ -7,9 +7,8 @@ equivalent substrate without proprietary dependencies:
   linear expressions with natural operator overloading,
 * :class:`~repro.ilp.model.Model` — constraint container with the big-M
   ordering disjunction the scheduling formulation builds on (Eqs. 2, 3,
-  8, 19, 20); its rows live once, as triplet arrays that
-  :meth:`~repro.ilp.model.Model.row_matrix` turns into ``array.array``
-  CSR buffers,
+  8, 19, 20); its rows live once, as ``array.array`` CSR buffers that
+  :meth:`~repro.ilp.model.Model.row_matrix` copies out with row bounds,
 * :func:`~repro.ilp.solver.solve` — exact solve by the HiGHS MILP solver,
   with time limits and best-effort status reporting,
 * :class:`~repro.ilp.branch_bound.BranchAndBoundSolver` — a pure-Python

@@ -88,6 +88,7 @@ class BranchAndBoundSolver:
         root_lower = [float(v.lb) for v in model.variables]
         root_upper = [float(v.ub) for v in model.variables]
         lp = LoadedProblem(problem, root_lower, root_upper, LP_OPTIONS)
+        del problem  # HiGHS holds the relaxation; free its arrays for the search
 
         counter = itertools.count()
         heap: List[_Node] = []

@@ -17,9 +17,11 @@ setters take numpy arrays, and touching any of them imports numpy;
 numpy (docs/PERFORMANCE.md "HiGHS through an EMS file").  ``readModel``
 hands the parsed model to the same ``passModel`` a ``HighsLp`` went
 through, so HiGHS solves the very problem ``scipy.optimize.milp`` and
-``linprog(method="highs")`` gave it.  :mod:`repro.ilp.solver` solves the
-MILP through :func:`run`; :mod:`repro.ilp.branch_bound` reads its LP
-relaxation once into a :class:`LoadedProblem` and re-solves it per node.
+``linprog(method="highs")`` gave it.  :mod:`repro.ilp.solver` reads the
+MILP into a :class:`LoadedProblem` and drops the :class:`Problem` before
+solving it once, as :func:`run` does; :mod:`repro.ilp.branch_bound` reads
+its LP relaxation once into a :class:`LoadedProblem` and re-solves it per
+node.
 
 Before a process's first HiGHS instance, :func:`pin_mmap_threshold`
 holds glibc's mmap threshold at its default, so the buffers HiGHS frees
@@ -421,5 +423,9 @@ def run(
     options: Mapping[str, Any],
 ) -> HighsResult:
     """Solve ``problem`` once within the column bounds: a
-    :class:`LoadedProblem` used for one solve."""
-    return LoadedProblem(problem, col_lower, col_upper, options).solve(col_lower, col_upper)
+    :class:`LoadedProblem` used for one solve.  This frame lets go of
+    ``problem`` before HiGHS runs; it is freed then if the caller holds
+    no other reference."""
+    loaded = LoadedProblem(problem, col_lower, col_upper, options)
+    del problem
+    return loaded.solve(col_lower, col_upper)

@@ -15,7 +15,6 @@ captures exactly that pattern.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from typing import (
     Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union,
 )
@@ -27,7 +26,7 @@ from repro.ilp.solution import Solution
 #: Constraint senses as stored internally.
 SENSES = ("<=", ">=", "==")
 
-#: Compact sense encoding used by the triplet buffers.
+#: Compact sense encoding used by the row buffers.
 SENSE_CODES = {"<=": 0, ">=": 1, "==": 2}
 
 #: Coefficients accepted by :meth:`Model.add_linear_constraint`.
@@ -87,10 +86,12 @@ class Model:
         self.objective: LinExpr = LinExpr()
         self.objective_sense: str = "min"
         self._names: set[str] = set()
-        # The constraint rows, stored once: COO triplets plus one sense
-        # code, right-hand side and name per row.  `row_matrix` turns them
-        # into the CSR matrix every reader uses.
-        self._rows = array("q")
+        # The constraint rows, stored once, as CSR: row ``i`` holds the
+        # entries ``_indptr[i]:_indptr[i + 1]`` of ``_cols``/``_vals``,
+        # column-sorted as each row is appended; plus one sense code,
+        # right-hand side and name per row.  `row_matrix` hands out
+        # copies with the row bounds.
+        self._indptr = array("q", [0])
         self._cols = array("q")
         self._vals = array("d")
         self._sense_codes = array("b")
@@ -168,7 +169,7 @@ class Model:
         ``coeffs`` is a ``{var: coef}`` mapping or an iterable of
         ``(var, coef)`` pairs; repeated variables are summed and exact-zero
         coefficients dropped, matching what the operator-overloading path
-        produces.  The row is appended straight into the model's triplet
+        produces.  The row is appended straight into the model's CSR
         arrays, bypassing every intermediate :class:`LinExpr` the
         ``lhs <= rhs`` comparison chain would allocate — this is the hot
         path for the PDW formulation loops.  Returns the row index.
@@ -196,13 +197,15 @@ class Model:
     def _append_row(
         self, terms: Mapping[Variable, float], sense: str, rhs: float, name: str
     ) -> int:
-        """Append one constraint row to the triplet arrays; returns its index."""
+        """Append one constraint row, its entries in ascending column
+        order, to the CSR arrays; returns its index.  A row never holds a
+        variable twice, so the sort never compares coefficients."""
         row = len(self.row_names)
-        rows, cols, vals = self._rows, self._cols, self._vals
-        for var, coef in terms.items():
-            rows.append(row)
-            cols.append(var.index)
+        cols, vals = self._cols, self._vals
+        for col, coef in sorted([(var.index, coef) for var, coef in terms.items()]):
+            cols.append(col)
             vals.append(coef)
+        self._indptr.append(len(cols))
         self._sense_codes.append(SENSE_CODES[sense])
         self._rhs.append(rhs)
         self.row_names.append(name)
@@ -216,28 +219,26 @@ class Model:
     def row_matrix(self) -> RowMatrix:
         """The constraint rows as CSR arrays with row bounds.
 
-        The one conversion from the triplet arrays: the HiGHS backend,
-        branch-and-bound, :meth:`check_solution` and the LP writer all
-        read rows through it.  Rows are appended in order and never hold
-        a variable twice, so sorting each row's entries by column gives
-        exactly the CSR arrays ``scipy.sparse.csr_matrix`` would build
-        from the triplets.
+        The HiGHS backend, branch-and-bound, :meth:`check_solution` and
+        the LP writer all read rows through it.  The model stores its rows
+        in this form already, each row column-sorted as it was appended,
+        which is exactly the CSR arrays ``scipy.sparse.csr_matrix`` builds
+        from the same entries; the matrix is a copy, so appending rows
+        later leaves it as it was.
         """
-        rows, cols, vals = self._rows, self._cols, self._vals
-        num_rows = len(self._rhs)
-        indptr = array("q", [bisect_left(rows, i) for i in range(num_rows + 1)])
-        indices, data = array("q"), array("d")
-        for begin, end in zip(indptr, indptr[1:]):
-            for col, value in sorted(zip(cols[begin:end], vals[begin:end])):
-                indices.append(col)
-                data.append(value)
         inf = float("inf")
         lo, hi = array("d"), array("d")
         for code, rhs in zip(self._sense_codes, self._rhs):
             lo.append(-inf if code == SENSE_CODES["<="] else rhs)
             hi.append(inf if code == SENSE_CODES[">="] else rhs)
         return RowMatrix(
-            indptr, indices, data, lo, hi, array("b", self._sense_codes), array("d", self._rhs)
+            array("q", self._indptr),
+            array("q", self._cols),
+            array("d", self._vals),
+            lo,
+            hi,
+            array("b", self._sense_codes),
+            array("d", self._rhs),
         )
 
     # ------------------------------------------------------------------

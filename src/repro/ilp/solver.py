@@ -1,11 +1,13 @@
 """HiGHS backend: solve a :class:`~repro.ilp.model.Model` exactly.
 
 The HiGHS mixed-integer solver plays the role Gurobi plays in the paper.
-The adapter below hands it our model through :func:`repro.ilp.highs.run`
-as the problem ``scipy.optimize.milp`` gave it (column-wise matrix, the
-same bounds, integer columns and options), maps statuses back, and honours
-a wall-clock time limit so runs stay within the paper's 15-minute
-best-effort budget.
+The adapter below hands it our model through
+:class:`repro.ilp.highs.LoadedProblem` as the problem
+``scipy.optimize.milp`` gave it (column-wise matrix, the same bounds,
+integer columns and options), maps statuses back, and honours a
+wall-clock time limit so runs stay within the paper's 15-minute
+best-effort budget.  The :class:`~repro.ilp.highs.Problem` is dropped
+once HiGHS has read it, so its arrays are freed before the solve peaks.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from array import array
 from dataclasses import dataclass, replace
 
 from repro.errors import SolverError
-from repro.ilp.highs import Problem, column_wise, run as run_highs
+from repro.ilp.highs import LoadedProblem, Problem, column_wise
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 
@@ -47,8 +49,9 @@ class HighsOptions:
 
 
 def _milp_arrays(model: Model):
-    """The model as the leading arguments of :func:`repro.ilp.highs.run`:
-    the :class:`~repro.ilp.highs.Problem` and the column bounds
+    """The model as the leading arguments of
+    :class:`~repro.ilp.highs.LoadedProblem`: the
+    :class:`~repro.ilp.highs.Problem` and the column bounds
     ``scipy.optimize.milp`` passed on."""
     n = len(model.variables)
     c = array("d", [0.0]) * n
@@ -115,7 +118,11 @@ def solve(
 
     started = time.perf_counter()
     try:
-        result = run_highs(problem, lower, upper, _highs_options(opts))
+        loaded = LoadedProblem(problem, lower, upper, _highs_options(opts))
+        # HiGHS holds its own copy now; the column-wise arrays need not
+        # stay resident while the solve peaks.
+        del problem
+        result = loaded.solve(lower, upper)
     except Exception as exc:  # pragma: no cover - backend failure
         raise SolverError(f"HiGHS backend failed: {exc}") from exc
     elapsed = time.perf_counter() - started

@@ -35,12 +35,14 @@ def scheduling_model(name, config=None):
 
 
 def scipy_rows(model):
-    """The model's rows as the ``scipy.sparse.csr_matrix`` that
-    ``Model.row_matrix`` built from the raw triplets on SciPy."""
+    """The model's stored entries as the ``scipy.sparse.csr_matrix`` SciPy
+    builds from them as triplets, in its canonical order — an oracle that
+    does not trust the stored rows to be column-sorted."""
     from scipy import sparse
 
+    row_ids = np.repeat(np.arange(model.num_rows), np.diff(np.asarray(model._indptr)))
     return sparse.csr_matrix(
-        (np.asarray(model._vals), (np.asarray(model._rows), np.asarray(model._cols))),
+        (np.asarray(model._vals), (row_ids, np.asarray(model._cols))),
         shape=(model.num_rows, len(model.variables)),
     )
 

@@ -31,7 +31,6 @@ from pathlib import Path
 import pytest
 
 from repro import procutil
-from repro.arch import pathkernel
 from repro.core.stages import PDW_PIPELINE
 from repro.experiments import runner
 from repro.export import canonical_plan_json
@@ -317,8 +316,6 @@ class HoldLocksAcrossFork:
                 sched_journal._WRITE_LOCK,
                 obs_metrics.registry()._lock,
                 tracer()._lock,
-                pathkernel._KERNELS_LOCK,
-                runner._CACHE_LOCK,
             ]
             held, release = threading.Event(), threading.Event()
 

@@ -79,13 +79,29 @@ def _fake_highs_result(status, x, mip_gap=None, message="fake"):
     return HighsResult(status, message, x=x, mip_gap=mip_gap)
 
 
+def _fake_loaded_problem(result, options_seen=None):
+    """A stand-in for :class:`~repro.ilp.highs.LoadedProblem` whose solve
+    returns ``result``; the option map it was built with goes into
+    ``options_seen``."""
+
+    class FakeLoadedProblem:
+        def __init__(self, problem, col_lower, col_upper, options):
+            if options_seen is not None:
+                options_seen.update(options)
+
+        def solve(self, col_lower, col_upper):
+            return result
+
+    return FakeLoadedProblem
+
+
 class TestBrokenBackendResults:
     """Degenerate backend results must become ERROR, never silent repairs."""
 
     def _solve_with_fake(self, monkeypatch, result):
         import repro.ilp.solver as solver_mod
 
-        monkeypatch.setattr(solver_mod, "run_highs", lambda *args: result)
+        monkeypatch.setattr(solver_mod, "LoadedProblem", _fake_loaded_problem(result))
         m = Model()
         m.add_integer_var("x", 0, 10)
         m.set_objective(LinExpr({}, 0.0))
@@ -155,13 +171,12 @@ class TestOptionOverrideMerge:
     def _captured_options(self, monkeypatch, **solve_kwargs):
         import repro.ilp.solver as solver_mod
 
-        captured = {}
-
-        def fake_run_highs(*args):
-            captured.update(args[-1])  # the HiGHS option map
-            return _fake_highs_result(status=0, x=np.array([0.0]))
-
-        monkeypatch.setattr(solver_mod, "run_highs", fake_run_highs)
+        captured = {}  # the HiGHS option map
+        monkeypatch.setattr(
+            solver_mod,
+            "LoadedProblem",
+            _fake_loaded_problem(_fake_highs_result(status=0, x=np.array([0.0])), captured),
+        )
         m = Model()
         m.add_integer_var("x", 0, 10)
         m.set_objective(LinExpr({}, 0.0))
@@ -199,3 +214,40 @@ class TestOptionOverrideMerge:
         assert opts["time_limit"] == pytest.approx(3.0)
         assert opts["mip_rel_gap"] == pytest.approx(0.05)
         assert opts["presolve"] == "off"
+
+
+class TestSolverInputIsFreedBeforeTheSolve:
+    """HiGHS holds its own copy of the model once it has read it, so the
+    :class:`~repro.ilp.highs.Problem` arrays must be gone before HiGHS
+    runs, not resident under its peak."""
+
+    def test_the_column_matrix_is_dead_when_highs_runs(self, monkeypatch):
+        import weakref
+
+        import repro.ilp.highs as highs_mod
+        import repro.ilp.solver as solver_mod
+
+        index_refs, alive_at_solve = [], []
+        column_wise, solve = solver_mod.column_wise, highs_mod.LoadedProblem.solve
+
+        def watched_column_wise(*args):
+            matrix = column_wise(*args)
+            index_refs.append(weakref.ref(matrix.index))
+            return matrix
+
+        def spy(self, col_lower, col_upper):
+            alive_at_solve.append(index_refs[-1]() is not None)
+            return solve(self, col_lower, col_upper)
+
+        monkeypatch.setattr(solver_mod, "column_wise", watched_column_wise)
+        monkeypatch.setattr(highs_mod.LoadedProblem, "solve", spy)
+        m = Model()
+        x = m.add_integer_var("x", 0, 10)
+        y = m.add_integer_var("y", 0, 10)
+        m.add_constr(x + 2 * y >= 7)
+        m.add_constr(x - y <= 2)
+        m.set_objective(x + y)
+        sol = m.solve()
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.objective == pytest.approx(4.0)
+        assert alive_at_solve == [False]

@@ -11,6 +11,8 @@ since imported the whole stack.
   first served job does not pay for it.  That stack is SciPy's HiGHS
   binding alone (:mod:`repro.ilp.highs`): numpy, ``scipy.optimize`` and
   ``scipy.sparse`` stay unloaded.
+* A planning process — the runner's import path, ``pdw serve`` — loads
+  none of the report modules; ``repro.experiments`` exports them lazily.
 * ``ctypes``, which pins glibc's mmap threshold, loads at a process's
   first solve, not at start-up.
 * The artifact cache's code salt is computed on the first cache access:
@@ -104,6 +106,29 @@ def test_forking_and_serving_modules_load_the_solver_eagerly(module, tmp_path):
     loaded = _loaded_after(f"import {module}", tmp_path)
     assert BINDING in loaded
     assert not [m for m in ("numpy", "scipy.optimize", "scipy.sparse", "networkx") if m in loaded]
+
+
+#: The modules that render reports; ``repro.experiments`` exports their
+#: entry points lazily, so planning never loads them.
+REPORT_MODULES = tuple(
+    f"repro.experiments.{name}"
+    for name in (
+        "ablation", "fig4", "fig5", "necessity_stats", "pareto", "reporting", "table2", "timings",
+    )
+)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.experiments.runner; from repro.sim.validate import validate_plan",
+        "import repro.serve",
+    ],
+    ids=["runner", "serve"],
+)
+def test_planning_processes_load_no_report_module(code, tmp_path):
+    loaded = _loaded_after(code, tmp_path)
+    assert not [m for m in REPORT_MODULES if m in loaded]
 
 
 @pytest.mark.parametrize("module", ["repro.experiments.runner", "repro.cli", "repro.serve"])

@@ -1,10 +1,10 @@
 """The lazily resolved package exports cannot drift from their sources.
 
-``repro``, ``repro.arch`` and ``repro.assay`` resolve their public names
-on first access (PEP 562, :mod:`repro.lazyutil`).  Each name must still be
-the very object its defining module exports, star-imports and ``dir()``
-must still see all of ``__all__``, and the quickstart in the package
-docstring must still run.
+``repro``, ``repro.arch``, ``repro.assay`` and ``repro.experiments``
+resolve their public names on first access (PEP 562,
+:mod:`repro.lazyutil`).  Each name must still be the very object its
+defining module exports, star-imports and ``dir()`` must still see all of
+``__all__``, and the quickstart in the package docstring must still run.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ import pytest
 import repro
 import repro.arch
 import repro.assay
+import repro.experiments
 
-PACKAGES = [repro, repro.arch, repro.assay]
+PACKAGES = [repro, repro.arch, repro.assay, repro.experiments]
 
 #: Exports without a ``__module__`` of their own (plain data), by the
 #: module that defines them.
