@@ -10,7 +10,7 @@ Subcommands::
     pdw suite [benchmark ...] [--timeout S] [--retries N] [--resume]
               [--max-rss MB] [--workers N]  # one forked child per benchmark
     pdw suite [benchmark ...] --degrade SPEC[,SPEC...]
-              [--degrade-online [NODE@TICK]]      # degradation matrix
+              [--degrade-online [NODE@TICK]]      # one forked child per cell
     pdw bench [benchmark ...] [--iterations N] [--quick] [--out FILE]
               [--compare BASELINE.json] [--threshold PCT]
     pdw assay <file.json> [--method ...]     # optimize a user assay
@@ -181,15 +181,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_suite.add_argument(
         "--timeout", type=float, default=600.0,
-        help="per-benchmark wall-clock budget in seconds",
+        help="per-benchmark (or per-cell) wall-clock budget in seconds",
     )
     p_suite.add_argument(
         "--retries", type=int, default=0,
-        help="retry crashed/timed-out benchmarks up to N times",
+        help="retry crashed/timed-out benchmarks or cells up to N times",
     )
     p_suite.add_argument(
         "--resume", action="store_true",
-        help="skip benchmarks the run journal already records as succeeded",
+        help="skip benchmarks (or cells) the run journal already records as succeeded",
     )
     p_suite.add_argument(
         "--max-rss", type=float, default=None, metavar="MB",
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_suite.add_argument(
         "--workers", type=int, default=None, metavar="N",
-        help="benchmarks run at once (default: one per benchmark, at most "
+        help="benchmarks (or cells) run at once (default: one each, at most "
         "one per CPU; plans stay byte-identical to serial)",
     )
     p_suite.add_argument(
@@ -441,8 +441,6 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
         time_limit_s=args.time_limit,
         presolve=getattr(args, "presolve", "on"),
     )
-    if args.degrade or args.degrade_online is not None:
-        return _run_degrade_matrix_cmd(args, config)
     budget = RunBudget(
         timeout_s=args.timeout,
         max_rss_bytes=int(args.max_rss * 2**20) if args.max_rss else None,
@@ -457,6 +455,8 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
         resume=args.resume,
         journal_path=default_journal_path(cache),
     )
+    if args.degrade or args.degrade_online is not None:
+        return _run_degrade_matrix_cmd(args, config, executor)
     result = executor.run(args.benchmarks or None, config)
     for entry in result:
         if isinstance(entry, FailureRecord):
@@ -480,16 +480,17 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
     return 0 if not result.failures else 3
 
 
-def _run_degrade_matrix_cmd(args: argparse.Namespace, config: PDWConfig) -> int:
-    """``pdw suite --degrade``: the benchmark × scenario robustness matrix."""
+def _run_degrade_matrix_cmd(args: argparse.Namespace, config: PDWConfig, executor) -> int:
+    """``pdw suite --degrade``: the benchmark × scenario robustness matrix,
+    one cell per work item of the suite's executor."""
     from repro.degrade.suite import run_degrade_matrix
 
     result = run_degrade_matrix(
         names=args.benchmarks or None,
         scenarios=args.degrade,
         config=config,
-        use_cache=not args.no_cache,
         online=args.degrade_online,
+        executor=executor,
     )
     print(result.render())
     ok = sum(1 for row in result.rows if row.ok)

@@ -1,6 +1,6 @@
 """``pdw report degrade`` — the robustness table from journaled matrix runs.
 
-Every :func:`~repro.degrade.suite.run_degrade_matrix` cell appends an
+Every degradation-matrix cell (:class:`~repro.degrade.suite.Cell`) appends an
 ``"event": "degrade"`` record to the suite journal; this report reads
 them back (latest record per benchmark × scenario wins, so re-runs
 supersede stale rows) and renders the robustness table without
@@ -14,17 +14,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.experiments.reporting import render_table
-from repro.pipeline import default_cache
 from repro.sched import journal as sched_journal
 
 
 def degrade_report(journal_path: Optional[Path] = None) -> str:
     """Render the journaled degradation-matrix history as text."""
-    if journal_path is None:
-        from repro.sched.journal import default_journal_path
-
-        journal_path = default_journal_path(default_cache())
-    path = Path(journal_path)
+    path = sched_journal.journal_or_default(journal_path)
     records = sched_journal.read_records(path)
     latest: Dict[Tuple[str, str], dict] = {}
     for record in records:

@@ -14,10 +14,15 @@ outcome                     meaning
 ``FAILED(kind)``            an unrelated failure (bug, injected fault, ...)
 ========================== ======================================================
 
-Rows never raise: a scenario that breaks a benchmark is a reported row,
-and the remaining cells still run.  Every row is journaled (``"event":
-"degrade"`` records in the suite journal) so ``pdw report degrade``
-renders the robustness table without re-running anything.
+Each (benchmark, scenario) :class:`Cell` is a work item of the suite
+engine, :class:`~repro.sched.executor.SuiteExecutor`: ``pdw suite``
+plans each cell in a forked child under the run's budget, retries and
+resumes cells as it does benchmarks, and :func:`run_degrade_matrix`
+without an executor plans them inline.  Rows never raise: a scenario
+that breaks a benchmark is a reported row, and the remaining cells still
+run.  Every row is journaled (``"event": "degrade"`` records in the
+suite journal) so ``pdw report degrade`` renders the robustness table
+without re-running anything.
 """
 
 from __future__ import annotations
@@ -27,17 +32,16 @@ import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.bench import benchmark, benchmark_names, load_benchmark
-from repro.core import PDWConfig, optimize_washes
-from repro.degrade.model import DegradationSpec, parse_matrix
+from repro.bench import benchmark_names
+from repro.core import PDWConfig
+from repro.degrade.model import parse_matrix
 from repro.degrade.repair import parse_fault, repair_plan
 from repro.errors import DegradationError
-from repro.experiments.runner import FailureRecord, classify_failure
+from repro.experiments.runner import FailureRecord, plan_one, run_digest, synthesize_target
 from repro.obs.metrics import registry
 from repro.obs.trace import span
-from repro.pipeline import ArtifactCache, default_cache
-from repro.sched import journal as sched_journal
-from repro.synth import synthesize
+from repro.pipeline import ArtifactCache, chaos, stable_digest
+from repro.sched.executor import SuiteExecutor
 
 #: Degrade-matrix outcomes that count as success for the exit code.
 #: ``DEGRADED`` is a success: the method did exactly what it promises on
@@ -67,12 +71,14 @@ class DegradeRow:
         return self.outcome in SUCCESS_OUTCOMES
 
     def as_record(self) -> dict:
-        """The journal form (``pdw report degrade`` reads these back)."""
+        """The journal form (``pdw report degrade`` and ``--resume`` read
+        these back)."""
         return {
             "event": "degrade",
             "benchmark": self.benchmark,
             "scenario": self.scenario,
             "outcome": self.outcome,
+            "ok": self.ok,
             "coverage": round(self.coverage, 4),
             "dead": sorted(self.dead),
             "uncovered": sorted(self.uncovered),
@@ -132,10 +138,64 @@ class DegradeMatrixResult:
         )
 
 
-def _row_from_plan(name: str, scenario: str, plan, wall_s: float) -> DegradeRow:
-    info = getattr(plan, "degradation", None)
-    coverage = info.coverage if info is not None else 1.0
-    if info is not None:
+@dataclass(frozen=True)
+class Cell:
+    """One (benchmark, scenario) cell: a work item of the suite engine.
+
+    ``degrade`` is the scenario's spec token (``""``: the pristine chip);
+    ``online`` arms a mid-execution fault on top of it (``"auto"`` or
+    ``"node@tick"``, as ``--degrade-online`` takes it).
+    """
+
+    benchmark: str
+    degrade: str = ""
+    online: Optional[str] = None
+
+    @property
+    def scenario(self) -> str:
+        scenario = self.degrade or "none"
+        return f"{scenario}+online" if self.online else scenario
+
+    def digest(self, config: PDWConfig) -> str:
+        """What a journaled row of this cell must match to be resumed."""
+        cfg = dataclasses.replace(config, degrade=self.degrade)
+        return stable_digest("degrade-cell", run_digest(self.benchmark, cfg), self.online)
+
+    def plan(self, config: PDWConfig, cache: Optional[ArtifactCache]) -> DegradeRow:
+        """Plan the cell: the static degraded plan, then the optional online
+        leg.  Scoped for ``@<benchmark>`` stage faults; raises what fails."""
+        started = time.perf_counter()
+        cfg = dataclasses.replace(config, degrade=self.degrade)
+        with span("degrade.scenario", benchmark=self.benchmark, scenario=self.scenario), \
+                chaos.scope(self.benchmark):
+            synthesis = synthesize_target(self.benchmark)
+            plan = plan_one(synthesis, "pdw", cfg, cache)
+            row = self._row(plan)
+            if self.online:
+                fault = parse_fault(self.online, plan, synthesis)
+                repair = repair_plan(plan, synthesis, cfg, fault, cache=cache)
+                info = repair.plan.degradation
+                row.repair_rounds = len(repair.records)
+                row.warm_started = any(r.warm_started for r in repair.records)
+                row.washes = repair.plan.n_wash
+                if repair.status == "infeasible":
+                    row.outcome = "INFEASIBLE_DEGRADED"
+                    row.coverage = info.coverage if info is not None else 0.0
+                    row.message = repair.detail
+                else:
+                    row.outcome = "REPAIRED" if repair.status == "repaired" else "DEGRADED"
+                    if info is not None:
+                        row.coverage = info.coverage
+                        row.dead = tuple(sorted(info.dead))
+                        row.uncovered = tuple(info.uncovered_targets)
+        row.wall_s = time.perf_counter() - started
+        return row
+
+    def _row(self, plan) -> DegradeRow:
+        """The static plan's row, its dead nodes counted by kind."""
+        info = plan.degradation
+        if info is None:
+            return DegradeRow(self.benchmark, self.scenario, "OK", washes=plan.n_wash)
         reg = registry()
         for kind, nodes in (
             ("channel", info.dead_channels),
@@ -145,16 +205,30 @@ def _row_from_plan(name: str, scenario: str, plan, wall_s: float) -> DegradeRow:
         ):
             if nodes:
                 reg.counter("pdw_degrade_dead_nodes_total", kind=kind).inc(len(nodes))
-    return DegradeRow(
-        benchmark=name,
-        scenario=scenario,
-        outcome="OK" if coverage >= 1.0 else "DEGRADED",
-        coverage=coverage,
-        dead=tuple(sorted(info.dead)) if info is not None else (),
-        uncovered=tuple(info.uncovered_targets) if info is not None else (),
-        washes=plan.n_wash,
-        wall_s=wall_s,
-    )
+        return DegradeRow(
+            self.benchmark, self.scenario,
+            "OK" if info.coverage >= 1.0 else "DEGRADED",
+            coverage=info.coverage,
+            dead=tuple(sorted(info.dead)),
+            uncovered=tuple(info.uncovered_targets),
+            washes=plan.n_wash,
+        )
+
+    def finished(self, entry, wall_s: float) -> DegradeRow:
+        """The cell's row once the engine is done with it: the planned row,
+        or a terminal :class:`FailureRecord` as a ``FAILED(kind)`` (or
+        ``INFEASIBLE_DEGRADED``) row."""
+        row = entry
+        if isinstance(entry, FailureRecord):
+            row = DegradeRow(self.benchmark, self.scenario, entry.label, coverage=0.0,
+                             wall_s=wall_s, message=entry.message)
+        registry().counter("pdw_degrade_scenarios_total", outcome=row.outcome).inc()
+        return row
+
+    def replay(self, record: dict) -> DegradeRow:
+        """The row a journaled ``degrade`` record holds (``--resume``)."""
+        row = DegradeRow(**{f.name: record[f.name] for f in dataclasses.fields(DegradeRow)})
+        return dataclasses.replace(row, dead=tuple(row.dead), uncovered=tuple(row.uncovered))
 
 
 def run_degrade_matrix(
@@ -165,18 +239,19 @@ def run_degrade_matrix(
     online: Optional[str] = None,
     journal_path=None,
     use_cache: bool = True,
+    executor=None,
 ) -> DegradeMatrixResult:
     """Run the degradation matrix and return one row per cell.
 
     ``scenarios`` is the raw ``--degrade`` value (comma-separated specs /
     presets).  ``online`` arms mid-execution fault injection on top of
-    each scenario's static damage: ``"auto"`` picks a repairable fault
-    deterministically, ``"node@tick"`` pins one.  With ``online`` set and
-    ``scenarios`` empty the matrix runs one pristine-chip scenario per
-    benchmark (pure online repair).  Journal records land in the suite
-    journal (or ``journal_path``) for ``pdw report degrade``.
-    ``use_cache=False`` (``--no-cache``) writes no artifacts; as under
-    ``pdw suite``, the journal is written either way.
+    each scenario's static damage; with ``scenarios`` empty every
+    benchmark gets one pristine-chip cell (pure online repair).  ``executor``
+    runs the cells (``pdw suite`` passes its budgeted
+    :class:`~repro.sched.executor.SuiteExecutor`); without one they run
+    inline, one at a time, with ``cache`` / ``use_cache`` as for
+    :func:`~repro.experiments.runner.run_benchmark` and rows journaled to
+    ``journal_path`` (``None``: not journaled).
     """
     base_config = config if config is not None else PDWConfig()
     if base_config.degrade:
@@ -184,92 +259,15 @@ def run_degrade_matrix(
             "pass degradation scenarios via the matrix argument, not "
             "through PDWConfig.degrade"
         )
-    names = list(names) if names else benchmark_names()
     if scenarios.strip():
-        specs: List[Optional[DegradationSpec]] = list(parse_matrix(scenarios))
+        tokens = [spec.token() for spec in parse_matrix(scenarios)]
     elif online:
-        specs = [None]  # pristine chip, online fault only
+        tokens = [""]
     else:
         raise DegradationError("the degradation matrix needs at least one scenario")
-
-    cache = cache if cache is not None else (default_cache() if use_cache else None)
-    if journal_path is None:
-        from repro.sched.journal import default_journal_path
-
-        journal_path = default_journal_path(cache)
-
-    reg = registry()
-    result = DegradeMatrixResult(journal_path=journal_path)
-    for name in names:
-        synthesis = None
-        for spec in specs:
-            scenario = spec.token() if spec is not None else "none"
-            if online:
-                scenario = f"{scenario}+online"
-            started = time.perf_counter()
-            with span("degrade.scenario", benchmark=name, scenario=scenario):
-                try:
-                    if synthesis is None:
-                        bench_spec = benchmark(name)
-                        synthesis = synthesize(
-                            load_benchmark(name), inventory=bench_spec.inventory
-                        )
-                    row = _run_cell(
-                        name, scenario, spec, synthesis, base_config, cache, online,
-                        started,
-                    )
-                except Exception as exc:  # noqa: BLE001 — every failure is a row
-                    kind, message = classify_failure(exc)
-                    if isinstance(exc, DegradationError):
-                        kind = "infeasible_degraded"  # a spec this chip cannot take
-                    row = DegradeRow(
-                        benchmark=name,
-                        scenario=scenario,
-                        outcome=FailureRecord(name, kind).label,
-                        coverage=0.0,
-                        wall_s=time.perf_counter() - started,
-                        message=message,
-                    )
-            reg.counter("pdw_degrade_scenarios_total", outcome=row.outcome).inc()
-            result.rows.append(row)
-            if journal_path is not None:
-                sched_journal.append_record(journal_path, row.as_record())
-    return result
-
-
-def _run_cell(
-    name: str,
-    scenario: str,
-    spec: Optional[DegradationSpec],
-    synthesis,
-    base_config: PDWConfig,
-    cache,
-    online: Optional[str],
-    started: float,
-) -> DegradeRow:
-    """One matrix cell: static degraded plan, then the optional online leg."""
-    cfg = base_config
-    if spec is not None:
-        cfg = dataclasses.replace(base_config, degrade=spec.token())
-    plan = optimize_washes(synthesis, cfg, cache=cache)
-    row = _row_from_plan(name, scenario, plan, time.perf_counter() - started)
-
-    if online:
-        fault = parse_fault(online, plan, synthesis)
-        repair = repair_plan(plan, synthesis, cfg, fault, cache=cache)
-        info = getattr(repair.plan, "degradation", None)
-        row.repair_rounds = len(repair.records)
-        row.warm_started = any(r.warm_started for r in repair.records)
-        row.washes = repair.plan.n_wash
-        row.wall_s = time.perf_counter() - started
-        if repair.status == "infeasible":
-            row.outcome = "INFEASIBLE_DEGRADED"
-            row.coverage = info.coverage if info is not None else 0.0
-            row.message = repair.detail
-        else:
-            row.outcome = "REPAIRED" if repair.status == "repaired" else "DEGRADED"
-            if info is not None:
-                row.coverage = info.coverage
-                row.dead = tuple(sorted(info.dead))
-                row.uncovered = tuple(info.uncovered_targets)
-    return row
+    names = list(names) if names else benchmark_names()
+    cells = [Cell(name, token, online) for name in names for token in tokens]
+    if executor is None:
+        executor = SuiteExecutor(cache=cache, use_cache=use_cache, journal_path=journal_path)
+    result = executor.run(cells, base_config)
+    return DegradeMatrixResult(rows=list(result), journal_path=result.journal_path)

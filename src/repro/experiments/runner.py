@@ -41,7 +41,7 @@ from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig, optimize_washes
 from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
-from repro.errors import DegradedInfeasibleError, ReproError
+from repro.errors import DegradationError, DegradedInfeasibleError, ReproError
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
@@ -143,7 +143,9 @@ def classify_failure(exc: BaseException) -> Tuple[str, str]:
         return "crash", str(exc)
     if isinstance(exc, MemoryError):
         return "oom", "MemoryError while running benchmark"
-    if isinstance(exc, DegradedInfeasibleError):
+    if isinstance(exc, (DegradedInfeasibleError, DegradationError)):
+        # A degradation spec this chip cannot take is as final as one
+        # proven unwashable.
         return "infeasible_degraded", str(exc)
     if isinstance(exc, ReproError):
         return "error", str(exc)

@@ -8,10 +8,10 @@ one 6.7 MB binding (docs/PERFORMANCE.md "Where peak memory goes").
 :func:`_load_binding` loads the file directly under its canonical module
 name instead, so a later ``import scipy.optimize`` reuses it.
 
-:func:`run` hands HiGHS one problem ``min c @ x  s.t.  row_lower <= A @ x
-<= row_upper,  col_lower <= x <= col_upper`` as a private temporary file
-in HiGHS's own array format, EMS, and maps the outcome the way SciPy's
-``_highs_to_scipy_status_message`` does.  The binding's ``HighsLp``
+:class:`LoadedProblem` hands HiGHS one problem ``min c @ x  s.t.
+row_lower <= A @ x <= row_upper,  col_lower <= x <= col_upper`` as a
+private temporary file in HiGHS's own array format, EMS, and maps each
+solve's outcome the way SciPy's ``_highs_to_scipy_status_message`` does.  The binding's ``HighsLp``
 setters take numpy arrays, and touching any of them imports numpy;
 ``readModel`` and ``getSolution`` do not, so no planning process loads
 numpy (docs/PERFORMANCE.md "HiGHS through an EMS file").  ``readModel``
@@ -19,13 +19,13 @@ hands the parsed model to the same ``passModel`` a ``HighsLp`` went
 through, so HiGHS solves the very problem ``scipy.optimize.milp`` and
 ``linprog(method="highs")`` gave it.  :mod:`repro.ilp.solver` reads the
 MILP into a :class:`LoadedProblem` and drops the :class:`Problem` before
-solving it once, as :func:`run` does; :mod:`repro.ilp.branch_bound` reads
-its LP relaxation once into a :class:`LoadedProblem` and re-solves it per
-node.
+solving it once; :mod:`repro.ilp.branch_bound` reads its LP relaxation
+once into a :class:`LoadedProblem` and re-solves it per node.
 
-Before a process's first HiGHS instance, :func:`pin_mmap_threshold`
-holds glibc's mmap threshold at its default, so the buffers HiGHS frees
-go back to the OS instead of fragmenting the heap.
+Before a process's first HiGHS instance, or before its first forked
+child (:class:`repro.procutil.Child`), :func:`pin_mmap_threshold` holds
+glibc's mmap threshold at its default, so the buffers HiGHS frees go
+back to the OS instead of fragmenting the heap.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ _M_MMAP_THRESHOLD = -3
 #: holds in place.
 MMAP_THRESHOLD = 128 * 1024
 
-#: Whether :class:`LoadedProblem` still pins the threshold before it
-#: creates this process's first HiGHS instance.
+#: Whether the threshold is still to pin in this process: before its
+#: first HiGHS instance (:class:`LoadedProblem`) or its first forked
+#: child (:class:`repro.procutil.Child`), whichever comes first.
 _pin_pending = True
 
 
@@ -158,19 +159,6 @@ def pin_mmap_threshold() -> None:
         ctypes.CDLL(None).mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     except (AttributeError, OSError, TypeError):
         pass
-
-
-def leave_pin_to_caller() -> None:
-    """Keep :class:`LoadedProblem` from pinning the threshold itself.
-
-    For a process that forks solving children from threads (``pdw
-    serve``): an import in such a child may wait forever on a lock
-    another thread held at fork time, and the pin imports ``ctypes``.
-    The caller pins with :func:`pin_mmap_threshold` before its first
-    fork instead, and the children inherit the setting.
-    """
-    global _pin_pending
-    _pin_pending = False
 
 
 class ColumnMatrix(NamedTuple):
@@ -235,7 +223,8 @@ def _write_line(out: TextIO, values: Sequence, text=repr) -> None:
 class Problem(NamedTuple):
     """``min c @ x  s.t.  row_lower <= A @ x <= row_upper`` in EMS terms.
 
-    The column bounds are left open: :func:`run` takes them per solve.
+    The column bounds are left open: :class:`LoadedProblem` takes them
+    per solve.
     ``integer_columns`` lists the columns HiGHS must keep integral; a
     problem without any is a pure LP.  Numbers are written with ``repr``,
     so HiGHS parses back the very doubles held here.
@@ -415,17 +404,3 @@ class LoadedProblem:
             mip_dual_bound=info.mip_dual_bound if self.is_mip else None,
         )
 
-
-def run(
-    problem: Problem,
-    col_lower: Sequence[float],
-    col_upper: Sequence[float],
-    options: Mapping[str, Any],
-) -> HighsResult:
-    """Solve ``problem`` once within the column bounds: a
-    :class:`LoadedProblem` used for one solve.  This frame lets go of
-    ``problem`` before HiGHS runs; it is freed then if the caller holds
-    no other reference."""
-    loaded = LoadedProblem(problem, col_lower, col_upper, options)
-    del problem
-    return loaded.solve(col_lower, col_upper)

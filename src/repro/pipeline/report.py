@@ -33,10 +33,11 @@ class StageRecord:
     def origin(self) -> str:
         """Where the artifact came from: computed | cache | shared.
 
-        Derived (not stored) so reports pickled by older code versions
-        keep loading.  ``shared`` rows were handed in by another pipeline
-        (zero wall time); ``cache`` rows cost one cache lookup, recorded
-        as this record's ``wall_s`` (and the ``cache_lookup_s`` counter).
+        Derived (not stored) from ``cached`` and the ``shared`` counter,
+        which already say it, so the three can never disagree.
+        ``shared`` rows were handed in by another pipeline (zero wall
+        time); ``cache`` rows cost one cache lookup, recorded as this
+        record's ``wall_s`` (and the ``cache_lookup_s`` counter).
         Timing statistics must average ``computed`` rows only.
         """
         if self.counters.get("shared"):

@@ -66,7 +66,10 @@ class Child:
 
     ``target(conn, *args)`` runs in the child and sends one payload over
     ``conn``.  ``timeout_s`` is the wall-clock budget the parent holds
-    it to (``None``: no budget).  The parent keeps only the read end, so
+    it to (``None``: no budget).  The first child of a process pins
+    glibc's mmap threshold (:func:`repro.ilp.highs.pin_mmap_threshold`)
+    in the parent first, and every child inherits it.  The parent keeps
+    only the read end, so
     the pipe reads EOF exactly when the child is gone — provided no other
     child was forked while this one's write end was still open here,
     which callers that fork from several threads serialize.
@@ -79,6 +82,10 @@ class Child:
         name: Optional[str] = None,
         timeout_s: Optional[float] = None,
     ):
+        from repro.ilp import highs
+
+        if highs._pin_pending:  # no child imports ctypes (it can fail under a cap)
+            highs.pin_mmap_threshold()
         self.conn, child_conn = MP.Pipe(duplex=False)
         self.proc = MP.Process(
             target=target, args=(child_conn, *args), name=name, daemon=True

@@ -1,15 +1,16 @@
 """The suite's run journal, budgets and journal reports.
 
-:class:`~repro.sched.executor.SuiteExecutor` (every ``pdw suite``), the
-degradation matrix and ``pdw serve`` append to one JSONL file,
+:class:`~repro.sched.executor.SuiteExecutor` (every ``pdw suite``, with
+or without ``--degrade``) and ``pdw serve`` append to one JSONL file,
 ``<cache>/journal/suite.jsonl`` (:func:`default_journal_path`).
-Benchmark-level events are ``attempt``/``success``/``failure``/``retry``/
-``metrics``; serve adds ``serve`` lifecycle events.  While a process has
+Work-item events are ``attempt``/``success``/``failure``/``retry``/
+``metrics``, and a matrix cell's ``degrade`` row (those of a cell carry
+its ``scenario``); serve adds ``serve`` lifecycle events.  While a process has
 a run journal set (:func:`stage_journal`), every stage a
 :class:`~repro.pipeline.stage.PipelineRun` records adds one ``stage``
 event (:func:`record_stage`): ``pdw serve`` counts a job's own (they
 carry its id) for job progress.
-``pdw suite --resume`` replays journaled successes
+``pdw suite --resume`` skips journaled successes
 (:func:`journaled_successes`), ``pdw report failures`` renders the
 history (:func:`failures_report`) and :func:`merged_metrics` rebuilds a
 run's metrics from the snapshots its benchmark processes journaled.
@@ -169,24 +170,26 @@ def read_records(path: Path, offset: int = 0) -> List[dict]:
     return records
 
 
-def journaled_successes(records: Iterable[dict]) -> Dict[str, str]:
-    """Latest terminal outcome per benchmark: ``{name: digest}`` of
-    successes, dropping names whose most recent terminal event is a
-    failure."""
-    done: Dict[str, str] = {}
+def journaled_successes(records: Iterable[dict]) -> Dict[Tuple[str, Optional[str]], dict]:
+    """The finished work items and their terminal records, keyed by
+    ``(benchmark, scenario)`` (``scenario`` ``None`` for a benchmark):
+    a benchmark whose latest terminal event is a ``success``, a matrix
+    cell whose latest ``degrade`` row is ``ok``."""
+    done: Dict[Tuple[str, Optional[str]], dict] = {}
     for record in records:
         event = record.get("event")
-        name = record.get("benchmark")
-        if not name:
+        key = (record.get("benchmark"), record.get("scenario"))
+        if not key[0]:
             continue
-        if event == "success":
-            done[name] = record.get("digest", "")
-        elif event == "failure":
-            done.pop(name, None)
+        if event == "success" or (event == "degrade" and record.get("ok")):
+            done[key] = record
+        elif event in ("failure", "degrade"):
+            done.pop(key, None)
     return done
 
 
-def _journal_or_default(journal_path: Optional[Path]) -> Path:
+def journal_or_default(journal_path: Optional[Path]) -> Path:
+    """``journal_path``, or the default cache's journal when ``None``."""
     if journal_path is not None:
         return Path(journal_path)
     return default_journal_path(default_cache())
@@ -200,7 +203,7 @@ def merged_metrics(journal_path: Optional[Path] = None) -> obs_metrics.MetricsRe
     """
     snapshots = [
         rec["snapshot"]
-        for rec in read_records(_journal_or_default(journal_path))
+        for rec in read_records(journal_or_default(journal_path))
         if rec.get("event") == "metrics" and isinstance(rec.get("snapshot"), dict)
     ]
     return obs_metrics.merge_snapshots(snapshots)
@@ -210,7 +213,7 @@ def failures_report(journal_path: Optional[Path] = None) -> str:
     """Render the suite journal's failure history as text."""
     from repro.experiments.reporting import render_table
 
-    path = _journal_or_default(journal_path)
+    path = journal_or_default(journal_path)
     records = read_records(path)
     if not records:
         return f"no suite journal at {path}\n"

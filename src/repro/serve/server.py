@@ -62,7 +62,6 @@ import repro.arch.io  # noqa: F401
 from repro.assay import graph_from_dict
 from repro.experiments.runner import classify_failure, plan_one
 from repro.export.plan_json import canonical_plan_dict
-from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
 from repro.pipeline import ArtifactCache, default_cache
 from repro.pipeline import cache as artifact_cache
@@ -76,10 +75,6 @@ from repro.serve.wire import JobSpec, job_digest
 
 #: Seconds clients are told to back off when admission rejects with 429.
 RETRY_AFTER_S = 5
-
-# Pinning glibc's mmap threshold imports ctypes, which a job child must
-# not do; the server pins before its first fork instead (JobServer._fork).
-highs.leave_pin_to_caller()
 
 
 def _job_entry(
@@ -163,7 +158,6 @@ class JobServer:
         self.job_metrics = obs_metrics.registry()
         self._fork_lock = threading.Lock()
         self._children: Set[Any] = set()
-        self._pinned = False
 
         self._http = _HttpServer((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
@@ -278,15 +272,12 @@ class JobServer:
         pipe write end: the parent closes its copy before the next fork,
         so each pipe reads EOF exactly when its own child is gone.  The
         first fork pins glibc's mmap threshold for every child
-        (:func:`repro.ilp.highs.pin_mmap_threshold`), after the readiness
-        line, so server start-up does not pay for it.
+        (:class:`~repro.procutil.Child`), after the readiness line, so
+        server start-up does not pay for it.
         """
         with self._fork_lock:
             if self._stop.is_set():
                 raise JobFailure("crash", "server shut down before the job started")
-            if not self._pinned:
-                highs.pin_mmap_threshold()
-                self._pinned = True
             child = Child(
                 _job_entry,
                 (job.id, job.spec, self.cache if self.use_cache else None,

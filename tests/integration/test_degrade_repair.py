@@ -1,10 +1,12 @@
 """Integration tests: online detect→replan repair and the degrade matrix."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+from repro.bench import BENCHMARKS
 from repro.cli import main
 from repro.core import PDWConfig, optimize_washes
 from repro.degrade.repair import (
@@ -14,6 +16,7 @@ from repro.degrade.repair import (
 )
 from repro.degrade.suite import SUCCESS_OUTCOMES, run_degrade_matrix
 from repro.errors import DegradationError
+from repro.sched import journal as sched_journal
 from repro.sched.journal import JOURNAL_NAME
 from repro.export.plan_json import plan_to_dict
 from repro.sim.events import SimEventKind
@@ -91,9 +94,12 @@ def test_degrade_matrix_static_rows(tmp_path):
     scenarios = [row.scenario for row in result.rows]
     assert scenarios == ["channels=1:seed=0", "channels=2:valves=1:seed=0"]
 
+    # Each cell is a suite-engine work item: its attempt, its stages, and
+    # its row in place of a benchmark's success record.
     records = [json.loads(line) for line in journal.read_text().splitlines()]
-    assert [r["event"] for r in records] == ["degrade", "degrade"]
-    assert {r["scenario"] for r in records} == set(scenarios)
+    events = [r["event"] for r in records if r["event"] != "stage"]
+    assert events == ["attempt", "degrade", "attempt", "degrade"]
+    assert {r["scenario"] for r in records if r["event"] != "stage"} == set(scenarios)
 
 
 def test_degrade_matrix_online_repair(tmp_path):
@@ -111,7 +117,8 @@ def test_degrade_matrix_online_repair(tmp_path):
 
 
 def test_a_crashing_cell_is_a_row_and_the_next_cell_runs(tmp_path, monkeypatch):
-    from repro.degrade import suite
+    # Cells plan through runner.plan_one, as `pdw run` does.
+    from repro.experiments import runner
 
     planned = []
 
@@ -121,8 +128,8 @@ def test_a_crashing_cell_is_a_row_and_the_next_cell_runs(tmp_path, monkeypatch):
             raise RuntimeError("a bug in the first cell")
         return real(synthesis, config, cache=cache)
 
-    real = suite.optimize_washes
-    monkeypatch.setattr(suite, "optimize_washes", optimize_washes)
+    real = runner.optimize_washes
+    monkeypatch.setattr(runner, "optimize_washes", optimize_washes)
     result = run_degrade_matrix(
         names=["PCR"], scenarios="light,moderate",
         journal_path=tmp_path / "journal.jsonl", use_cache=False,
@@ -178,3 +185,113 @@ def test_suite_cli_online_repair_exits_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "REPAIRED" in out or "DEGRADED" in out
+
+
+# -- cells on the suite engine ----------------------------------------------------
+
+#: The degrade-repair benchmark's matrix, whose final plans are pinned in
+#: perf/reference.json.
+PINNED = ["IVD", "Kinase-act-2", "Synthetic1"]
+PINNED_SPEC = "channels=2:valves=1:seed=1"
+
+
+def _plan_digests(monkeypatch, directory: Path) -> Path:
+    """Record every cell's final plan digest under ``directory``, from
+    whichever process plans the cell (a forked child inherits the patch)."""
+    import hashlib
+
+    from repro.degrade import suite
+    from repro.export import canonical_plan_json
+
+    real = suite.repair_plan
+
+    def repair_plan(plan, synthesis, config, fault, cache=None):
+        result = real(plan, synthesis, config, fault, cache=cache)
+        text = canonical_plan_json(result.plan)
+        (directory / synthesis.assay.name).write_text(
+            hashlib.sha256(text.encode("utf-8")).hexdigest()
+        )
+        return result
+
+    directory.mkdir()
+    monkeypatch.setattr(suite, "repair_plan", repair_plan)
+    return directory
+
+
+def _rows(table: str) -> list:
+    """A rendered matrix's rows without their wall_s column."""
+    rows = []
+    for line in table.splitlines():
+        parts = line.split()
+        if len(parts) >= 8 and parts[0] in BENCHMARKS:
+            rows.append(parts[:7] + parts[8:])
+    return rows
+
+
+def test_forked_cells_print_the_inline_rows_and_plans(tmp_path, monkeypatch, capsys):
+    # One matrix three ways: inline, forked at the default width, forked
+    # one cell at a time.  The rows (wall aside) and the final plans agree,
+    # and the plans are the pinned ones (HiGHS plans: clear a forced rung).
+    from repro.ilp import faults
+
+    monkeypatch.delenv(faults.ENV_FORCE, raising=False)
+    monkeypatch.delenv(faults.ENV_FAULT, raising=False)
+    with open(Path(__file__).resolve().parents[2] / "perf" / "reference.json") as fh:
+        reference = json.load(fh)["digests"]
+    pins = {name: reference[f"degrade/{name}"] for name in PINNED}
+    tables, plans = [], []
+    for run, widths in enumerate([None, [], ["--workers", "1"]]):
+        digests = _plan_digests(monkeypatch, tmp_path / f"plans{run}")
+        if widths is None:
+            result = run_degrade_matrix(
+                names=PINNED, scenarios=PINNED_SPEC, online="auto",
+                config=PDWConfig(time_limit_s=120), use_cache=False,
+            )
+            tables.append(_rows(result.render()))
+        else:
+            argv = ["suite", *PINNED, "--degrade", PINNED_SPEC, "--degrade-online",
+                    "auto", "--no-cache", *widths]
+            assert main(argv) == 0
+            tables.append(_rows(capsys.readouterr().out))
+        plans.append({name: (digests / name).read_text() for name in PINNED})
+    assert len(tables[0]) == 3
+    assert tables[1] == tables[0] and tables[2] == tables[0]
+    assert plans == [pins] * 3
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_hung_cell_times_out_and_the_next_cell_runs(stage_fault, capsys):
+    from tests.integration.test_serve import children_of
+
+    stage_fault("pathgen:hang:60@PCR")
+    kids = children_of(os.getpid())
+    code = main(["suite", "PCR", "IVD", "--degrade", "light", "--timeout", "5"])
+    out = capsys.readouterr().out
+    assert code == 3
+    rows = {line.split()[0]: line.split()[2] for line in out.splitlines()
+            if line.split()[:1] in (["PCR"], ["IVD"])}
+    assert rows["PCR"] == "FAILED(timeout)"
+    assert rows["IVD"] in SUCCESS_OUTCOMES
+    assert children_of(os.getpid()) <= kids, "a cell's process outlived its timeout"
+
+
+def test_resume_skips_the_cells_journaled_done(tmp_path, monkeypatch, stage_fault, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    journal = tmp_path / "cache" / JOURNAL_NAME
+    argv = ["suite", "PCR", "Kinase-act-1", "--degrade", "light", "--resume"]
+    stage_fault("pathgen:crash@PCR")
+    assert main(argv) == 3
+    first = _rows(capsys.readouterr().out)
+
+    monkeypatch.delenv("REPRO_INJECT_STAGE_FAULT")
+    for rerun in ("PCR", None):
+        offset = sched_journal.journal_size(journal)
+        assert main(argv) == 0
+        rows = _rows(capsys.readouterr().out)
+        records = sched_journal.read_records(journal, offset)
+        # Only the failed cell runs again, then nothing does.
+        assert {r["benchmark"] for r in records if r["event"] in ("attempt", "stage")} == (
+            {rerun} if rerun else set()
+        )
+        assert rows[1] == first[1]  # Kinase-act-1's row, replayed from its record
+    assert rows[0][2] in SUCCESS_OUTCOMES

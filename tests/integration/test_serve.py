@@ -34,6 +34,7 @@ from repro import procutil
 from repro.core.stages import PDW_PIPELINE
 from repro.experiments import runner
 from repro.export import canonical_plan_json
+from repro.ilp import highs
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import tracer
 from repro.pipeline import ArtifactCache
@@ -380,10 +381,14 @@ class TestJobProcesses:
         self, make_server, monkeypatch
     ):
         pins = []
-        monkeypatch.setattr(
-            server_module.highs, "pin_mmap_threshold",
-            lambda: pins.append(children_of(os.getpid())),
-        )
+
+        def pin():
+            pins.append(children_of(os.getpid()))
+            highs._pin_pending = False
+
+        # As in a fresh server process, whose first fork pins (procutil.Child).
+        monkeypatch.setattr(highs, "_pin_pending", True)
+        monkeypatch.setattr(highs, "pin_mmap_threshold", pin)
         srv, cli = make_server()
         kids = children_of(os.getpid())
         assert pins == []  # start-up does not pay for it

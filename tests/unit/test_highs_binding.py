@@ -34,8 +34,15 @@ def _model(models, name):
     return models[name]
 
 
+def _solve_once(model, options):
+    """One solve of ``model`` the way ``solver.solve`` makes it."""
+    problem, lower, upper = solver._milp_arrays(model)
+    loaded = highs.LoadedProblem(problem, lower, upper, solver._highs_options(options))
+    return loaded.solve(lower, upper)
+
+
 def assert_same_as_milp(model, options):
-    got = highs.run(*solver._milp_arrays(model), solver._highs_options(options))
+    got = _solve_once(model, options)
     want = milp_reference(model, options)
     assert got.status == want.status
     assert got.message == want.message
@@ -124,7 +131,7 @@ def test_unwritable_model_file_is_a_solver_error(models, tmp_path, monkeypatch):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
     model = _model(models, "PCR")
     with pytest.raises(SolverError, match="cannot write the HiGHS model file"):
-        highs.run(*solver._milp_arrays(model), solver._highs_options(HighsOptions()))
+        _solve_once(model, HighsOptions())
     with pytest.raises(SolverError, match="cannot write the HiGHS model file"):
         BranchAndBoundSolver(time_limit_s=60).solve(model)
 
@@ -328,16 +335,3 @@ def test_the_first_solve_of_a_process_pins_the_mmap_threshold_once(models, monke
     if make is _Libc:
         assert calls[1:] == [("mallopt", -3, 128 * 1024)]
     assert not highs._pin_pending
-
-
-def test_a_process_that_takes_the_pin_over_never_pins_in_a_solve(models, monkeypatch):
-    import ctypes
-
-    cdll, calls = _cdll(_Libc)
-    monkeypatch.setattr(ctypes, "CDLL", cdll)
-    monkeypatch.setattr(highs, "_pin_pending", True)
-    highs.leave_pin_to_caller()
-    assert solver.solve(_model(models, "PCR"), time_limit_s=120).status.value == "optimal"
-    assert calls == []
-    highs.pin_mmap_threshold()
-    assert calls == [("CDLL", None), ("mallopt", -3, 128 * 1024)]

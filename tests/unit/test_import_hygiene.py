@@ -14,7 +14,8 @@ since imported the whole stack.
 * A planning process — the runner's import path, ``pdw serve`` — loads
   none of the report modules; ``repro.experiments`` exports them lazily.
 * ``ctypes``, which pins glibc's mmap threshold, loads at a process's
-  first solve, not at start-up.
+  first solve or before its first forked child, not at start-up; a
+  forked child inherits the pin and never loads it.
 * The artifact cache's code salt is computed on the first cache access:
   neither importing an entry point nor a cache-off run computes it.
 * networkx and numpy are test-only dependencies: no runtime module loads
@@ -138,6 +139,24 @@ def test_entry_points_leave_ctypes_to_the_first_solve(module, tmp_path):
     assert "ctypes" not in _loaded_after(f"import {module}", tmp_path)
 
 
+def test_the_suite_engine_loads_in_the_suite_handler(tmp_path):
+    # `import repro.cli` loads neither the engine nor the degradation
+    # matrix; `pdw suite --degrade` imports both once dispatched to it.
+    lines = _run_fresh(
+        """
+        import sys
+        from repro.cli import main
+
+        engine = ("repro.sched.executor", "repro.degrade.suite", "repro.procutil")
+        print([m for m in engine if m in sys.modules])
+        assert main(["suite", "PCR", "--degrade", "light", "--no-cache"]) == 0
+        print([m for m in engine if m not in sys.modules])
+        """,
+        tmp_path,
+    )
+    assert lines[0] == "[]" and lines[-2] == "[]"
+
+
 def test_imports_and_uncached_runs_compute_no_code_salt(tmp_path):
     # The cache's code salt hashes the package source on the first cache
     # access; start-up and cache-off runs never pay for it.
@@ -234,6 +253,7 @@ def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
     # Job children fork from the multi-threaded server, where an import
     # could wait forever on a lock another thread held at fork time; so
     # importing repro.serve must already load everything a job runs.
+    # The jobs run in one child forked as the server forks them.
     _loaded_after(
         """
         import os
@@ -242,24 +262,59 @@ def test_a_served_job_imports_nothing_the_server_has_not(tmp_path):
         from repro.bench import load_benchmark
         from repro.obs import metrics
         from repro.pipeline import ArtifactCache
-        from repro.procutil import MP
+        from repro.procutil import MP, Child
         from repro.serve import parse_job, server
 
         cache = ArtifactCache(os.environ["REPRO_CACHE_DIR"])
         assay = graph_to_dict(load_benchmark("Kinase-act-1"))
         payloads = [{"benchmark": "Kinase-act-1", "method": m} for m in ("pdw", "dawo")]
         payloads += [{"assay": assay, "method": m} for m in ("pdw", "dawo", "immediate")]
-        before = set(sys.modules)
-        for payload in payloads:
-            spec = parse_job({**payload, "config": {"time_limit_s": 20}})
-            target = spec.benchmark or server.graph_from_dict(dict(spec.assay))
-            with server.sched_journal.stage_journal(cache.root / "j.jsonl", spec.target, "j"):
-                plan = server.plan_one(target, spec.method, spec.config, cache)
-            reader, writer = MP.Pipe(duplex=False)
-            writer.send(("ok", server.canonical_plan_dict(plan), metrics.snapshot()))
-            reader.recv()
-        new = sorted(set(sys.modules) - before)
-        assert not new, new
+
+        def jobs(conn):
+            before = set(sys.modules)
+            for payload in payloads:
+                spec = parse_job({**payload, "config": {"time_limit_s": 20}})
+                target = spec.benchmark or server.graph_from_dict(dict(spec.assay))
+                with server.sched_journal.stage_journal(cache.root / "j.jsonl", spec.target, "j"):
+                    plan = server.plan_one(target, spec.method, spec.config, cache)
+                reader, writer = MP.Pipe(duplex=False)
+                writer.send(("ok", server.canonical_plan_dict(plan), metrics.snapshot()))
+                reader.recv()
+            conn.send(sorted(set(sys.modules) - before))
+
+        new, failure = Child(jobs, name="jobs", timeout_s=100).wait().finish()
+        assert new == [], (new, failure)
+        """,
+        tmp_path,
+    )
+
+
+def test_a_forked_child_inherits_the_pin_and_loads_no_ctypes(tmp_path):
+    # The forking parent pins glibc's mmap threshold before its first
+    # child: a child's solves never import ctypes, which under an
+    # address-space cap can fail to map and read as a crash.
+    _loaded_after(
+        """
+        import sys
+        from repro.ilp import Model, highs
+        from repro.procutil import Child
+
+        assert highs._pin_pending and "ctypes" not in sys.modules
+
+        def child(conn):
+            before = {m for m in sys.modules if "ctypes" in m}
+            pending = highs._pin_pending
+            model = Model()
+            x, y = model.add_binary_var("x"), model.add_binary_var("y")
+            model.add_constr(x + y >= 1)
+            model.set_objective(2 * x + y)
+            status = model.solve().status.value
+            after = {m for m in sys.modules if "ctypes" in m}
+            conn.send((pending, status, sorted(after - before)))
+
+        got, failure = Child(child, name="pin", timeout_s=60).wait().finish()
+        assert got == (False, "optimal", []), (got, failure)
+        assert not highs._pin_pending and "ctypes" in sys.modules
         """,
         tmp_path,
     )
