@@ -7,8 +7,8 @@ Subcommands::
     pdw list
     pdw report {table2,fig4,fig5,ablation,necessity,pareto,timings,
                 failures,degrade,trace,all} [benchmark]
-    pdw suite [benchmark ...] [--timeout S] [--retries N] [--resume]
-              [--max-rss MB] [--workers N]  # one forked child per benchmark
+    pdw suite [benchmark ...] [--timeout S] [--retries N] [--max-rss MB]
+              [--workers N]                 # one forked child per benchmark
     pdw suite [benchmark ...] --degrade SPEC[,SPEC...]
               [--degrade-online [NODE@TICK]]      # one forked child per cell
     pdw bench [benchmark ...] [--iterations N] [--quick] [--out FILE]
@@ -186,10 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_suite.add_argument(
         "--retries", type=int, default=0,
         help="retry crashed/timed-out benchmarks or cells up to N times",
-    )
-    p_suite.add_argument(
-        "--resume", action="store_true",
-        help="skip benchmarks (or cells) the run journal already records as succeeded",
     )
     p_suite.add_argument(
         "--max-rss", type=float, default=None, metavar="MB",
@@ -452,7 +448,6 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
         cache=cache,
         use_cache=not args.no_cache,
         workers=args.workers,
-        resume=args.resume,
         journal_path=default_journal_path(cache),
     )
     if args.degrade or args.degrade_online is not None:
@@ -465,9 +460,7 @@ def _run_suite_cmd(args: argparse.Namespace) -> int:
                 f"attempts={entry.attempts}  {entry.message}"
             )
         else:
-            origin = "journal" if entry.name in result.resumed else (
-                "cache" if entry.from_cache else "run"
-            )
+            origin = "cache" if entry.report.cache_hits else "run"
             print(
                 f"{entry.name:15s} OK ({origin})  "
                 f"wall={entry.wall_time_s:.2f}s  "

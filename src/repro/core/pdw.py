@@ -149,19 +149,19 @@ class PathDriverWash:
 def record_ilp_rows(run: PipelineRun, outcome) -> None:
     """Report the ILP stage's auxiliary time series after it ran.
 
-    ``ilp.build`` is the model-construction time (surfacing as
-    ``pdw.ilp.build`` in merged reports and ``pdw bench``); when the ILP
-    stage artifact came from the cache the stored build time belongs to an
-    earlier process, so no row is recorded — the value still surfaces
-    through the stage's ``build_time_s`` counter.  ``ilp.presolve``
-    (surfacing as ``pdw.ilp.presolve``) records the model-reduction pass
-    with its fixed/dropped counters under the same cache gating.  Each
-    solver-ladder rung attempt then gets its own ``ilp.rung.<rung>``
-    record.
+    ``ilp.presolve`` records the model-reduction pass with its
+    fixed/dropped counters, ``ilp.build`` the model-construction time, and
+    each solver-ladder rung attempt gets its own ``ilp.rung.<rung>``
+    record (surfacing as ``pdw.ilp.*`` in merged reports and ``pdw
+    bench``).  They describe work done in this process: when the ILP stage
+    artifact came from the cache, no row is recorded, and the earlier
+    process's values surface only through the ``ilp`` record's
+    ``build_time_s``, ``solve_time_s`` and ``rungs_tried`` counters.
     """
     last = run.report.stages[-1] if run.report.stages else None
-    cached = last is not None and last.stage == "ilp" and last.cached
-    if getattr(outcome, "presolve_time_s", 0.0) and not cached:
+    if last is not None and last.stage == "ilp" and last.cached:
+        return
+    if getattr(outcome, "presolve_time_s", 0.0):
         run.report.record(
             "ilp.presolve",
             wall_s=outcome.presolve_time_s,
@@ -176,7 +176,7 @@ def record_ilp_rows(run: PipelineRun, outcome) -> None:
                 f"{outcome.presolve_dropped_candidates} candidates"
             ),
         )
-    if outcome.build_time_s and not cached:
+    if outcome.build_time_s:
         run.report.record(
             "ilp.build",
             wall_s=outcome.build_time_s,

@@ -16,8 +16,8 @@ outcome                     meaning
 
 Each (benchmark, scenario) :class:`Cell` is a work item of the suite
 engine, :class:`~repro.sched.executor.SuiteExecutor`: ``pdw suite``
-plans each cell in a forked child under the run's budget, retries and
-resumes cells as it does benchmarks, and :func:`run_degrade_matrix`
+plans each cell in a forked child under the run's budget and retries
+cells as it does benchmarks, and :func:`run_degrade_matrix`
 without an executor plans them inline.  Rows never raise: a scenario
 that breaks a benchmark is a reported row, and the remaining cells still
 run.  Every row is journaled (``"event": "degrade"`` records in the
@@ -37,10 +37,10 @@ from repro.core import PDWConfig
 from repro.degrade.model import parse_matrix
 from repro.degrade.repair import parse_fault, repair_plan
 from repro.errors import DegradationError
-from repro.experiments.runner import FailureRecord, plan_one, run_digest, synthesize_target
+from repro.experiments.runner import FailureRecord, plan_one, synthesize_target
 from repro.obs.metrics import registry
 from repro.obs.trace import span
-from repro.pipeline import ArtifactCache, chaos, stable_digest
+from repro.pipeline import ArtifactCache, chaos
 from repro.sched.executor import SuiteExecutor
 
 #: Degrade-matrix outcomes that count as success for the exit code.
@@ -71,8 +71,7 @@ class DegradeRow:
         return self.outcome in SUCCESS_OUTCOMES
 
     def as_record(self) -> dict:
-        """The journal form (``pdw report degrade`` and ``--resume`` read
-        these back)."""
+        """The journal form (``pdw report degrade`` reads these back)."""
         return {
             "event": "degrade",
             "benchmark": self.benchmark,
@@ -156,11 +155,6 @@ class Cell:
         scenario = self.degrade or "none"
         return f"{scenario}+online" if self.online else scenario
 
-    def digest(self, config: PDWConfig) -> str:
-        """What a journaled row of this cell must match to be resumed."""
-        cfg = dataclasses.replace(config, degrade=self.degrade)
-        return stable_digest("degrade-cell", run_digest(self.benchmark, cfg), self.online)
-
     def plan(self, config: PDWConfig, cache: Optional[ArtifactCache]) -> DegradeRow:
         """Plan the cell: the static degraded plan, then the optional online
         leg.  Scoped for ``@<benchmark>`` stage faults; raises what fails."""
@@ -224,11 +218,6 @@ class Cell:
                              wall_s=wall_s, message=entry.message)
         registry().counter("pdw_degrade_scenarios_total", outcome=row.outcome).inc()
         return row
-
-    def replay(self, record: dict) -> DegradeRow:
-        """The row a journaled ``degrade`` record holds (``--resume``)."""
-        row = DegradeRow(**{f.name: record[f.name] for f in dataclasses.fields(DegradeRow)})
-        return dataclasses.replace(row, dead=tuple(row.dead), uncovered=tuple(row.uncovered))
 
 
 def run_degrade_matrix(

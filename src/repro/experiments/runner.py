@@ -1,24 +1,23 @@
 """Run benchmarks through synthesis, DAWO and PDW, with artifact caching.
 
-Two cache levels:
+A later process reuses one thing: the content-addressed on-disk
+:class:`~repro.pipeline.ArtifactCache` (default: ``$REPRO_CACHE_DIR`` or
+``~/.cache/repro-pdw``), which stores every keyed stage artifact (replay,
+necessity, clusters, pathgen, the ILP, DAWO's stages).  A warm
+:func:`run_benchmark` synthesizes (keyless, milliseconds), gets every
+keyed stage back from that cache and assembles both plans; its stage
+records and ``wall_time_s`` are its own.  Within one process an
+in-process memo keyed by ``(benchmark, config)`` preserves object
+identity (``run_benchmark`` twice returns the *same*
+:class:`BenchmarkRun`), so Table II and Fig. 4/5 share their runs.
 
-* an in-process memo keyed by ``(benchmark, config)`` preserving object
-  identity within a process (``run_benchmark`` twice returns the *same*
-  :class:`BenchmarkRun`), and
-* the content-addressed on-disk :class:`~repro.pipeline.ArtifactCache`
-  (default: ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-pdw``), which stores
-  both the whole :class:`BenchmarkRun` and every intermediate stage
-  artifact, and therefore survives across processes — a warm
-  :func:`run_suite` skips synthesis, replay, necessity, path generation
-  and the ILP entirely.
-
-Within one cold run the two methods share upstream work: the baseline is
-synthesized once and the contamination replay is computed once, then handed
-to both DAWO and PDW (their plans record the stage as ``shared``).
+Within one run the two methods share upstream work: the baseline is
+synthesized once and the contamination replay is computed once, then
+handed to both DAWO and PDW (their plans record the stage as ``shared``).
 
 :func:`plan_one` makes a single method's plan of a benchmark or assay —
 what ``pdw run``, ``pdw assay`` and every ``pdw serve`` job ask for — with
-per-stage caching only: no memo, no whole-run entry.
+per-stage caching and no memo.
 
 :func:`run_suite` runs a list of benchmarks through the suite engine,
 :class:`~repro.sched.executor.SuiteExecutor`, in process one benchmark
@@ -35,7 +34,6 @@ import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.assay.io import graph_to_dict
 from repro.baselines import dawo_plan, immediate_wash_plan
 from repro.bench import BENCHMARKS, benchmark, load_benchmark
 from repro.core import PDWConfig, optimize_washes
@@ -43,16 +41,8 @@ from repro.core.plan import WashPlan
 from repro.core.stages import REPLAY_STAGE, PDWContext
 from repro.errors import DegradationError, DegradedInfeasibleError, ReproError
 from repro.ilp import faults
-from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
-from repro.pipeline import (
-    ArtifactCache,
-    PipelineRun,
-    RunReport,
-    chaos,
-    default_cache,
-    stable_digest,
-)
+from repro.pipeline import ArtifactCache, PipelineRun, RunReport, chaos, default_cache
 from repro.synth import synthesize
 from repro.synth.synthesis import SynthesisResult
 
@@ -79,8 +69,6 @@ class BenchmarkRun:
     dawo: WashPlan
     pdw: WashPlan
     wall_time_s: float
-    #: Whether this run was served from the on-disk artifact cache.
-    from_cache: bool = False
     #: Per-stage instrumentation (synthesis, replay, and both methods'
     #: pipelines namespaced as ``dawo.*`` / ``pdw.*``).
     report: Optional[RunReport] = None
@@ -164,8 +152,6 @@ class SuiteResult(Sequence):
     entries: List[SuiteEntry] = field(default_factory=list)
     #: The run journal the suite appended to.
     journal_path: Optional[object] = None
-    #: Benchmarks served from the journal + cache without re-execution.
-    resumed: tuple = ()
     #: The metrics dump written next to the journal (with a budget, merged
     #: over every benchmark's child).
     metrics_path: Optional[object] = None
@@ -200,32 +186,11 @@ def _memo_key(name: str, config: PDWConfig) -> tuple:
 
 
 def adopt_run(run: BenchmarkRun, config: Optional[PDWConfig] = None) -> BenchmarkRun:
-    """Adopt a run computed elsewhere (worker process, journal resume)
+    """Adopt a run computed elsewhere (a suite attempt's forked child)
     into this process's memo, preserving object identity for later
     same-process calls."""
     cfg = config or default_config()
     return _CACHE.setdefault(_memo_key(run.name, cfg), run)
-
-
-def run_digest(name: str, config: Optional[PDWConfig] = None) -> str:
-    """Content digest of a whole benchmark run (``config=None``: the default).
-
-    Includes the assay graph and device inventory (so editing a benchmark
-    definition invalidates its cached runs), the full config, the
-    solver-altering environment (fault injection / forced rung — degraded
-    runs must never poison the clean cache).  The code that computes the
-    run is covered by the cache's code salt, not by this digest.
-    Stage faults (:mod:`repro.pipeline.chaos`) are deliberately *not*
-    included: they prevent artifact production instead of altering it, so
-    a journaled success stays resumable after the fault is disarmed.
-    """
-    spec = benchmark(name)
-    assay = spec.build()
-    inventory = {kind.value: count for kind, count in spec.inventory.items()}
-    return stable_digest(
-        "benchmark-run", name, graph_to_dict(assay), inventory,
-        config or default_config(), faults.environment_token(),
-    )
 
 
 def run_benchmark(
@@ -237,73 +202,43 @@ def run_benchmark(
     """Synthesize a benchmark and run DAWO + PDW on it.
 
     ``cache`` overrides the default on-disk artifact cache; pass
-    ``use_cache=False`` to bypass (and not populate) both cache levels.
+    ``use_cache=False`` to bypass (and not populate) both the in-process
+    memo and the per-stage cache.
     """
     cfg = config or default_config()
-    with obs_trace.span(f"bench.{name}", cached=use_cache) as sp:
-        with chaos.scope(name):
-            run = _run_benchmark_scoped(name, cfg, use_cache, cache)
-        sp.set("from_cache", run.from_cache)
-        return run
-
-
-def _run_benchmark_scoped(
-    name: str,
-    cfg: PDWConfig,
-    use_cache: bool,
-    cache: Optional[ArtifactCache],
-) -> BenchmarkRun:
     key = _memo_key(name, cfg)
     if use_cache:
         hit = _CACHE.get(key)
         if hit is not None:
             return hit
-
     disk = (cache if cache is not None else default_cache()) if use_cache else None
-    started = time.perf_counter()
-    digest = run_digest(name, cfg) if disk is not None else None
-
-    if disk is not None:
-        stored = disk.get(digest)
-        if isinstance(stored, BenchmarkRun):
-            stored.from_cache = True
-            obs_metrics.registry().counter(
-                "pdw_run_cache_hits_total", benchmark=name
-            ).inc()
-            return _CACHE.setdefault(key, stored)
-
-    pipeline = PipelineRun(label=f"bench:{name}", cache=disk)
-    spec = benchmark(name)
-    assay = load_benchmark(name)
-    synthesis = pipeline.timed(
-        "synthesis",
-        lambda: synthesize(assay, inventory=spec.inventory),
-        counters=lambda s: {
-            "operations": float(assay.operation_count),
-            "devices": float(s.device_count),
-            "baseline_makespan_s": float(s.baseline_makespan),
-        },
-    )
-    ctx = PDWContext(synthesis=synthesis, config=cfg)
-    tracker = pipeline.run_stage(REPLAY_STAGE, ctx)
-    dawo = dawo_plan(synthesis, cache=disk, tracker=tracker)
-    pdw = optimize_washes(synthesis, cfg, cache=disk, tracker=tracker)
-    pipeline.report.extend(dawo.report, prefix="dawo.")
-    pipeline.report.extend(pdw.report, prefix="pdw.")
-
-    run = BenchmarkRun(
-        name=name,
-        synthesis=synthesis,
-        dawo=dawo,
-        pdw=pdw,
-        wall_time_s=time.perf_counter() - started,
-        report=pipeline.report,
-    )
-    if disk is not None:
-        disk.put(digest, run)
-    if use_cache:
-        run = _CACHE.setdefault(key, run)
-    return run
+    with obs_trace.span(f"bench.{name}", cached=use_cache), chaos.scope(name):
+        started = time.perf_counter()
+        pipeline = PipelineRun(label=f"bench:{name}", cache=disk)
+        synthesis = pipeline.timed(
+            "synthesis",
+            lambda: synthesize_target(name),
+            counters=lambda s: {
+                "operations": float(s.assay.operation_count),
+                "devices": float(s.device_count),
+                "baseline_makespan_s": float(s.baseline_makespan),
+            },
+        )
+        ctx = PDWContext(synthesis=synthesis, config=cfg)
+        tracker = pipeline.run_stage(REPLAY_STAGE, ctx)
+        dawo = dawo_plan(synthesis, cache=disk, tracker=tracker)
+        pdw = optimize_washes(synthesis, cfg, cache=disk, tracker=tracker)
+        pipeline.report.extend(dawo.report, prefix="dawo.")
+        pipeline.report.extend(pdw.report, prefix="pdw.")
+        run = BenchmarkRun(
+            name=name,
+            synthesis=synthesis,
+            dawo=dawo,
+            pdw=pdw,
+            wall_time_s=time.perf_counter() - started,
+            report=pipeline.report,
+        )
+    return _CACHE.setdefault(key, run) if use_cache else run
 
 
 # -- one method's plan ------------------------------------------------------------
@@ -331,9 +266,8 @@ def plan_one(
     The single way one plan is made: ``pdw run``, ``pdw assay``,
     ``pdw cost``, ``pdw export``, ``pdw simulate`` and every ``pdw serve``
     job call it.  ``cache`` serves and stores stage artifacts (``None``:
-    none); no whole-run entry is written.  A benchmark name also scopes
-    the run for ``@<benchmark>`` stage faults, as :func:`run_benchmark`
-    does.
+    none).  A benchmark name also scopes the run for ``@<benchmark>``
+    stage faults, as :func:`run_benchmark` does.
     """
     if isinstance(target, str):
         with chaos.scope(target):

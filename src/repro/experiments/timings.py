@@ -36,10 +36,12 @@ def _cell(run: BenchmarkRun, stage: str) -> str:
 
 
 def timings_rows(runs: Sequence[BenchmarkRun]) -> List[List[str]]:
-    """One row per benchmark: stage wall times (``*`` = cache hit)."""
+    """One row per benchmark: stage wall times (``*`` = cache hit) after
+    how many stages the artifact cache served."""
     rows: List[List[str]] = []
     for run in runs:
-        cells = [run.name, f"{run.wall_time_s:.2f}", "yes" if run.from_cache else "-"]
+        served = run.report.cache_hits if run.report else 0
+        cells = [run.name, f"{run.wall_time_s:.2f}", str(served) if served else "-"]
         cells.extend(_cell(run, stage) for stage, _ in STAGE_COLUMNS)
         rows.append(cells)
     return rows

@@ -26,7 +26,7 @@ independently pins the ladder to a single rung; CI uses it to keep the
 fallback rungs exercised.  Because both variables change what the ILP
 stage produces without appearing in :class:`~repro.core.config.PDWConfig`,
 :func:`environment_token` must be folded into every cache key covering a
-solve (stage keys, whole-run digests, in-process memos) so degraded
+solve (stage keys, the in-process run memo) so degraded
 outcomes never masquerade as healthy ones.
 
 This module injects faults *inside* the solver only.  The pipeline-wide

@@ -39,8 +39,8 @@ Unlike solver faults, stage faults never *alter* a produced artifact —
 they only prevent production (crash / hang / exit) or invalidate a read
 (corrupt, which forces a clean recompute).  Armed chaos therefore cannot
 poison the artifact cache and is deliberately **not** folded into cache
-digests: a suite run that journaled successes under chaos can be resumed
-with a clean environment and still hit the same digests.
+digests: a suite re-run with a clean environment after a chaos run still
+gets every stage that finished under chaos back from the cache.
 """
 
 from __future__ import annotations

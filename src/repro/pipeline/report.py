@@ -132,8 +132,9 @@ class RunReport:
 
     @property
     def cache_hits(self) -> int:
-        """Number of stages served from the artifact cache."""
-        return sum(1 for rec in self.stages if rec.cached)
+        """Number of stages served from the artifact cache (``shared``
+        rows were handed in by another pipeline, not served)."""
+        return sum(1 for rec in self.stages if rec.origin == "cache")
 
     # -- export -------------------------------------------------------------------
 

@@ -1,17 +1,21 @@
-"""Suite execution: the benchmark worklist and its run journal.
+"""Suite execution: the work-item worklist and its run journal.
 
 :class:`~repro.sched.executor.SuiteExecutor` runs a suite as a worklist
-of benchmarks, each attempt one
-:func:`~repro.experiments.runner.run_benchmark` — inline, or under a
-wall-clock / address-space budget in one forked child per attempt.
-Entry points:
+of benchmarks (each attempt one
+:func:`~repro.experiments.runner.run_benchmark`) or of degradation-matrix
+cells (each attempt one :meth:`~repro.degrade.suite.Cell.plan`) — inline,
+or under a wall-clock / address-space budget in one forked child per
+attempt.  Entry points:
 
 * :func:`repro.experiments.runner.run_suite` (inline),
-* ``pdw suite`` (budgeted: one child per attempt),
-* each ``pdw serve`` benchmark job (inline, in the job's child).
+* ``pdw suite`` with or without ``--degrade`` (budgeted: one child per
+  attempt).
 
-The journal submodule (:mod:`repro.sched.journal`) holds the JSONL
-append/read/replay primitives, the process's stage-record setting,
+A retry, or a later run of the same suite, gets every stage that
+finished before back from the per-stage artifact cache; the journal only
+records what happened.  The journal submodule (:mod:`repro.sched.journal`)
+holds the JSONL append/read primitives, the process's stage-record
+setting (which ``pdw serve`` jobs use too),
 :class:`~repro.sched.journal.RunBudget` and the ``pdw report failures``
 renderer.
 """

@@ -20,9 +20,9 @@ Both ways share one journal / retry / backoff / settle path.  A failure
 of a retryable kind (``crash``, ``timeout``) retries the whole item
 with backoff, up to ``budget.retries`` times; with the artifact cache on,
 the retry gets every stage that finished before the failure back from
-the per-stage cache instead of recomputing it.  A cell's terminal
-record is its ``degrade`` row in place of ``success``/``failure``.
-``resume=True`` skips items journaled done under the same digest.
+the per-stage cache instead of recomputing it; so does a later run of
+the same suite, which is how an interrupted suite resumes.  A cell's
+terminal record is its ``degrade`` row in place of ``success``/``failure``.
 While an attempt runs, its process journals one ``stage`` record per
 pipeline stage (:func:`repro.sched.journal.stage_journal`).
 """
@@ -42,7 +42,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 from repro.bench import BENCHMARKS
 from repro.core import PDWConfig
 from repro.experiments.runner import (
-    BenchmarkRun,
     FailureRecord,
     SuiteEntry,
     SuiteResult,
@@ -50,7 +49,6 @@ from repro.experiments.runner import (
     classify_failure,
     default_config,
     run_benchmark,
-    run_digest,
 )
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
@@ -86,7 +84,7 @@ class SuiteExecutor:
     :func:`~repro.experiments.runner.run_benchmark`.  ``journal_path`` is
     the run journal the attempts, outcomes and stage records go to, with
     a benchmark suite's metrics dump written next to it; ``None`` writes
-    neither, and ``resume`` needs one to read finished items from.
+    neither.
     """
 
     def __init__(
@@ -95,14 +93,12 @@ class SuiteExecutor:
         cache: Optional[ArtifactCache] = None,
         use_cache: bool = True,
         workers: Optional[int] = None,
-        resume: bool = False,
         journal_path: Optional[Path] = None,
     ):
         self.budget = budget or RunBudget()
         self.cache = cache if cache is not None else (default_cache() if use_cache else None)
         self.use_cache = use_cache
         self.workers = workers
-        self.resume = resume
         self.journal_path = Path(journal_path) if journal_path is not None else None
 
     def run(
@@ -111,35 +107,13 @@ class SuiteExecutor:
         """Run the suite; never raises for a single item's failure."""
         suite = list(items or BENCHMARKS)
         cfg = config or default_config()
-        digests = {
-            item: run_digest(item, cfg) if isinstance(item, str) else item.digest(cfg)
-            for item in suite
-        }
         results: Dict[Item, object] = {}
-        resumed: List[Item] = []
-
-        if self.resume and self.journal_path is not None:
-            done = sched_journal.journaled_successes(
-                sched_journal.read_records(self.journal_path)
-            )
-            for item in suite:
-                fields = _fields(item)
-                record = done.get((fields["benchmark"], fields.get("scenario")))
-                if record is None or record.get("digest") != digests[item]:
-                    continue
-                entry = self._load_journaled(item, record, cfg)
-                if entry is not None:
-                    results[item] = entry
-                    resumed.append(item)
-
-        pending = [item for item in suite if item not in results]
-        if pending:
-            forks = self.budget.forks
-            width = 1
-            if forks:
-                width = max(1, min(self.workers or len(pending), os.cpu_count() or 1))
-            with span("sched.suite", benchmarks=len(pending), workers=width, forks=forks):
-                self._run_worklist(pending, width, cfg, digests, results)
+        forks = self.budget.forks
+        width = 1
+        if forks:
+            width = max(1, min(self.workers or len(suite), os.cpu_count() or 1))
+        with span("sched.suite", benchmarks=len(suite), workers=width, forks=forks):
+            self._run_worklist(suite, width, cfg, results)
 
         metrics_path = None
         # A matrix's cells plan under as many configs as it has scenarios,
@@ -150,7 +124,6 @@ class SuiteExecutor:
         return SuiteResult(
             entries=[results[item] for item in suite],
             journal_path=self.journal_path,
-            resumed=tuple(resumed),
             metrics_path=metrics_path,
         )
 
@@ -161,7 +134,6 @@ class SuiteExecutor:
         items: List[Item],
         width: int,
         cfg: PDWConfig,
-        digests: Dict[Item, str],
         results: Dict[Item, object],
     ) -> None:
         """Attempt every item, ``width`` children at a time, until each
@@ -182,7 +154,6 @@ class SuiteExecutor:
                             "event": "attempt",
                             **_fields(item),
                             "attempt": attempt,
-                            "digest": digests[item],
                             "chaos": chaos.environment_token() or None,
                         }
                     )
@@ -194,13 +165,13 @@ class SuiteExecutor:
                         item, cfg, self.cache, self.use_cache, self.journal_path
                     )
                     self._settle(item, attempt, entry, time.monotonic() - started,
-                                 cfg, digests[item], results, backoffs)
+                                 cfg, results, backoffs)
                 finished = [item for item, (child, _) in active.items() if child.done()]
                 for item in finished:
                     child, attempt = active.pop(item)
                     entry = self._collect(item, attempt, child)
                     self._settle(item, attempt, entry, time.monotonic() - child.started,
-                                 cfg, digests[item], results, backoffs)
+                                 cfg, results, backoffs)
                 if finished or not (active or backoffs):
                     continue
                 wake = [child.deadline for child, _ in active.values()]
@@ -254,9 +225,7 @@ class SuiteExecutor:
             {"event": "metrics", **_fields(item), "attempt": attempt, "snapshot": snapshot}
         )
 
-    def _settle(
-        self, item, attempt, entry, wall, cfg, digest, results, backoffs
-    ) -> None:
+    def _settle(self, item, attempt, entry, wall, cfg, results, backoffs) -> None:
         """Record one finished attempt: success, retry, or terminal failure."""
         ok = not isinstance(entry, FailureRecord)
         outcome = "ok" if ok else entry.kind
@@ -289,14 +258,14 @@ class SuiteExecutor:
             record = results[item].as_record()
         elif ok:
             results[item] = adopt_run(entry, cfg) if self.use_cache else entry
-            record = {"event": "success", "from_cache": entry.from_cache, "wall_s": round(wall, 3)}
+            record = {"event": "success", "wall_s": round(wall, 3)}
         else:
             results[item] = dataclasses.replace(entry, attempts=attempt, wall_time_s=wall)
             record = {"event": "failure", "kind": entry.kind, "message": entry.message,
                       "wall_s": round(wall, 3)}
-        self._journal({**record, **_fields(item), "attempt": attempt, "digest": digest})
+        self._journal({**record, **_fields(item), "attempt": attempt})
 
-    # -- journal, backoff, resume, metrics dump ----------------------------------
+    # -- journal, backoff, metrics dump --------------------------------------------
 
     def _journal(self, record: dict) -> None:
         if self.journal_path is not None:
@@ -309,19 +278,6 @@ class SuiteExecutor:
         seed = os.environ.get(faults.ENV_SEED, "0")
         jitter = random.Random(f"{seed}:{label}:{attempt}").random()
         return min(self.budget.backoff_cap_s, base * (1.0 + jitter))
-
-    def _load_journaled(self, item: Item, record: dict, cfg: PDWConfig):
-        """A journaled finished item: a cell's row from its record, a
-        benchmark's run from the artifact cache, if intact."""
-        if not isinstance(item, str):
-            return item.replay(record)
-        if self.cache is None or not self.use_cache:
-            return None
-        stored = self.cache.get(record["digest"])
-        if not isinstance(stored, BenchmarkRun):
-            return None
-        stored.from_cache = True
-        return adopt_run(stored, cfg)
 
     def _dump_metrics(self, config_digest: str = "") -> Path:
         """Write the run-wide metrics dump next to the journal."""

@@ -10,13 +10,14 @@ a run journal set (:func:`stage_journal`), every stage a
 :class:`~repro.pipeline.stage.PipelineRun` records adds one ``stage``
 event (:func:`record_stage`): ``pdw serve`` counts a job's own (they
 carry its id) for job progress.
-``pdw suite --resume`` skips journaled successes
-(:func:`journaled_successes`), ``pdw report failures`` renders the
-history (:func:`failures_report`) and :func:`merged_metrics` rebuilds a
-run's metrics from the snapshots its benchmark processes journaled.
+``pdw report failures`` renders the history (:func:`failures_report`),
+``pdw report degrade`` the matrix rows, and :func:`merged_metrics`
+rebuilds a run's metrics from the snapshots its benchmark processes
+journaled.  The journal is a record, not a store: a re-run gets finished
+work back from the per-stage artifact cache, never from here.
 
 The file is append-only and reads are tolerant of a truncated final line
-— the interruption resume exists to survive.
+(a process killed mid-write).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.forksafe import renew_lock_in_child
 from repro.obs import metrics as obs_metrics
@@ -168,24 +169,6 @@ def read_records(path: Path, offset: int = 0) -> List[dict]:
         if isinstance(record, dict):
             records.append(record)
     return records
-
-
-def journaled_successes(records: Iterable[dict]) -> Dict[Tuple[str, Optional[str]], dict]:
-    """The finished work items and their terminal records, keyed by
-    ``(benchmark, scenario)`` (``scenario`` ``None`` for a benchmark):
-    a benchmark whose latest terminal event is a ``success``, a matrix
-    cell whose latest ``degrade`` row is ``ok``."""
-    done: Dict[Tuple[str, Optional[str]], dict] = {}
-    for record in records:
-        event = record.get("event")
-        key = (record.get("benchmark"), record.get("scenario"))
-        if not key[0]:
-            continue
-        if event == "success" or (event == "degrade" and record.get("ok")):
-            done[key] = record
-        elif event in ("failure", "degrade"):
-            done.pop(key, None)
-    return done
 
 
 def journal_or_default(journal_path: Optional[Path]) -> Path:

@@ -275,23 +275,27 @@ def test_a_hung_cell_times_out_and_the_next_cell_runs(stage_fault, capsys):
     assert children_of(os.getpid()) <= kids, "a cell's process outlived its timeout"
 
 
-def test_resume_skips_the_cells_journaled_done(tmp_path, monkeypatch, stage_fault, capsys):
+def test_a_clean_rerun_recomputes_no_keyed_stage_of_a_done_cell(
+    tmp_path, monkeypatch, stage_fault, capsys
+):
+    monkeypatch.delenv("REPRO_CACHE", raising=False)  # the re-run needs the cache
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     journal = tmp_path / "cache" / JOURNAL_NAME
-    argv = ["suite", "PCR", "Kinase-act-1", "--degrade", "light", "--resume"]
+    argv = ["suite", "PCR", "Kinase-act-1", "--degrade", "light"]
     stage_fault("pathgen:crash@PCR")
     assert main(argv) == 3
     first = _rows(capsys.readouterr().out)
 
     monkeypatch.delenv("REPRO_INJECT_STAGE_FAULT")
-    for rerun in ("PCR", None):
+    for done in (["Kinase-act-1"], ["PCR", "Kinase-act-1"]):
         offset = sched_journal.journal_size(journal)
         assert main(argv) == 0
         rows = _rows(capsys.readouterr().out)
         records = sched_journal.read_records(journal, offset)
-        # Only the failed cell runs again, then nothing does.
-        assert {r["benchmark"] for r in records if r["event"] in ("attempt", "stage")} == (
-            {rerun} if rerun else set()
-        )
-        assert rows[1] == first[1]  # Kinase-act-1's row, replayed from its record
+        # A cell that finished before gets every keyed stage from the cache.
+        for name in done:
+            stages = [r for r in records if r["event"] == "stage" and r["benchmark"] == name]
+            assert stages
+            assert {r["stage"] for r in stages if r["origin"] == "computed"} == {"assemble"}
+        assert rows[1] == first[1]  # Kinase-act-1's row
     assert rows[0][2] in SUCCESS_OUTCOMES

@@ -12,6 +12,7 @@ from repro.baselines import dawo_plan
 from repro.contam import ContaminationTracker
 from repro.core import PDWConfig, optimize_washes
 from repro.experiments.runner import clear_cache, run_benchmark, run_suite
+from repro.export import canonical_plan_json
 from repro.pipeline import ArtifactCache
 
 PDW_STAGES = ["replay", "necessity", "clusters", "pathgen", "ilp", "assemble"]
@@ -99,10 +100,10 @@ class TestRunnerDiskCache:
     def test_warm_benchmark_run_identical(self, cache):
         cfg = PDWConfig(time_limit_s=55.0)
         cold = run_benchmark("PCR", cfg, cache=cache)
-        assert cold.from_cache is False
+        assert "cache" not in _origins(cold).values()
         clear_cache()  # drop the in-process memo: force the disk path
         warm = run_benchmark("PCR", cfg, cache=cache)
-        assert warm.from_cache is True
+        assert _origins(warm)["pdw.ilp"] == "cache"
         assert warm.pdw.metrics() == cold.pdw.metrics()
         assert warm.dawo.metrics() == cold.dawo.metrics()
         assert warm.sizes == cold.sizes
@@ -119,6 +120,71 @@ class TestRunnerDiskCache:
             assert stage in names
         assert "solve_time_s" in run.report.get("pdw.ilp").counters
         clear_cache()
+
+
+def _origins(run) -> dict:
+    return {rec.stage: rec.origin for rec in run.report.stages}
+
+
+#: The stages of a run that no cache key covers: they compute every time.
+KEYLESS = {"synthesis", "pdw.assemble"}
+
+
+class TestWarmRunsReportTheirOwnWork:
+    @pytest.mark.parametrize("name", ["PCR", "IVD"])
+    def test_a_warm_run_reports_its_own_wall_and_stage_origins(self, name, cache):
+        cfg = PDWConfig(time_limit_s=56.0)
+        clear_cache()
+        cold = run_benchmark(name, cfg, cache=cache)
+        clear_cache()  # a new process: only the disk cache is left
+        warm = run_benchmark(name, cfg, cache=cache)
+        clear_cache()
+        assert warm.wall_time_s < cold.wall_time_s
+        origins = _origins(warm)
+        assert _origins(cold).keys() >= origins.keys() >= KEYLESS
+        for stage, origin in origins.items():
+            expected = ("computed",) if stage in KEYLESS else ("cache", "shared")
+            assert origin in expected, (stage, origin)
+        for method in ("pdw", "dawo"):
+            assert canonical_plan_json(getattr(warm, method)) == canonical_plan_json(
+                getattr(cold, method)
+            ), method
+
+    def test_a_warm_suite_adds_no_cache_entry(self, cache):
+        cfg = PDWConfig(time_limit_s=57.0)
+        clear_cache()
+        assert run_suite(["PCR", "IVD"], cfg, cache=cache).ok
+        entries = sorted(cache.entries())
+        clear_cache()
+        warm = run_suite(["PCR", "IVD"], cfg, cache=cache)
+        clear_cache()
+        assert warm.ok
+        assert sorted(cache.entries()) == entries
+
+    def test_a_warm_plan_records_no_solve(self, cache):
+        from repro.experiments.runner import plan_one
+        from repro.obs import metrics as obs_metrics
+
+        cfg = PDWConfig(time_limit_s=58.0)
+        cold = plan_one("PCR", "pdw", cfg, cache)
+        assert any(n.startswith("ilp.rung.") for n in cold.report.stage_names())
+        obs_metrics.reset()
+        warm = plan_one("PCR", "pdw", cfg, cache)
+        ilp = warm.report.get("ilp")
+        assert ilp.origin == "cache"
+        assert not [
+            rec.stage for rec in warm.report.stages
+            if rec.stage.startswith("ilp.") and rec.origin == "computed"
+        ]
+        # The earlier solve still shows through the ilp record's counters.
+        assert ilp.counters["rungs_tried"] >= 1
+        assert ilp.counters["solve_time_s"] == cold.report.get("ilp").counters["solve_time_s"]
+        observed = [
+            series for series in obs_metrics.registry().as_dict()["series"]
+            if series["name"] == "pdw_stage_wall_seconds"
+            and series["labels"]["stage"].startswith("ilp")
+        ]
+        assert observed == []
 
 
 class TestParallelSuite:

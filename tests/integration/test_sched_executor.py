@@ -1,4 +1,4 @@
-"""The suite engine, inline and forked: stage records, retries, resume, CLI.
+"""The suite engine, inline and forked: stage records, retries, re-runs, CLI.
 
 The companion of tests/integration/test_suite_execution.py, at the level
 of what one benchmark attempt journals: the inline executor, and (where
@@ -15,6 +15,7 @@ from repro.baselines.dawo import DAWO_PIPELINE
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
 from repro.core.stages import PDW_PIPELINE
+from repro.experiments import runner
 from repro.pipeline import ArtifactCache
 from repro.sched import journal as sched_journal
 from repro.sched.executor import SuiteExecutor
@@ -101,7 +102,7 @@ class TestSuiteExecutor:
             "computed", "cache"
         ]
 
-    def test_resume_replays_finished_stages_from_the_cache(
+    def test_rerun_gets_finished_stages_from_cache(
         self, tmp_path, stage_fault, monkeypatch
     ):
         from repro.pipeline import chaos
@@ -115,13 +116,17 @@ class TestSuiteExecutor:
         monkeypatch.delenv(chaos.ENV_STAGE_FAULT, raising=False)
         chaos.reset()
         before = len(sched_journal.read_records(ex.journal_path))
-        ex2, _ = _executor(tmp_path, cache=cache, resume=True)
+        runner.clear_cache()  # a new process's memo
+        ex2, _ = _executor(tmp_path, cache=cache)
         second = ex2.run(SUITE, cfg)
         assert second.ok
-        # The journaled success replays without any re-execution.
-        assert second.resumed == ("Kinase-act-1",)
+        # The finished benchmark computes only its keyless stages again.
         fresh = sched_journal.read_records(ex2.journal_path)[before:]
-        assert not [r for r in fresh if r.get("benchmark") == "Kinase-act-1"]
+        done = _stages(fresh, "Kinase-act-1")
+        assert len(done) == STAGES_PER_RUN
+        assert {r["stage"] for r in done if r["origin"] == "computed"} == {
+            "synthesis", "assemble"
+        }
         # Within PCR, stages that finished before the crash come back from
         # the per-stage artifact cache; the crashed ILP recomputes.
         origins = {r["stage"]: r["origin"] for r in _stages(fresh, "PCR")}
@@ -152,3 +157,20 @@ class TestCli:
         assert code == 3
         assert "FAILED(crash)" in out
         assert "1/2 benchmarks succeeded" in out
+
+    def test_a_warm_row_reads_cache_with_its_own_wall(self, tmp_path, monkeypatch, capsys):
+        import re
+
+        monkeypatch.delenv("REPRO_CACHE", raising=False)  # the re-run needs the cache
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        row = re.compile(r"^PCR\s+OK \((\w+)\)\s+wall=([0-9.]+)s", re.M)
+        argv = ["suite", "PCR", "--time-limit", "67.5"]
+        rows = []
+        for _ in range(2):
+            runner.clear_cache()  # each `pdw suite` is a new process
+            assert cli_main(argv) == 0
+            origin, wall = row.search(capsys.readouterr().out).groups()
+            rows.append((origin, float(wall)))
+        (cold_origin, cold_wall), (warm_origin, warm_wall) = rows
+        assert (cold_origin, warm_origin) == ("run", "cache")
+        assert warm_wall < cold_wall

@@ -455,12 +455,19 @@ class TestJobProcesses:
         assert cli.wait_done(body["id"])["state"] == "done"
         raw = cli.request("GET", "/metrics")[1]
         assert prom_series(raw, "pdw_plan_validations_total") == expected
+
+        def pdw_only_stages(raw):
+            return {labels: n for labels, n in prom_series(raw, "pdw_stage_runs_total").items()
+                    if 'stage="pathgen"' in labels or 'stage="ilp"' in labels}
+
+        before = pdw_only_stages(raw)
+        assert before
         # Same benchmark, other method: a job plans only its own method,
-        # so there is no whole run to find on disk.
+        # so no PDW-only stage runs or is served again.
         _, body = cli.json("POST", "/v1/jobs", {**PCR_JOB, "method": "dawo"})
         assert cli.wait_done(body["id"])["state"] == "done"
         raw = cli.request("GET", "/metrics")[1]
-        assert not prom_series(raw, "pdw_run_cache_hits_total")
+        assert pdw_only_stages(raw) == before
         assert prom_series(raw, "pdw_plan_validations_total") != expected
 
     @pytest.mark.parametrize("method", ["pdw", "dawo", "immediate"])
@@ -513,8 +520,8 @@ class TestProgress:
         stages = [r for r in records if r.get("event") == "stage"]
         assert len(stages) == len(PDW_PIPELINE)
         assert {(r["method"], r["job"]) for r in stages} == {("pdw", job.id)}
-        # A served job is no suite attempt: `pdw suite --resume` must not
-        # read it as the benchmark being done.
+        # A served job is no suite attempt: `pdw report failures` must not
+        # read it as the benchmark's latest outcome.
         assert not [r for r in records
                     if r.get("event") in ("attempt", "success", "failure")]
         assert job_progress(job, records) == {

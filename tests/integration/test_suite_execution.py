@@ -1,4 +1,4 @@
-"""Fault-tolerant suite execution: forked benchmarks, journals, resume, CLI.
+"""Fault-tolerant suite execution: forked benchmarks, journals, re-runs, CLI.
 
 ``TestSupervisor`` drives :class:`~repro.sched.executor.SuiteExecutor`
 under a budget, where each benchmark attempt runs in its own forked
@@ -21,6 +21,7 @@ from pathlib import Path
 
 from repro.cli import main as cli_main
 from repro.core import PDWConfig
+from repro.experiments import runner
 from repro.experiments.runner import (
     BenchmarkRun,
     SuiteResult,
@@ -35,6 +36,8 @@ from repro.sched.journal import RunBudget, failures_report
 from tests.integration.test_serve import children_of, needs_proc
 
 SUITE = ["PCR", "Kinase-act-1"]
+#: The stages no cache key covers: a re-run computes them again.
+KEYLESS = {"synthesis", "assemble"}
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
@@ -161,7 +164,9 @@ class TestSupervisor:
         assert [r["kind"] for r in records if r["event"] == "retry"] == ["crash"]
         assert records[-1]["event"] == "failure"
 
-    def test_resume_skips_journaled_successes(self, tmp_path, stage_fault, monkeypatch):
+    def test_a_rerun_recomputes_no_finished_stage(
+        self, tmp_path, stage_fault, monkeypatch
+    ):
         from repro.pipeline import chaos
 
         cfg = PDWConfig(time_limit_s=46.0)
@@ -172,16 +177,18 @@ class TestSupervisor:
 
         monkeypatch.delenv(chaos.ENV_STAGE_FAULT, raising=False)
         chaos.reset()
-        sup2, _ = _supervisor(tmp_path, cache=cache, resume=True)
+        before = len(_read_journal(first.journal_path))
+        runner.clear_cache()  # a new process's memo
+        sup2, _ = _supervisor(tmp_path, cache=cache)
         second = sup2.run(SUITE, cfg)
         assert second.ok
-        assert second.resumed == ("Kinase-act-1",)
-        # Resume never re-executed the journaled success.
-        attempts = [
-            r for r in _read_journal(second.journal_path)
-            if r["event"] == "attempt" and r["benchmark"] == "Kinase-act-1"
+        # The benchmark that finished computes only its keyless stages again.
+        stages = [
+            r for r in _read_journal(second.journal_path)[before:]
+            if r["event"] == "stage" and r["benchmark"] == "Kinase-act-1"
         ]
-        assert len(attempts) == 1
+        assert stages
+        assert {r["stage"] for r in stages if r["origin"] == "computed"} <= KEYLESS
 
     def test_failures_report_renders_the_journal(self, tmp_path, stage_fault):
         stage_fault("pathgen:crash@PCR")
@@ -208,8 +215,6 @@ class TestRunSuite:
         assert len(list(cache.entries())) > 0
 
     def test_process_pool_matches_thread_pool_on_warm_cache(self, tmp_path):
-        from repro.experiments import runner
-
         cfg = PDWConfig(time_limit_s=49.0)
         cache = ArtifactCache(tmp_path / "shared")
         warm = run_suite(SUITE, cfg, cache=cache)
@@ -221,11 +226,11 @@ class TestRunSuite:
             assert a.name == b.name
             assert a.pdw.metrics() == b.pdw.metrics()
             assert a.dawo.metrics() == b.dawo.metrics()
-        assert all(run.from_cache for run in cold_memo.runs)
+        for run in cold_memo.runs:
+            computed = {rec.stage for rec in run.report.stages if rec.origin == "computed"}
+            assert computed == {"synthesis", "pdw.assemble"}, (run.name, computed)
 
     def test_process_pool_results_are_memo_adopted(self, tmp_path):
-        from repro.experiments import runner
-
         cfg = PDWConfig(time_limit_s=50.0)
         cache = ArtifactCache(tmp_path / "adopt")
         runner.clear_cache()

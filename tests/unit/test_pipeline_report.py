@@ -29,7 +29,8 @@ class TestRunReport:
         report = RunReport(label="t")
         report.record("a", wall_s=0.5, counters={"n": 3.0})
         report.record("b", wall_s=0.25, cached=True)
-        assert report.stage_names() == ["a", "b"]
+        report.record("c", wall_s=0.0, cached=True, counters={"shared": 1.0})
+        assert report.stage_names() == ["a", "b", "c"]
         assert report.get("a").counters == {"n": 3.0}
         assert report.get("missing") is None
         assert report.total_wall_s == 0.75
