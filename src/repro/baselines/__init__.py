@@ -7,9 +7,16 @@
 * :func:`~repro.baselines.immediate.immediate_wash_plan` — a naive
   wash-everything-immediately policy, used by the ablation benches as a
   lower anchor.
+
+Both resolve on first access (PEP 562).
 """
 
-from repro.baselines.dawo import DelayAwareWashOptimizer, dawo_plan
-from repro.baselines.immediate import immediate_wash_plan
+from repro.lazyutil import lazy_exports
 
-__all__ = ["DelayAwareWashOptimizer", "dawo_plan", "immediate_wash_plan"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.baselines.dawo": ("DelayAwareWashOptimizer", "dawo_plan"),
+        "repro.baselines.immediate": ("immediate_wash_plan",),
+    },
+)

@@ -12,23 +12,22 @@ that minimize
 
 Entry point: :func:`~repro.core.pdw.optimize_washes` /
 :class:`~repro.core.pdw.PathDriverWash`.
+
+Every name resolves on first access (PEP 562): importing
+``repro.core.config`` loads no optimizer, and a greedy-path plan never
+loads the exact path ILP.
 """
 
-from repro.core.config import PDWConfig
-from repro.core.plan import WashOperation, WashPlan
-from repro.core.targets import WashCluster, cluster_requirements
-from repro.core.pathgen import candidate_paths
-from repro.core.path_ilp import exact_wash_path
-from repro.core.pdw import PathDriverWash, optimize_washes
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "PDWConfig",
-    "PathDriverWash",
-    "WashCluster",
-    "WashOperation",
-    "WashPlan",
-    "candidate_paths",
-    "cluster_requirements",
-    "exact_wash_path",
-    "optimize_washes",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.config": ("PDWConfig",),
+        "repro.core.plan": ("WashOperation", "WashPlan"),
+        "repro.core.targets": ("WashCluster", "cluster_requirements"),
+        "repro.core.pathgen": ("candidate_paths",),
+        "repro.core.path_ilp": ("exact_wash_path",),
+        "repro.core.pdw": ("PathDriverWash", "optimize_washes"),
+    },
+)

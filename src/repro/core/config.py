@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 from repro.contam.necessity import NecessityPolicy
 from repro.errors import WashError
@@ -98,6 +99,14 @@ class PDWConfig:
     degrade: str = ""
 
     def __post_init__(self) -> None:
+        # NaN compares false with everything, so it would slip past every
+        # bound below (JSON submissions may carry NaN and Infinity).
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if math.isnan(value):
+                raise WashError(f"{name} must be a number, got NaN")
+            if math.isinf(value) and name != "time_limit_s":  # inf: no limit
+                raise WashError(f"{name} must be finite, got {value}")
         if min(self.alpha, self.beta, self.gamma) < 0:
             raise WashError("objective weights must be non-negative")
         if self.alpha + self.beta + self.gamma <= 0:
@@ -108,6 +117,10 @@ class PDWConfig:
             raise WashError("need at least one candidate path per wash")
         if self.path_mode not in ("greedy", "exact"):
             raise WashError(f"unknown path mode {self.path_mode!r}")
+        if self.mip_gap < 0:
+            raise WashError("MIP gap must be non-negative")
+        if self.max_wash_path_mm <= 0:
+            raise WashError("maximum wash-path length must be positive")
         if self.integration_window_s < 0:
             raise WashError("integration window must be non-negative")
         if self.solver not in ("auto", "highs", "branch_bound", "greedy"):
@@ -125,6 +138,9 @@ class PDWConfig:
 
             object.__setattr__(self, "degrade", parse_spec(self.degrade).token())
 
+
+#: The float fields, none of which may be NaN.
+_FLOAT_FIELDS = tuple(f.name for f in fields(PDWConfig) if f.type == "float")
 
 #: The exact parameterization used in the paper's experiments.
 PAPER_CONFIG = PDWConfig(alpha=0.3, beta=0.3, gamma=0.4)

@@ -33,8 +33,6 @@ from repro.arch.pathkernel import kernel_for
 from repro.contam import ContaminationTracker, wash_requirements
 from repro.contam.necessity import NecessityReport
 from repro.core.config import PDWConfig
-from repro.core.fallback import greedy_outcome
-from repro.core.path_ilp import exact_wash_path
 from repro.core.pathgen import candidate_paths, integration_candidates
 from repro.obs import metrics
 from repro.core.plan import WashOperation, WashPlan
@@ -296,6 +294,8 @@ class PathGenStage(StageBase):
                         pool.append(cand)
                         seen.add(tuple(cand))
             if config.path_mode == "exact":
+                from repro.core.path_ilp import exact_wash_path
+
                 try:
                     exact = exact_wash_path(chip, sorted(cluster.targets))
                     if dead & set(exact):
@@ -424,6 +424,8 @@ class ScheduleIlpStage(StageBase):
         try:
             outcome = ilp.solve(portfolio)
         except LadderExhausted as exc:
+            from repro.core.fallback import greedy_outcome
+
             return greedy_outcome(solve_ctx, exc.attempts)
         if ilp.last_solution is not None:
             incremental.store_incumbent(cache, structure, ilp.last_solution, ctx.config)

@@ -10,22 +10,23 @@ the chip.  This package serves all three:
 * :func:`~repro.export.actuation.actuation_program` — the tick-by-tick
   valve program (CSV) a controller executes,
 * :func:`~repro.viz.svg.render_svg` (re-exported) — layout drawings.
+
+Every name resolves on first access (PEP 562): a plan's canonical JSON
+loads neither the actuation program nor the SVG renderer.
 """
 
-from repro.export.plan_json import (
-    canonical_plan_dict,
-    canonical_plan_json,
-    plan_to_dict,
-    plan_to_json,
-)
-from repro.export.actuation import actuation_program
-from repro.viz.svg import render_svg
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "actuation_program",
-    "canonical_plan_dict",
-    "canonical_plan_json",
-    "plan_to_dict",
-    "plan_to_json",
-    "render_svg",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.export.plan_json": (
+            "canonical_plan_dict",
+            "canonical_plan_json",
+            "plan_to_dict",
+            "plan_to_json",
+        ),
+        "repro.export.actuation": ("actuation_program",),
+        "repro.viz.svg": ("render_svg",),
+    },
+)

@@ -37,31 +37,23 @@ Example
 >>> sol = m.solve()
 >>> sol.objective
 21.0
+
+Every name resolves on first access (PEP 562), so a plan that HiGHS
+solves never loads branch-and-bound or the LP writer.
 """
 
-from repro.ilp.expr import LinExpr, LinExprBuilder, Variable, VarType
-from repro.ilp.model import Model
-from repro.ilp.solution import Solution, SolveStatus
-from repro.ilp.solver import HighsOptions, solve
-from repro.ilp.branch_bound import BranchAndBoundSolver
-from repro.ilp.faults import FaultSpec
-from repro.ilp.portfolio import PortfolioResult, RungAttempt, SolverPortfolio
-from repro.ilp.lpwriter import write_lp
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "BranchAndBoundSolver",
-    "FaultSpec",
-    "HighsOptions",
-    "LinExpr",
-    "LinExprBuilder",
-    "Model",
-    "PortfolioResult",
-    "RungAttempt",
-    "Solution",
-    "SolveStatus",
-    "VarType",
-    "Variable",
-    "SolverPortfolio",
-    "solve",
-    "write_lp",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.ilp.expr": ("LinExpr", "LinExprBuilder", "VarType", "Variable"),
+        "repro.ilp.model": ("Model",),
+        "repro.ilp.solution": ("Solution", "SolveStatus"),
+        "repro.ilp.solver": ("HighsOptions", "solve"),
+        "repro.ilp.branch_bound": ("BranchAndBoundSolver",),
+        "repro.ilp.faults": ("FaultSpec",),
+        "repro.ilp.portfolio": ("PortfolioResult", "RungAttempt", "SolverPortfolio"),
+        "repro.ilp.lpwriter": ("write_lp",),
+    },
+)

@@ -32,7 +32,6 @@ from repro.errors import LadderExhausted, SolverError
 from repro.ilp import faults
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
-from repro.ilp.branch_bound import BranchAndBoundSolver
 from repro.ilp.model import Model
 from repro.ilp.solution import Solution, SolveStatus
 from repro.ilp.solver import HighsOptions, solve as highs_solve
@@ -170,6 +169,8 @@ class SolverPortfolio:
         return highs_solve(model, options=opts)
 
     def _run_branch_bound(self, model: Model, budget_s: float) -> Solution:
+        from repro.ilp.branch_bound import BranchAndBoundSolver
+
         solver = BranchAndBoundSolver(
             time_limit_s=budget_s, max_nodes=self.bb_max_nodes
         )

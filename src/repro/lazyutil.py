@@ -14,6 +14,11 @@ the package namespace so later lookups are plain attribute reads::
 A name missing from the table raises :class:`AttributeError` as usual,
 which also lets ``from package import submodule`` fall through to the
 import system.
+
+It serves the one import rule (DESIGN.md §11): package roots export
+lazily, and off-path code (a fallback solver rung, the cache's
+``pickle``, ``pdw bench``'s ``subprocess``) imports at its call site, so
+a process loads only what it runs.
 """
 
 from __future__ import annotations

@@ -17,49 +17,34 @@ Zero-dependency instrumentation substrate for the whole stack
 
 Every exported artifact (trace, metrics dump, bench JSON) carries the
 run's config digest so numbers stay attributable.
+
+Every name below resolves on first access (PEP 562): a planning
+process imports the spans and the registry, never the bench comparer.
 """
 
-from repro.obs import metrics, perf, trace
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    merge_snapshots,
-    registry,
-)
-from repro.obs.perf import (
-    BENCH_SCHEMA,
-    BenchResult,
-    CompareReport,
-    Regression,
-    compare_bench,
-    load_bench,
-    run_bench,
-)
-from repro.obs.trace import SpanRecord, Tracer, span, tracer
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "BENCH_SCHEMA",
-    "BenchResult",
-    "CompareReport",
-    "Counter",
-    "DEFAULT_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "Regression",
-    "SpanRecord",
-    "Tracer",
-    "compare_bench",
-    "load_bench",
-    "merge_snapshots",
-    "metrics",
-    "perf",
-    "registry",
-    "run_bench",
-    "span",
-    "trace",
-    "tracer",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.metrics": (
+            "DEFAULT_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "merge_snapshots",
+            "registry",
+        ),
+        "repro.obs.perf": (
+            "BENCH_SCHEMA",
+            "BenchResult",
+            "CompareReport",
+            "Regression",
+            "compare_bench",
+            "load_bench",
+            "run_bench",
+        ),
+        "repro.obs.trace": ("SpanRecord", "Tracer", "span", "tracer"),
+    },
+)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +58,8 @@ QUICK_BENCHMARK = "Kinase-act-1"
 
 def git_sha(repo_root: Optional[Path] = None) -> str:
     """Short git SHA of the working tree, or ``"nogit"``."""
+    import subprocess
+
     try:
         out = subprocess.run(
             ["git", "rev-parse", "--short", "HEAD"],

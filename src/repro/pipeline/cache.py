@@ -36,9 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import logging
 import os
-import pickle
 import tempfile
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
@@ -66,8 +64,6 @@ ENV_MAX_BYTES = "REPRO_CACHE_MAX_BYTES"
 #: How many :meth:`ArtifactCache.put` calls between opportunistic size
 #: enforcements (a full store walk per put would be wasteful).
 _GC_PUT_INTERVAL = 64
-
-_logger = logging.getLogger(__name__)
 
 _PACKAGE_DIR = Path(__file__).resolve().parent.parent
 _code_salt: Optional[str] = None  # memoized: an edit after first use is not seen
@@ -193,6 +189,8 @@ def _decode(data: bytes, corrupt: bool = False) -> Tuple[Optional[str], Any]:
         payload = chaos.corrupt_payload(payload)
     if hashlib.sha256(payload).digest() != data[len(ENTRY_MAGIC) + 1 : _HEADER_LEN]:
         return "checksum-mismatch", None
+    import pickle
+
     try:
         return None, pickle.loads(payload)
     except Exception as exc:
@@ -262,6 +260,8 @@ class ArtifactCache:
 
     def put(self, digest: str, artifact: Any) -> None:
         """Store ``artifact`` under ``digest`` (atomic, last-writer-wins)."""
+        import pickle
+
         payload = pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL)
         header = ENTRY_MAGIC + bytes([ENTRY_FORMAT]) + hashlib.sha256(payload).digest()
         path = self._path(digest)
@@ -313,7 +313,9 @@ class ArtifactCache:
         with contextlib.suppress(OSError):
             with (qdir / "log.jsonl").open("a", encoding="utf-8") as fh:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
-        _logger.warning(
+        import logging
+
+        logging.getLogger(__name__).warning(
             "quarantined cache entry %s/%s (%s)", path.parent.name, path.name, reason
         )
         return dest

@@ -29,7 +29,6 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -194,6 +193,8 @@ def merged_metrics(journal_path: Optional[Path] = None) -> obs_metrics.MetricsRe
 
 def failures_report(journal_path: Optional[Path] = None) -> str:
     """Render the suite journal's failure history as text."""
+    from datetime import datetime, timezone
+
     from repro.experiments.reporting import render_table
 
     path = journal_or_default(journal_path)

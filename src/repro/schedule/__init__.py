@@ -7,18 +7,19 @@ optimizers (:mod:`repro.core`, :mod:`repro.baselines`) extend it with wash
 tasks and re-time everything.  :class:`Timeline` answers the occupancy
 queries both need: which chip nodes are busy when, and where the earliest
 conflict-free slot for a new flow is.
+
+Every name resolves on first access (PEP 562), so planning never loads
+the Gantt renderer.
 """
 
-from repro.schedule.tasks import ScheduledTask, TaskKind
-from repro.schedule.timeline import Timeline, intervals_overlap
-from repro.schedule.schedule import Schedule
-from repro.schedule.gantt import render_gantt
+from repro.lazyutil import lazy_exports
 
-__all__ = [
-    "Schedule",
-    "ScheduledTask",
-    "TaskKind",
-    "Timeline",
-    "intervals_overlap",
-    "render_gantt",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.schedule.tasks": ("ScheduledTask", "TaskKind"),
+        "repro.schedule.timeline": ("Timeline", "intervals_overlap"),
+        "repro.schedule.schedule": ("Schedule",),
+        "repro.schedule.gantt": ("render_gantt",),
+    },
+)

@@ -56,9 +56,18 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 # Everything a job child runs is imported here, before any server
-# thread exists (see the module docstring).  repro.arch.io is loaded
-# lazily by the stage digests in the child otherwise.
+# thread exists (see the module docstring).  The planning path imports
+# the rest at its call sites: repro.arch.io in the stage digests,
+# pickle and logging at the first cache read, write or quarantine, and
+# the solver fallbacks (branch-and-bound, greedy, the exact path ILP)
+# only when a job reaches them.
+import logging  # noqa: F401
+import pickle  # noqa: F401
+
 import repro.arch.io  # noqa: F401
+import repro.core.fallback  # noqa: F401
+import repro.core.path_ilp  # noqa: F401
+import repro.ilp.branch_bound  # noqa: F401
 from repro.assay import graph_from_dict
 from repro.experiments.runner import classify_failure, plan_one
 from repro.export.plan_json import canonical_plan_dict

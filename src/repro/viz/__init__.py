@@ -1,6 +1,14 @@
-"""Text visualization helpers used by the examples."""
+"""Text visualization helpers used by the examples.
 
-from repro.viz.ascii_chip import render_chip
-from repro.schedule.gantt import render_gantt
+Both resolve on first access (PEP 562).
+"""
 
-__all__ = ["render_chip", "render_gantt"]
+from repro.lazyutil import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.viz.ascii_chip": ("render_chip",),
+        "repro.schedule.gantt": ("render_gantt",),
+    },
+)

@@ -200,6 +200,14 @@ class TestEndpoints:
         code, body = client.json("POST", "/v1/jobs", job)
         assert code == 400 and "unknown config key 'pathgen_workers'" in body["error"]
 
+    @pytest.mark.parametrize(
+        "config", [{"mip_gap": -1}, {"alpha": float("nan")}], ids=["negative-gap", "nan-weight"]
+    )
+    def test_invalid_numeric_config_is_400(self, client, config):
+        # json.dumps writes NaN as the literal the server's json accepts.
+        code, body = client.json("POST", "/v1/jobs", {"benchmark": "PCR", "config": config})
+        assert code == 400 and "invalid config" in body["error"]
+
     def test_cancel_queued_job(self, client, server):
         gate = threading.Event()
         server._execute = lambda job: gate.wait(30.0)

@@ -105,6 +105,10 @@ class TestCliAssay:
         err = capsys.readouterr().err
         assert err.startswith("pdw: error:")
 
+    def test_nan_time_limit_exits_cleanly(self, capsys):
+        assert main(["run", "PCR", "--no-cache", "--time-limit", "nan"]) == 2
+        assert "time_limit_s must be a number" in capsys.readouterr().err
+
 
 class _EngineBuilt(Exception):
     """Stops ``pdw suite`` once it has built its engine."""

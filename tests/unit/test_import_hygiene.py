@@ -13,6 +13,10 @@ since imported the whole stack.
   ``scipy.sparse`` stay unloaded.
 * A planning process — the runner's import path, ``pdw serve`` — loads
   none of the report modules; ``repro.experiments`` exports them lazily.
+* Nor does it load what a healthy cold plan never runs (the bench
+  comparer, the fallback rungs, the cache's ``pickle``): package roots
+  export lazily and off-path code imports at its call site.  The server
+  alone imports, before its first thread, what a job child may reach.
 * ``ctypes``, which pins glibc's mmap threshold, loads at a process's
   first solve or before its first forked child, not at start-up; a
   forked child inherits the pin and never loads it.
@@ -130,6 +134,71 @@ REPORT_MODULES = tuple(
 def test_planning_processes_load_no_report_module(code, tmp_path):
     loaded = _loaded_after(code, tmp_path)
     assert not [m for m in REPORT_MODULES if m in loaded]
+
+
+#: Code a healthy cold plan never runs, and what only it would import:
+#: ``pdw bench``'s comparer and its ``subprocess``, the solver fallbacks,
+#: the LP writer, the Gantt renderer, and the artifact cache's ``pickle``
+#: and ``logging`` and the failure report's ``datetime``.
+OFF_PATH_MODULES = (
+    "repro.obs.perf",
+    "repro.ilp.branch_bound",
+    "repro.core.fallback",
+    "repro.core.path_ilp",
+    "repro.ilp.lpwriter",
+    "repro.schedule.gantt",
+    "subprocess",
+    "signal",
+    "selectors",
+    "locale",
+    "pickle",
+    "logging",
+    "datetime",
+    "traceback",
+    "textwrap",
+)
+
+#: Off-path modules an entry point loads on purpose: the CLI's parser
+#: shows ``pdw bench``'s defaults; the server imports everything a job
+#: child may reach before it starts a thread, and signal handling and
+#: HTTP bring the standard-library ones.
+LOADED_ON_PURPOSE = {
+    "import repro.cli": ("repro.obs.perf",),
+    "import repro.serve": tuple(
+        m for m in OFF_PATH_MODULES
+        if m not in ("repro.obs.perf", "repro.ilp.lpwriter", "repro.schedule.gantt")
+    ),
+}
+
+COLD_PLAN = """
+        from repro.core import PDWConfig
+        from repro.experiments.runner import run_benchmark
+        from repro.export.plan_json import canonical_plan_json
+        from repro.sim.validate import validate_plan
+
+        run = run_benchmark("PCR", PDWConfig(time_limit_s=120), use_cache=False)
+        assert run.pdw.solver_rung == "highs"
+        for plan in (run.pdw, run.dawo):
+            validate_plan(plan, run.synthesis)
+        canonical_plan_json(run.pdw)
+        """
+
+
+@pytest.mark.parametrize(
+    "code",
+    [
+        "import repro.experiments.runner; from repro.sim.validate import validate_plan",
+        "import repro.cli",
+        "import repro.serve",
+        COLD_PLAN,
+    ],
+    ids=["runner", "cli", "serve", "cold-plan"],
+)
+def test_planning_processes_load_no_off_path_module(code, tmp_path):
+    # A healthy plan solves on HiGHS, whichever rung the environment forces.
+    loaded = _loaded_after(code, tmp_path, REPRO_FORCE_SOLVER="")
+    allowed = LOADED_ON_PURPOSE.get(code, ())
+    assert not [m for m in OFF_PATH_MODULES if m in loaded and m not in allowed]
 
 
 @pytest.mark.parametrize("module", ["repro.experiments.runner", "repro.cli", "repro.serve"])

@@ -1,7 +1,6 @@
 """The lazily resolved package exports cannot drift from their sources.
 
-``repro``, ``repro.arch``, ``repro.assay`` and ``repro.experiments``
-resolve their public names on first access (PEP 562,
+Every package root resolves its public names on first access (PEP 562,
 :mod:`repro.lazyutil`).  Each name must still be the very object its
 defining module exports, star-imports and ``dir()`` must still see all of
 ``__all__``, and the quickstart in the package docstring must still run.
@@ -17,14 +16,35 @@ import pytest
 import repro
 import repro.arch
 import repro.assay
+import repro.baselines
+import repro.core
 import repro.experiments
+import repro.export
+import repro.ilp
+import repro.obs
+import repro.schedule
+import repro.viz
 
-PACKAGES = [repro, repro.arch, repro.assay, repro.experiments]
+PACKAGES = [
+    repro,
+    repro.arch,
+    repro.assay,
+    repro.baselines,
+    repro.core,
+    repro.experiments,
+    repro.export,
+    repro.ilp,
+    repro.obs,
+    repro.schedule,
+    repro.viz,
+]
 
 #: Exports without a ``__module__`` of their own (plain data), by the
 #: module that defines them.
 DATA_EXPORTS = {
     "BENCHMARKS": "repro.bench.library",
+    "BENCH_SCHEMA": "repro.obs.perf",
+    "DEFAULT_BUCKETS": "repro.obs.metrics",
     "OPERATION_TYPES": "repro.assay.operations",
 }
 
@@ -64,12 +84,23 @@ def test_unknown_name_raises_attribute_error(package):
 def test_submodules_still_import_through_the_package():
     from repro import errors
     from repro.arch import pathkernel
+    from repro.ilp import faults
+    from repro.obs import metrics, perf
 
     assert errors.ReproError is repro.ReproError
     assert pathkernel.__name__ == "repro.arch.pathkernel"
+    assert faults.FaultSpec is repro.ilp.FaultSpec
+    assert metrics.registry is repro.obs.registry
+    assert perf.run_bench is repro.obs.run_bench
 
 
 def test_package_docstring_quickstart_runs():
     result = doctest.testmod(repro, raise_on_error=False)
+    assert result.attempted >= 5
+    assert result.failed == 0
+
+
+def test_ilp_docstring_example_runs():
+    result = doctest.testmod(repro.ilp, raise_on_error=False)
     assert result.attempted >= 5
     assert result.failed == 0

@@ -32,6 +32,37 @@ class TestConfig:
         with pytest.raises(WashError):
             PDWConfig(time_limit_s=0)
 
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "beta", "gamma", "time_limit_s", "mip_gap", "max_wash_path_mm",
+         "integration_window_s"],
+    )
+    def test_nan_rejected_in_every_float_field(self, field):
+        with pytest.raises(WashError, match="NaN"):
+            PDWConfig(**{field: float("nan")})
+
+    @pytest.mark.parametrize(
+        "field",
+        ["alpha", "beta", "gamma", "mip_gap", "max_wash_path_mm", "integration_window_s"],
+    )
+    def test_infinity_rejected(self, field):
+        with pytest.raises(WashError, match="finite"):
+            PDWConfig(**{field: float("inf")})
+
+    def test_infinite_time_limit_means_no_limit(self):
+        assert PDWConfig(time_limit_s=float("inf")).time_limit_s == float("inf")
+
+    def test_negative_mip_gap_rejected(self):
+        # HiGHS refuses it, and the ladder would silently plan on a later rung.
+        with pytest.raises(WashError, match="MIP gap"):
+            PDWConfig(mip_gap=-1)
+        assert PDWConfig(mip_gap=0).mip_gap == 0
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_non_positive_wash_path_cap_rejected(self, cap):
+        with pytest.raises(WashError, match="wash-path length"):
+            PDWConfig(max_wash_path_mm=cap)
+
 
 class TestPlanStructure:
     def test_solver_reached_optimality(self, demo_pdw_plan):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -72,6 +73,24 @@ class TestValidation:
         # come back as a 400-class WireError, not an unhandled WashError.
         with pytest.raises(WireError, match="invalid config"):
             _parse({"benchmark": "PCR", "config": {"time_limit_s": -5}})
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            '{"mip_gap": -1}',
+            '{"max_wash_path_mm": -5}',
+            '{"max_wash_path_mm": 0}',
+            '{"alpha": NaN}',
+            '{"time_limit_s": NaN}',
+            '{"gamma": Infinity}',
+            '{"beta": -Infinity}',
+        ],
+    )
+    def test_rejects_invalid_numeric_config(self, config):
+        # Python's json accepts the non-standard NaN and Infinity literals.
+        payload = json.loads('{"benchmark": "PCR", "config": %s}' % config)
+        with pytest.raises(WireError, match="invalid config"):
+            _parse(payload)
 
     def test_degrade_requires_pdw_method(self):
         with pytest.raises(WireError, match="PDW capability"):
