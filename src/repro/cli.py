@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING
 # never load numpy, scipy or the solver (docs/PERFORMANCE.md "Start-up").
 from repro.bench import BENCHMARKS
 from repro.errors import ReproError
-from repro.obs import perf
 
 if TYPE_CHECKING:
     from repro.core import PDWConfig
@@ -223,12 +222,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="ILP model-reduction layer (default on; plans byte-identical only at a proving gap)",
     )
     p_bench.add_argument(
-        "--iterations", type=int, default=perf.DEFAULT_ITERATIONS,
+        # perf.DEFAULT_ITERATIONS and perf.QUICK_BENCHMARK, spelled out so
+        # that building the parser does not load the bench comparer
+        # (tests/unit/test_cli.py holds them equal).
+        "--iterations", type=int, default=3,
         help="cold samples per benchmark (median/p95 are taken over these)",
     )
     p_bench.add_argument(
         "--quick", action="store_true",
-        help=f"smoke matrix: one iteration of {perf.QUICK_BENCHMARK} only",
+        help="smoke matrix: one iteration of Kinase-act-1 only",
     )
     p_bench.add_argument(
         "--out", type=Path, default=None,
@@ -512,6 +514,7 @@ def _run_report_trace(args: argparse.Namespace) -> int:
 def _run_bench_cmd(args: argparse.Namespace) -> int:
     """``pdw bench``: perf baselines + optional regression gate."""
     from repro.core import PDWConfig
+    from repro.obs import perf
 
     config = PDWConfig(
         time_limit_s=args.time_limit,

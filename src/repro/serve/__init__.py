@@ -2,8 +2,9 @@
 
 The front door that turns the repository from "a CLI that runs
 benchmarks" into a long-running service (ROADMAP north star; DESIGN.md
-§15).  Stdlib-only — ``http.server`` + ``threading``, keeping the
-zero-dependency stance — and a thin layer over machinery that already
+§15).  Stdlib-only — ``socketserver`` + ``threading``, speaking the
+HTTP/1.1 subset of :mod:`repro.serve.httpd`, keeping the zero-dependency
+stance — and a thin layer over machinery that already
 exists: each job runs in a forked child process that makes its one plan
 with :func:`~repro.experiments.runner.plan_one`, as ``pdw run`` does,
 dedup keys on a content digest of the job, progress is read from the
@@ -15,6 +16,7 @@ Module map:
 * :mod:`repro.serve.wire` — submission parsing, validation, job digests
 * :mod:`repro.serve.queue` — bounded per-client-fair admission queue
 * :mod:`repro.serve.jobs` — job records, lifecycle, dedup store
+* :mod:`repro.serve.httpd` — the HTTP/1.1 subset the API speaks
 * :mod:`repro.serve.routes` — the route registry (docs drift-tested) and
   the HTTP handler
 * :mod:`repro.serve.server` — :class:`JobServer`: admission, execution,

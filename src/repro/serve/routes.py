@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, Optional, Tuple
 
+from repro.serve import httpd
 from repro.serve.wire import MAX_BODY_BYTES, WireError, decode_body
 
 
@@ -97,13 +97,7 @@ def path_has_routes(path: str) -> bool:
 def make_handler(server: Any) -> type:
     """Build the request-handler class bound to one :class:`JobServer`."""
 
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-        # The default handler logs every request to stderr; the server
-        # has /metrics for that.
-        def log_message(self, fmt: str, *args: Any) -> None:
-            pass
-
+    class Handler(httpd.Handler):
         def _respond(
             self,
             code: int,
@@ -118,13 +112,7 @@ def make_handler(server: Any) -> type:
                 raw = body.encode()
             else:
                 raw = body
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(raw)))
-            for key, value in (extra_headers or {}).items():
-                self.send_header(key, value)
-            self.end_headers()
-            self.wfile.write(raw)
+            self.send(code, raw, {"Content-Type": content_type, **(extra_headers or {})})
             server.count_request(route.name if route else "unmatched", code)
 
         def _error(self, code: int, message: str, route: Optional[Route] = None,
@@ -143,8 +131,8 @@ def make_handler(server: Any) -> type:
             try:
                 handler = getattr(self, f"_do_{route.name}")
                 handler(route, params)
-            except BrokenPipeError:
-                pass  # client went away mid-response
+            except ConnectionError:
+                raise  # the client went away; httpd.Handler ends the connection
             except Exception as exc:  # pragma: no cover - last-resort guard
                 self._error(500, f"internal error: {exc}", route)
 
@@ -172,12 +160,11 @@ def make_handler(server: Any) -> type:
             self._respond(200, server.jobs_dict(), route)
 
         def _do_submit_job(self, route: Route, params: Dict[str, str]) -> None:
-            length = int(self.headers.get("Content-Length") or 0)
-            if length > MAX_BODY_BYTES:
+            if self.content_length > MAX_BODY_BYTES:
                 self._error(413, f"body exceeds {MAX_BODY_BYTES} bytes", route)
                 return
-            body = self.rfile.read(length)
-            header_client = (self.headers.get("X-PDW-Client") or "").strip()
+            body = self.read_body()
+            header_client = self.headers.get("x-pdw-client", "").strip()
             try:
                 spec = decode_body(body, default_client=header_client or "anon")
             except WireError as exc:

@@ -51,7 +51,6 @@ import os
 import signal
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -77,6 +76,7 @@ from repro.pipeline import cache as artifact_cache
 from repro.procutil import Child, safe_send, terminate
 from repro.sched import journal as sched_journal
 from repro.sched.journal import default_journal_path
+from repro.serve import httpd
 from repro.serve.jobs import Job, JobFailure, JobStore, job_progress
 from repro.serve.queue import FairQueue
 from repro.serve.routes import make_handler
@@ -119,21 +119,6 @@ def _job_entry(
     os._exit(0)
 
 
-class _HttpServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer tuned for burst traffic.
-
-    The stdlib default listen backlog is 5; a 50-submission burst (the CI
-    serve job's shape) overflows that and the kernel resets the excess
-    connections before a handler thread ever sees them.  The backlog only
-    holds sockets awaiting ``accept()`` — handler threads drain it fast —
-    so a deep backlog costs nothing in steady state.
-    """
-
-    request_queue_size = 128
-    daemon_threads = True
-    allow_reuse_address = True
-
-
 class JobServer:
     """The long-running optimization service behind ``pdw serve``."""
 
@@ -168,7 +153,7 @@ class JobServer:
         self._fork_lock = threading.Lock()
         self._children: Set[Any] = set()
 
-        self._http = _HttpServer((host, port), make_handler(self))
+        self._http = httpd.Server((host, port), make_handler(self))
         self.host, self.port = self._http.server_address[:2]
 
         self._workers: List[threading.Thread] = [
@@ -381,7 +366,7 @@ class JobServer:
     def serve_forever(self, install_signals: bool = False) -> None:
         """Run the HTTP loop until :meth:`shutdown` (or SIGTERM/SIGINT)."""
         if install_signals:
-            # The handler must not call ThreadingHTTPServer.shutdown()
+            # The handler must not call the HTTP server's shutdown()
             # directly: the signal interrupts the serve_forever loop's own
             # thread, and shutdown() blocks until that loop acknowledges —
             # a deadlock.  A one-shot helper thread breaks the cycle.

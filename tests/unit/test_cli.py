@@ -134,3 +134,18 @@ class TestCliSuiteEngine:
         with pytest.raises(_EngineBuilt):
             main(["suite", "PCR", "--no-cache"])
         assert [(ex.workers, ex.budget.forks) for ex in built] == [(None, True)]
+
+
+class TestCliBenchParser:
+    def test_bench_defaults_match_the_bench_module(self):
+        # The parser spells out pdw bench's defaults so that `import
+        # repro.cli` need not load repro.obs.perf; they must stay perf's.
+        import argparse
+
+        from repro.cli import build_parser
+        from repro.obs import perf
+
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        options = {a.dest: a for a in sub.choices["bench"]._actions}
+        assert options["iterations"].default == perf.DEFAULT_ITERATIONS
+        assert f"one iteration of {perf.QUICK_BENCHMARK} only" in options["quick"].help

@@ -17,6 +17,8 @@ since imported the whole stack.
   comparer, the fallback rungs, the cache's ``pickle``): package roots
   export lazily and off-path code imports at its call site.  The server
   alone imports, before its first thread, what a job child may reach.
+* ``pdw serve`` speaks HTTP/1.1 itself: neither it nor ``import
+  repro.cli`` loads ``http.server``, ``http.client``, ``ssl`` or ``email``.
 * ``ctypes``, which pins glibc's mmap threshold, loads at a process's
   first solve or before its first forked child, not at start-up; a
   forked child inherits the pin and never loads it.
@@ -158,15 +160,13 @@ OFF_PATH_MODULES = (
     "textwrap",
 )
 
-#: Off-path modules an entry point loads on purpose: the CLI's parser
-#: shows ``pdw bench``'s defaults; the server imports everything a job
-#: child may reach before it starts a thread, and signal handling and
-#: HTTP bring the standard-library ones.
+#: Off-path modules an entry point loads on purpose: the server imports
+#: everything a job child may reach before it starts a thread, and signal
+#: handling and its socket server bring the standard-library ones.
 LOADED_ON_PURPOSE = {
-    "import repro.cli": ("repro.obs.perf",),
     "import repro.serve": tuple(
         m for m in OFF_PATH_MODULES
-        if m not in ("repro.obs.perf", "repro.ilp.lpwriter", "repro.schedule.gantt")
+        if m not in ("repro.obs.perf", "repro.ilp.lpwriter", "repro.schedule.gantt", "datetime")
     ),
 }
 
@@ -206,6 +206,18 @@ def test_entry_points_leave_ctypes_to_the_first_solve(module, tmp_path):
     # The malloc pin (repro.ilp.highs.pin_mmap_threshold) imports ctypes
     # when a process first solves, never while it starts up.
     assert "ctypes" not in _loaded_after(f"import {module}", tmp_path)
+
+
+#: What ``http.server`` brings along: its client, TLS and the MIME
+#: parser.  ``pdw serve`` speaks HTTP through :mod:`repro.serve.httpd`,
+#: so neither the server nor the job children it forks carry them.
+HTTP_LIBRARY = ("http.server", "http.client", "ssl", "email")
+
+
+@pytest.mark.parametrize("module", ["repro.serve", "repro.cli"])
+def test_entry_points_load_no_http_library(module, tmp_path):
+    loaded = _loaded_after(f"import {module}", tmp_path)
+    assert not [m for m in HTTP_LIBRARY if m in loaded]
 
 
 def test_the_suite_engine_loads_in_the_suite_handler(tmp_path):
